@@ -12,18 +12,28 @@
 // current hashes are for container version 6 (the MRCR bump); the
 // entropy-layer goldens above them are version-independent and must never
 // change.
+//
+// The last three goldens pin bytes that depend on trilinear prolongation:
+// the prolonged samples themselves, an MRCR stream (every residual level is
+// taken against a prolonged reconstruction) and an MRCP stream (whose level
+// table stores approx_err from prolong_error). A prolongation kernel that
+// drifts by one ulp anywhere fails here.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "common/rng.h"
 #include "compressors/interp/interp_compressor.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
 #include "compressors/zfpx/zfpx_compressor.h"
+#include "grid/field_ops.h"
 #include "lossless/bitstream.h"
 #include "lossless/huffman.h"
 #include "lossless/quant_codec.h"
+#include "progressive/progressive.h"
+#include "pyramid/pyramid.h"
 
 namespace mrc {
 namespace {
@@ -32,7 +42,7 @@ using lossless::BitReader;
 using lossless::BitWriter;
 using lossless::HuffmanCodebook;
 
-std::uint64_t fnv1a(const Bytes& b) {
+std::uint64_t fnv1a(std::span<const std::byte> b) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (auto c : b) {
     h ^= static_cast<std::uint8_t>(c);
@@ -139,6 +149,30 @@ TEST(FrozenFormat, ZfpxContainer) {
   const auto s = ZfpxCompressor().compress(golden_field(), 1e-3);
   EXPECT_EQ(s.size(), 6693u);
   EXPECT_EQ(fnv1a(s), 0x319cbaada213c495ull);
+}
+
+TEST(FrozenFormat, TrilinearProlongation) {
+  const FieldF f = golden_field();
+  const FieldF p = prolong_trilinear(restrict_half(f), f.dims());
+  EXPECT_EQ(fnv1a(std::as_bytes(p.span())), 0x678ba896f5393873ull);
+}
+
+TEST(FrozenFormat, ProgressiveContainer) {
+  progressive::Config cfg;
+  cfg.brick = 8;
+  cfg.levels = 3;
+  const auto s = progressive::build(golden_field(), 1e-3, cfg);
+  EXPECT_EQ(s.size(), 5913u);
+  EXPECT_EQ(fnv1a(s), 0x0e2a7e4f757dfc14ull);
+}
+
+TEST(FrozenFormat, PyramidContainer) {
+  pyramid::Config cfg;
+  cfg.brick = 8;
+  cfg.levels = 3;
+  const auto s = pyramid::build(golden_field(), 1e-3, cfg);
+  EXPECT_EQ(s.size(), 6821u);
+  EXPECT_EQ(fnv1a(s), 0x1cb8aedfc07007a7ull);
 }
 
 }  // namespace
