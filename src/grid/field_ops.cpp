@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace mrc {
 
@@ -65,40 +66,101 @@ FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims) {
   return fine;
 }
 
-FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims) {
-  const Dim3 cd = coarse.dims();
-  FieldF fine(fine_dims);
-  // Cell-centered alignment: fine cell center x_f maps to coarse coordinate
-  // (x_f + 0.5) * (cd/fd) - 0.5.
-  const double rx = static_cast<double>(cd.nx) / static_cast<double>(fine_dims.nx);
-  const double ry = static_cast<double>(cd.ny) / static_cast<double>(fine_dims.ny);
-  const double rz = static_cast<double>(cd.nz) / static_cast<double>(fine_dims.nz);
-  auto clampi = [](index_t v, index_t lo, index_t hi) { return std::clamp(v, lo, hi); };
-  for (index_t z = 0; z < fine_dims.nz; ++z) {
-    const double gz = (static_cast<double>(z) + 0.5) * rz - 0.5;
-    const auto z0 = clampi(static_cast<index_t>(std::floor(gz)), 0, cd.nz - 1);
-    const auto z1 = clampi(z0 + 1, 0, cd.nz - 1);
-    const double fz = std::clamp(gz - static_cast<double>(z0), 0.0, 1.0);
-    for (index_t y = 0; y < fine_dims.ny; ++y) {
-      const double gy = (static_cast<double>(y) + 0.5) * ry - 0.5;
-      const auto y0 = clampi(static_cast<index_t>(std::floor(gy)), 0, cd.ny - 1);
-      const auto y1 = clampi(y0 + 1, 0, cd.ny - 1);
-      const double fy = std::clamp(gy - static_cast<double>(y0), 0.0, 1.0);
-      for (index_t x = 0; x < fine_dims.nx; ++x) {
-        const double gx = (static_cast<double>(x) + 0.5) * rx - 0.5;
-        const auto x0 = clampi(static_cast<index_t>(std::floor(gx)), 0, cd.nx - 1);
-        const auto x1 = clampi(x0 + 1, 0, cd.nx - 1);
-        const double fx = std::clamp(gx - static_cast<double>(x0), 0.0, 1.0);
-        const double c00 = coarse.at(x0, y0, z0) * (1 - fx) + coarse.at(x1, y0, z0) * fx;
-        const double c10 = coarse.at(x0, y1, z0) * (1 - fx) + coarse.at(x1, y1, z0) * fx;
-        const double c01 = coarse.at(x0, y0, z1) * (1 - fx) + coarse.at(x1, y0, z1) * fx;
-        const double c11 = coarse.at(x0, y1, z1) * (1 - fx) + coarse.at(x1, y1, z1) * fx;
-        const double c0 = c00 * (1 - fy) + c10 * fy;
-        const double c1 = c01 * (1 - fy) + c11 * fy;
-        fine.at(x, y, z) = static_cast<float>(c0 * (1 - fz) + c1 * fz);
-      }
+namespace {
+
+/// Cell-centred alignment: fine sample x of an fd-sample axis sits at coarse
+/// coordinate (x + 0.5) * (cd / fd) - 0.5; its lower neighbour is clamped.
+double coarse_coord(index_t cd, index_t fd, index_t x) {
+  return (static_cast<double>(x) + 0.5) * (static_cast<double>(cd) / static_cast<double>(fd)) -
+         0.5;
+}
+index_t lower_tap(double g, index_t cd) {
+  return std::clamp(static_cast<index_t>(std::floor(g)), index_t{0}, cd - 1);
+}
+
+/// Taps of fine samples [lo, lo + n) along one axis: coarse neighbours i0/i1,
+/// relative to the coarse window origin `wo`, and weights w0 = 1 - f, w1 = f.
+struct AxisTaps {
+  std::vector<index_t> i0, i1;
+  std::vector<double> w0, w1;
+};
+AxisTaps axis_taps(index_t cd, index_t fd, index_t lo, index_t n, index_t wo) {
+  AxisTaps t;
+  for (index_t x = lo; x < lo + n; ++x) {
+    const double g = coarse_coord(cd, fd, x);
+    const index_t i0 = lower_tap(g, cd);
+    const double f = std::clamp(g - static_cast<double>(i0), 0.0, 1.0);
+    t.i0.push_back(i0 - wo);
+    t.i1.push_back(std::clamp(i0 + 1, index_t{0}, cd - 1) - wo);
+    t.w0.push_back(1 - f);
+    t.w1.push_back(f);
+  }
+  return t;
+}
+
+/// The trilinear prolongation kernel: evaluates the fine window [fo, fo + fe)
+/// of an fd grid from `window`, the box of the cd coarse grid at `wo`, and
+/// hands each fine x-row to row(y, z, values) (window-relative y, z) in
+/// ascending z, then y. Per sample it computes, in this order,
+///   X(cy, cz) = c(x0, cy, cz) * (1 - fx) + c(x1, cy, cz) * fx
+///   v = float((X(y0, z0) * (1 - fy) + X(y1, z0) * fy) * (1 - fz) +
+///             (X(y0, z1) * (1 - fy) + X(y1, z1) * fy) * fz)
+/// with each coarse row's X computed once per coarse plane and shared by
+/// every fine row that reads it.
+template <class RowSink>
+void prolong_rows(const FieldF& window, Coord3 wo, Dim3 cd, Dim3 fd, Coord3 fo, Dim3 fe,
+                  RowSink&& row) {
+  if (fe.empty()) return;
+  const AxisTaps tx = axis_taps(cd.nx, fd.nx, fo.x, fe.nx, wo.x);
+  const AxisTaps ty = axis_taps(cd.ny, fd.ny, fo.y, fe.ny, wo.y);
+  const AxisTaps tz = axis_taps(cd.nz, fd.nz, fo.z, fe.nz, wo.z);
+  const auto nx = static_cast<std::size_t>(fe.nx);
+  const index_t y_lo = ty.i0.front(), rows = ty.i1.back() + 1 - y_lo;
+  const std::size_t plane_size = static_cast<std::size_t>(rows) * nx;
+  // Two-plane cache: coarse plane cz lives in slot cz & 1, so the planes z0
+  // and z1 (= z0 or z0 + 1) of one fine z never evict each other, and with
+  // ascending z each plane is x-interpolated once.
+  std::vector<double> cache(2 * plane_size);
+  index_t held[2] = {-1, -1};
+  auto plane = [&](index_t cz) {
+    double* p = cache.data() + static_cast<std::size_t>(cz & 1) * plane_size;
+    if (held[cz & 1] == cz) return p;
+    held[cz & 1] = cz;
+    for (index_t j = 0; j < rows; ++j) {
+      const float* c = &window.at(0, y_lo + j, cz);
+      double* out = p + static_cast<std::size_t>(j) * nx;
+      for (std::size_t x = 0; x < nx; ++x)
+        out[x] = c[tx.i0[x]] * tx.w0[x] + c[tx.i1[x]] * tx.w1[x];
+    }
+    return p;
+  };
+  std::vector<float> values(nx);
+  for (std::size_t z = 0; z < tz.w0.size(); ++z) {
+    const double* p0 = plane(tz.i0[z]);
+    const double* p1 = plane(tz.i1[z]);
+    const double wz0 = tz.w0[z], wz1 = tz.w1[z];
+    for (std::size_t y = 0; y < ty.w0.size(); ++y) {
+      const auto r0 = static_cast<std::size_t>(ty.i0[y] - y_lo) * nx;
+      const auto r1 = static_cast<std::size_t>(ty.i1[y] - y_lo) * nx;
+      const double *a0 = p0 + r0, *a1 = p0 + r1, *b0 = p1 + r0, *b1 = p1 + r1;
+      const double wy0 = ty.w0[y], wy1 = ty.w1[y];
+      float* out = values.data();
+      for (std::size_t x = 0; x < nx; ++x)
+        out[x] = static_cast<float>((a0[x] * wy0 + a1[x] * wy1) * wz0 +
+                                    (b0[x] * wy0 + b1[x] * wy1) * wz1);
+      row(static_cast<index_t>(y), static_cast<index_t>(z), out);
     }
   }
+}
+
+}  // namespace
+
+FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims) {
+  FieldF fine(fine_dims);
+  prolong_rows(coarse, {}, coarse.dims(), fine_dims, {}, fine_dims,
+               [&](index_t y, index_t z, const float* v) {
+                 std::copy_n(v, fine_dims.nx, &fine.at(0, y, z));
+               });
   return fine;
 }
 
@@ -115,13 +177,9 @@ SupportBox prolong_support(Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
   // bound the footprint along each axis.
   auto axis = [](index_t cd, index_t fd, index_t lo, index_t n, index_t& out_lo,
                  index_t& out_n) {
-    const double r = static_cast<double>(cd) / static_cast<double>(fd);
-    auto i0_of = [&](index_t x) {
-      const double g = (static_cast<double>(x) + 0.5) * r - 0.5;
-      return std::clamp(static_cast<index_t>(std::floor(g)), index_t{0}, cd - 1);
-    };
-    const index_t first = i0_of(lo);
-    const index_t last = std::clamp(i0_of(lo + n - 1) + 1, index_t{0}, cd - 1);
+    const index_t first = lower_tap(coarse_coord(cd, fd, lo), cd);
+    const index_t last =
+        std::clamp(lower_tap(coarse_coord(cd, fd, lo + n - 1), cd) + 1, index_t{0}, cd - 1);
     out_lo = first;
     out_n = last + 1 - first;
   };
@@ -148,94 +206,25 @@ FieldF prolong_trilinear_region(const FieldF& coarse_window, Coord3 window_origi
                   window_origin.z + wd.nz >= need.origin.z + need.extent.nz,
               "prolong_trilinear_region: coarse window does not cover the support");
   FieldF fine(fine_extent);
-  // Exactly prolong_trilinear's cell-centered arithmetic, evaluated at global
-  // fine indices with global coarse dims — the per-sample double expressions
-  // match term for term, so the float results are bit-identical to the same
-  // window of the full prolongation.
-  const double rx =
-      static_cast<double>(coarse_dims.nx) / static_cast<double>(fine_dims.nx);
-  const double ry =
-      static_cast<double>(coarse_dims.ny) / static_cast<double>(fine_dims.ny);
-  const double rz =
-      static_cast<double>(coarse_dims.nz) / static_cast<double>(fine_dims.nz);
-  auto clampi = [](index_t v, index_t lo, index_t hi) { return std::clamp(v, lo, hi); };
-  for (index_t z = 0; z < fine_extent.nz; ++z) {
-    const double gz = (static_cast<double>(fine_origin.z + z) + 0.5) * rz - 0.5;
-    const auto z0 = clampi(static_cast<index_t>(std::floor(gz)), 0, coarse_dims.nz - 1);
-    const auto z1 = clampi(z0 + 1, 0, coarse_dims.nz - 1);
-    const double fz = std::clamp(gz - static_cast<double>(z0), 0.0, 1.0);
-    for (index_t y = 0; y < fine_extent.ny; ++y) {
-      const double gy = (static_cast<double>(fine_origin.y + y) + 0.5) * ry - 0.5;
-      const auto y0 =
-          clampi(static_cast<index_t>(std::floor(gy)), 0, coarse_dims.ny - 1);
-      const auto y1 = clampi(y0 + 1, 0, coarse_dims.ny - 1);
-      const double fy = std::clamp(gy - static_cast<double>(y0), 0.0, 1.0);
-      for (index_t x = 0; x < fine_extent.nx; ++x) {
-        const double gx = (static_cast<double>(fine_origin.x + x) + 0.5) * rx - 0.5;
-        const auto x0 =
-            clampi(static_cast<index_t>(std::floor(gx)), 0, coarse_dims.nx - 1);
-        const auto x1 = clampi(x0 + 1, 0, coarse_dims.nx - 1);
-        const double fx = std::clamp(gx - static_cast<double>(x0), 0.0, 1.0);
-        auto c = [&](index_t cx, index_t cy, index_t cz) {
-          return coarse_window.at(cx - window_origin.x, cy - window_origin.y,
-                                  cz - window_origin.z);
-        };
-        const double c00 = c(x0, y0, z0) * (1 - fx) + c(x1, y0, z0) * fx;
-        const double c10 = c(x0, y1, z0) * (1 - fx) + c(x1, y1, z0) * fx;
-        const double c01 = c(x0, y0, z1) * (1 - fx) + c(x1, y0, z1) * fx;
-        const double c11 = c(x0, y1, z1) * (1 - fx) + c(x1, y1, z1) * fx;
-        const double c0 = c00 * (1 - fy) + c10 * fy;
-        const double c1 = c01 * (1 - fy) + c11 * fy;
-        fine.at(x, y, z) = static_cast<float>(c0 * (1 - fz) + c1 * fz);
-      }
-    }
-  }
+  prolong_rows(coarse_window, window_origin, coarse_dims, fine_dims, fine_origin,
+               fine_extent, [&](index_t y, index_t z, const float* v) {
+                 std::copy_n(v, fine_extent.nx, &fine.at(0, y, z));
+               });
   return fine;
 }
 
 double prolong_error_slab(const FieldF& coarse, const FieldF& fine, index_t z0,
                           index_t z1) {
-  const Dim3 cd = coarse.dims();
   const Dim3 fd = fine.dims();
   MRC_REQUIRE(z0 >= 0 && z0 <= z1 && z1 <= fd.nz, "bad prolongation slab");
-  // Same cell-centered sampling as prolong_trilinear, but compared against
-  // `fine` sample-by-sample instead of stored.
-  const double rx = static_cast<double>(cd.nx) / static_cast<double>(fd.nx);
-  const double ry = static_cast<double>(cd.ny) / static_cast<double>(fd.ny);
-  const double rz = static_cast<double>(cd.nz) / static_cast<double>(fd.nz);
-  auto clampi = [](index_t v, index_t lo, index_t hi) { return std::clamp(v, lo, hi); };
   double err = 0.0;
-  for (index_t z = z0; z < z1; ++z) {
-    const double gz = (static_cast<double>(z) + 0.5) * rz - 0.5;
-    const auto cz0 = clampi(static_cast<index_t>(std::floor(gz)), 0, cd.nz - 1);
-    const auto cz1 = clampi(cz0 + 1, 0, cd.nz - 1);
-    const double fz = std::clamp(gz - static_cast<double>(cz0), 0.0, 1.0);
-    for (index_t y = 0; y < fd.ny; ++y) {
-      const double gy = (static_cast<double>(y) + 0.5) * ry - 0.5;
-      const auto cy0 = clampi(static_cast<index_t>(std::floor(gy)), 0, cd.ny - 1);
-      const auto cy1 = clampi(cy0 + 1, 0, cd.ny - 1);
-      const double fy = std::clamp(gy - static_cast<double>(cy0), 0.0, 1.0);
-      for (index_t x = 0; x < fd.nx; ++x) {
-        const double gx = (static_cast<double>(x) + 0.5) * rx - 0.5;
-        const auto cx0 = clampi(static_cast<index_t>(std::floor(gx)), 0, cd.nx - 1);
-        const auto cx1 = clampi(cx0 + 1, 0, cd.nx - 1);
-        const double fx = std::clamp(gx - static_cast<double>(cx0), 0.0, 1.0);
-        const double c00 =
-            coarse.at(cx0, cy0, cz0) * (1 - fx) + coarse.at(cx1, cy0, cz0) * fx;
-        const double c10 =
-            coarse.at(cx0, cy1, cz0) * (1 - fx) + coarse.at(cx1, cy1, cz0) * fx;
-        const double c01 =
-            coarse.at(cx0, cy0, cz1) * (1 - fx) + coarse.at(cx1, cy0, cz1) * fx;
-        const double c11 =
-            coarse.at(cx0, cy1, cz1) * (1 - fx) + coarse.at(cx1, cy1, cz1) * fx;
-        const double c0 = c00 * (1 - fy) + c10 * fy;
-        const double c1 = c01 * (1 - fy) + c11 * fy;
-        const auto value = static_cast<float>(c0 * (1 - fz) + c1 * fz);
-        err = std::max(err, std::abs(static_cast<double>(value) -
-                                     static_cast<double>(fine.at(x, y, z))));
-      }
-    }
-  }
+  prolong_rows(coarse, {}, coarse.dims(), fd, {0, 0, z0}, {fd.nx, fd.ny, z1 - z0},
+               [&](index_t y, index_t z, const float* v) {
+                 const float* f = &fine.at(0, y, z0 + z);
+                 for (index_t x = 0; x < fd.nx; ++x)
+                   err = std::max(err, std::abs(static_cast<double>(v[x]) -
+                                                static_cast<double>(f[x])));
+               });
   return err;
 }
 

@@ -22,6 +22,12 @@ namespace mrc {
 [[nodiscard]] FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims);
 
 /// Trilinear upsampling to `fine_dims` (cell-centered alignment).
+///
+/// prolong_trilinear, prolong_trilinear_region and prolong_error_slab share
+/// one separable kernel. Its invariant: every fine sample evaluates the same
+/// double expressions in the same order (x-lerp per coarse row, then y, then
+/// z, one float rounding) with no FMA contraction, so the three entry points
+/// agree bit for bit, and stream bytes built on them never drift.
 [[nodiscard]] FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims);
 
 /// Coarse footprint of prolong_trilinear over the fine window
@@ -49,9 +55,9 @@ struct SupportBox {
                                               Dim3 fine_extent);
 
 /// Max |prolong_trilinear(coarse, fine.dims()) - fine| over the fine z-slab
-/// [z0, z1), without materializing the prolonged field. This is the pyramid
-/// builder's LOD-error kernel; slabs are independent, so callers parallelize
-/// by splitting z across a pool.
+/// [z0, z1), without materializing the prolonged field: the LOD error of the
+/// pyramid and progressive builders and of adaptive bricks. Slabs are
+/// independent, so callers parallelize by splitting z across a pool.
 [[nodiscard]] double prolong_error_slab(const FieldF& coarse, const FieldF& fine,
                                         index_t z0, index_t z1);
 

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstring>
 
 #include "compressors/interp/interp_compressor.h"
+#include "common/rng.h"
 #include "compressors/registry.h"
 #include "grid/field_ops.h"
 #include "lossless/huffman.h"
@@ -168,6 +172,109 @@ TEST(GridProperty, RestrictionPreservesMean) {
   for (index_t i = 0; i < fine.size(); ++i) mf += fine[i];
   for (index_t i = 0; i < coarse.size(); ++i) mc += coarse[i];
   EXPECT_NEAR(mf / static_cast<double>(fine.size()), mc / static_cast<double>(coarse.size()), 1e-4);
+}
+
+// ---------------------------------------------------------------------------
+// Trilinear prolongation: every entry point must match, bit for bit, the
+// per-sample cell-centred loop it replaced, over random extents, ratio-2
+// (halving-chain) and arbitrary ratios, windows at and beyond their support,
+// and arbitrary z-slab splits of the LOD error.
+// ---------------------------------------------------------------------------
+
+/// Test-only reference: sample (x, y, z) of the trilinear prolongation onto an
+/// fd grid, read from `window`, the coarse box at `wo` of a cd grid.
+float reference_prolong(const FieldF& window, Coord3 wo, Dim3 cd, Dim3 fd, index_t x,
+                        index_t y, index_t z) {
+  const double rx = static_cast<double>(cd.nx) / static_cast<double>(fd.nx);
+  const double ry = static_cast<double>(cd.ny) / static_cast<double>(fd.ny);
+  const double rz = static_cast<double>(cd.nz) / static_cast<double>(fd.nz);
+  auto clampi = [](index_t v, index_t lo, index_t hi) { return std::clamp(v, lo, hi); };
+  const double gz = (static_cast<double>(z) + 0.5) * rz - 0.5;
+  const auto z0 = clampi(static_cast<index_t>(std::floor(gz)), 0, cd.nz - 1);
+  const auto z1 = clampi(z0 + 1, 0, cd.nz - 1);
+  const double fz = std::clamp(gz - static_cast<double>(z0), 0.0, 1.0);
+  const double gy = (static_cast<double>(y) + 0.5) * ry - 0.5;
+  const auto y0 = clampi(static_cast<index_t>(std::floor(gy)), 0, cd.ny - 1);
+  const auto y1 = clampi(y0 + 1, 0, cd.ny - 1);
+  const double fy = std::clamp(gy - static_cast<double>(y0), 0.0, 1.0);
+  const double gx = (static_cast<double>(x) + 0.5) * rx - 0.5;
+  const auto x0 = clampi(static_cast<index_t>(std::floor(gx)), 0, cd.nx - 1);
+  const auto x1 = clampi(x0 + 1, 0, cd.nx - 1);
+  const double fx = std::clamp(gx - static_cast<double>(x0), 0.0, 1.0);
+  auto c = [&](index_t cx, index_t cy, index_t cz) {
+    return window.at(cx - wo.x, cy - wo.y, cz - wo.z);
+  };
+  const double c00 = c(x0, y0, z0) * (1 - fx) + c(x1, y0, z0) * fx;
+  const double c10 = c(x0, y1, z0) * (1 - fx) + c(x1, y1, z0) * fx;
+  const double c01 = c(x0, y0, z1) * (1 - fx) + c(x1, y0, z1) * fx;
+  const double c11 = c(x0, y1, z1) * (1 - fx) + c(x1, y1, z1) * fx;
+  const double c0 = c00 * (1 - fy) + c10 * fy;
+  const double c1 = c01 * (1 - fy) + c11 * fy;
+  return static_cast<float>(c0 * (1 - fz) + c1 * fz);
+}
+
+bool same_bits(const FieldF& a, const FieldF& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) * sizeof(float)) ==
+             0;
+}
+
+TEST(GridProperty, TrilinearProlongationMatchesPerSampleReference) {
+  Rng rng(2024);
+  auto extent = [&](index_t hi) { return 1 + static_cast<index_t>(rng.uniform_index(hi)); };
+  for (int t = 0; t < 500; ++t) {
+    Dim3 fd{extent(40), extent(40), t % 5 == 0 ? 1 : extent(40)};
+    // Half the cases follow the containers' halving chain; the rest use an
+    // unrelated coarse grid (non-2 ratios, including coarser "fine" axes).
+    Dim3 cd = t % 2 == 0 ? blocks_for(fd, 2) : Dim3{extent(40), extent(40), extent(40)};
+    if (t % 5 == 0) cd.nz = 1;
+    if (t % 7 == 3) (t % 3 == 0 ? cd.nx : t % 3 == 1 ? cd.ny : cd.nz) = 1;
+    const FieldF coarse = test::noise_field(cd, 50.0, static_cast<std::uint64_t>(t));
+    SCOPED_TRACE(::testing::Message() << "case " << t << " coarse " << cd.nx << "x" << cd.ny
+                                      << "x" << cd.nz << " fine " << fd.nx << "x" << fd.ny
+                                      << "x" << fd.nz);
+
+    FieldF ref(fd);
+    for (index_t z = 0; z < fd.nz; ++z)
+      for (index_t y = 0; y < fd.ny; ++y)
+        for (index_t x = 0; x < fd.nx; ++x)
+          ref.at(x, y, z) = reference_prolong(coarse, {}, cd, fd, x, y, z);
+    ASSERT_TRUE(same_bits(prolong_trilinear(coarse, fd), ref));
+
+    // A random fine window, read from a coarse window at or beyond its support.
+    const Coord3 fo{static_cast<index_t>(rng.uniform_index(fd.nx)),
+                    static_cast<index_t>(rng.uniform_index(fd.ny)),
+                    static_cast<index_t>(rng.uniform_index(fd.nz))};
+    const Dim3 fe{extent(fd.nx - fo.x), extent(fd.ny - fo.y), extent(fd.nz - fo.z)};
+    const SupportBox need = prolong_support(cd, fd, fo, fe);
+    auto grow = [&](index_t lo, index_t n, index_t limit, index_t& out_lo, index_t& out_n) {
+      out_lo = lo - std::min<index_t>(lo, static_cast<index_t>(rng.uniform_index(3)));
+      out_n = std::min(lo + n + static_cast<index_t>(rng.uniform_index(3)), limit) - out_lo;
+    };
+    Coord3 wo;
+    Dim3 wd;
+    grow(need.origin.x, need.extent.nx, cd.nx, wo.x, wd.nx);
+    grow(need.origin.y, need.extent.ny, cd.ny, wo.y, wd.ny);
+    grow(need.origin.z, need.extent.nz, cd.nz, wo.z, wd.nz);
+    ASSERT_TRUE(same_bits(
+        prolong_trilinear_region(extract_region(coarse, wo, wd), wo, cd, fd, fo, fe),
+        extract_region(ref, fo, fe)));
+
+    // LOD error: whole field and the max over a random slab split.
+    const FieldF fine = test::noise_field(fd, 50.0, static_cast<std::uint64_t>(t) + 1000);
+    double expect = 0.0;
+    for (index_t i = 0; i < fd.size(); ++i)
+      expect = std::max(expect, std::abs(static_cast<double>(ref[i]) -
+                                         static_cast<double>(fine[i])));
+    EXPECT_EQ(prolong_error_slab(coarse, fine, 0, fd.nz), expect);
+    double split = 0.0;
+    for (index_t z0 = 0; z0 < fd.nz;) {
+      const index_t z1 = z0 + extent(fd.nz - z0);
+      split = std::max(split, prolong_error_slab(coarse, fine, z0, z1));
+      z0 = z1;
+    }
+    EXPECT_EQ(split, expect);
+  }
 }
 
 // ---------------------------------------------------------------------------
