@@ -371,11 +371,11 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
   std::size_t emitted = 0;
 
   static obs::Counter& ns_pq =
-      obs::Registry::global().counter("mrc.codec.predict_quant_ns");
+      obs::Registry::global().counter("mrc.codec.predict_quant.encode_ns");
   static obs::Counter& ns_ent =
-      obs::Registry::global().counter("mrc.codec.entropy_ns");
+      obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
   static obs::Counter& ns_ll =
-      obs::Registry::global().counter("mrc.codec.lossless_ns");
+      obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
 
   {
     OBS_SPAN("interp.predict_quant", &ns_pq);
@@ -428,11 +428,11 @@ FieldF InterpCompressor::decompress(std::span<const std::byte> stream) const {
   const detail::ScratchGuard gc(codes);
   const detail::ScratchGuard go(outliers);
   static obs::Counter& ns_ent =
-      obs::Registry::global().counter("mrc.codec.entropy_ns");
+      obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
   static obs::Counter& ns_ll =
-      obs::Registry::global().counter("mrc.codec.lossless_ns");
+      obs::Registry::global().counter("mrc.codec.lossless.decode_ns");
   static obs::Counter& ns_pq =
-      obs::Registry::global().counter("mrc.codec.predict_quant_ns");
+      obs::Registry::global().counter("mrc.codec.predict_quant.decode_ns");
   {
     OBS_SPAN("interp.entropy", &ns_ent);
     lossless::decode_quant_codes_into(r.get_blob(), cfg.quant_radius, codes,

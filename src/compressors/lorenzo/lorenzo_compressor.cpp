@@ -161,11 +161,11 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
     std::array<std::int64_t, 4> prev_q{0, 0, 0, 0};
 
     static obs::Counter& ns_pq =
-        obs::Registry::global().counter("mrc.codec.predict_quant_ns");
+        obs::Registry::global().counter("mrc.codec.predict_quant.encode_ns");
     static obs::Counter& ns_ent =
-        obs::Registry::global().counter("mrc.codec.entropy_ns");
+        obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
     static obs::Counter& ns_ll =
-        obs::Registry::global().counter("mrc.codec.lossless_ns");
+        obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
     {
       OBS_SPAN("lorenzo.predict_quant", &ns_pq);
       for (index_t bz = bz0; bz < bz1; ++bz)
@@ -320,11 +320,11 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
     const auto& ci_in = chunk_in[static_cast<std::size_t>(c)];
 
     static obs::Counter& ns_pq =
-        obs::Registry::global().counter("mrc.codec.predict_quant_ns");
+        obs::Registry::global().counter("mrc.codec.predict_quant.decode_ns");
     static obs::Counter& ns_ent =
-        obs::Registry::global().counter("mrc.codec.entropy_ns");
+        obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
     static obs::Counter& ns_ll =
-        obs::Registry::global().counter("mrc.codec.lossless_ns");
+        obs::Registry::global().counter("mrc.codec.lossless.decode_ns");
 
     lossless::BitReader flag_bits(ci_in.flags);
     const auto coeff_raw = [&] {

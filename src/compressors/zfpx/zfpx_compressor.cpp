@@ -238,7 +238,7 @@ Bytes ZfpxCompressor::compress(const FieldF& f, double abs_eb) const {
     // zfpx fuses transform + bit-plane coding per block, so one span covers
     // the chunk's whole encode; the duration feeds the entropy-stage total.
     static obs::Counter& ns_ent =
-        obs::Registry::global().counter("mrc.codec.entropy_ns");
+        obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
     OBS_SPAN("zfpx.encode_blocks", &ns_ent);
     const index_t bz0 = nb.nz * c / n_chunks;
     const index_t bz1 = nb.nz * (c + 1) / n_chunks;
@@ -282,7 +282,7 @@ FieldF ZfpxCompressor::decompress(std::span<const std::byte> stream) const {
   pool.parallel_for(n_chunks, [&](index_t c) {
    try {
     static obs::Counter& ns_ent =
-        obs::Registry::global().counter("mrc.codec.entropy_ns");
+        obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
     OBS_SPAN("zfpx.decode_blocks", &ns_ent);
     const index_t bz0 = nb.nz * c / n_chunks;
     const index_t bz1 = nb.nz * (c + 1) / n_chunks;

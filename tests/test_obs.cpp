@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "compressors/registry.h"
 #include "obs/obs.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -165,6 +167,31 @@ TEST(ObsRegistry, SnapshotsStayConsistentUnderEightThreadContention) {
 // ---------------------------------------------------------------------------
 // Trace ring: wraparound accounting, disabled mode, span content.
 // ---------------------------------------------------------------------------
+
+TEST(ObsRegistry, CodecStageCountersSplitEncodeFromDecode) {
+  ScopedEnable on;
+  auto& reg = obs::Registry::global();
+  auto stages = [&](const std::string& dir) {
+    std::array<std::uint64_t, 3> v{};
+    const char* names[] = {"predict_quant", "entropy", "lossless"};
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = reg.counter("mrc.codec." + std::string(names[i]) + "." + dir + "_ns").value();
+    return v;
+  };
+  const FieldF f = test::smooth_field({24, 24, 24});
+  for (const auto& name : registry().names()) {
+    SCOPED_TRACE(name);
+    const auto codec = registry().make(name);
+    const auto enc0 = stages("encode"), dec0 = stages("decode");
+    const Bytes stream = codec->compress(f, 1e-3 * f.value_range());
+    const auto enc1 = stages("encode");
+    EXPECT_EQ(stages("decode"), dec0);
+    EXPECT_GT(enc1[1], enc0[1]);  // every codec times an entropy stage
+    EXPECT_EQ(codec->decompress(stream).dims(), f.dims());
+    EXPECT_EQ(stages("encode"), enc1);
+    EXPECT_GT(stages("decode")[1], dec0[1]);
+  }
+}
 
 TEST(ObsTrace, RingWrapsKeepingNewestAndCountsDrops) {
   obs::reset_trace();
