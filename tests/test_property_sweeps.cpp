@@ -8,8 +8,8 @@
 #include <cmath>
 #include <cstring>
 
-#include "compressors/interp/interp_compressor.h"
 #include "common/rng.h"
+#include "compressors/interp/interp_compressor.h"
 #include "compressors/registry.h"
 #include "grid/field_ops.h"
 #include "lossless/huffman.h"

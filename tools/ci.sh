@@ -27,7 +27,9 @@
 # monotone latency quantiles) and bench_progressive_stream (gates MRCR
 # total bytes < MRCP at equal eb), with every BENCH_*.json they and earlier runs
 # produced validated by tools/check_bench_json.py — malformed bench output
-# fails the pipeline. Set
+# fails the pipeline — and the repository benchmark's smoke test
+# (perfbench/smoke_test.py: every BENCHMARK.json workload at --dims 64,
+# untraced and traced, each with its output check). Set
 # MRC_SKIP_ASAN=1 / MRC_SKIP_TSAN=1 / MRC_SKIP_OBS=1 / MRC_SKIP_BENCH=1 to
 # skip those passes.
 # Usage: tools/ci.sh [build-dir]   (default: build; sanitizer presets use
@@ -232,6 +234,9 @@ PY
   # Validate the freshly produced JSON plus every committed/earlier one.
   find . "$BUILD_DIR/bench" -maxdepth 1 -name 'BENCH_*.json' -print0 |
       xargs -0 python3 tools/check_bench_json.py
+  # Repository benchmark: a workload whose output check fails (wrong bytes,
+  # a read off its reference, a missing metric) exits nonzero here.
+  python3 perfbench/smoke_test.py
 fi
 
 echo
