@@ -13,9 +13,9 @@
 #include <filesystem>
 
 #include "bench_util.h"
-#include "common/parallel.h"
 #include "obs/obs.h"
 #include "compressors/registry.h"
+#include "exec/thread_pool.h"
 #include "io/raw_io.h"
 #include "postproc/bezier.h"
 
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   const std::string tmpdir = std::filesystem::temp_directory_path().string();
 
   CodecTuning parallel_tuning;
-  parallel_tuning.threads = std::max(1, max_threads() * 2);
+  parallel_tuning.threads = std::max(1, exec::hardware_threads() * 2);
   const auto zfp_omp = registry().make("zfpx", parallel_tuning);
   const auto sz2_omp = registry().make("lorenzo", parallel_tuning);
   const auto sz2_serial = registry().make("lorenzo");

@@ -461,22 +461,17 @@ void assemble_region(const Index& idx, const tiled::Box& region,
         const BrickEntry& e = idx.bricks[t];
         const FieldF& b = recon(static_cast<index_t>(t));
         const Dim3 core = idx.core_extent(t);
+        if (e.level == 0) {
+          // Fine owner: its core samples are the reconstruction, bit for bit.
+          tiled::copy_core(b, e.origin, core, region, out);
+          continue;
+        }
         const index_t x0 = std::max(e.origin.x, region.lo.x);
         const index_t x1 = std::min(e.origin.x + core.nx, region.hi.x);
         const index_t y0 = std::max(e.origin.y, region.lo.y);
         const index_t y1 = std::min(e.origin.y + core.ny, region.hi.y);
         const index_t z0 = std::max(e.origin.z, region.lo.z);
         const index_t z1 = std::min(e.origin.z + core.nz, region.hi.z);
-
-        if (e.level == 0) {
-          // Fine owner: its core samples are the reconstruction, bit for bit.
-          for (index_t z = z0; z < z1; ++z)
-            for (index_t y = y0; y < y1; ++y)
-              std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z),
-                          x1 - x0,
-                          &out.at(x0 - region.lo.x, y - region.lo.y, z - region.lo.z));
-          continue;
-        }
 
         // Coarse owner: blend with every low-side neighbor whose stored
         // region covers the sample. Gather the candidate neighbors once.

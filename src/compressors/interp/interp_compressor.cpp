@@ -444,7 +444,8 @@ FieldF InterpCompressor::decompress(std::span<const std::byte> stream) const {
     if (outlier_raw.size() % sizeof(float) != 0)
       throw CodecError("interp: bad outlier blob");
     outliers.resize(outlier_raw.size() / sizeof(float));
-    std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
+    if (!outlier_raw.empty())  // memcpy from an empty vector's null data() is UB
+      std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
   }
 
   FieldF recon(h.dims);

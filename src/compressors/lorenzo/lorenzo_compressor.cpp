@@ -72,13 +72,6 @@ double lorenzo_pred(const float* recon, const Dim3& d, index_t x, index_t y, ind
          v(1, 1, 1);
 }
 
-/// Same stencil over the original data — the encoder-side estimate used for
-/// predictor selection (SZ2's trick: cheap, no reconstruction dependency).
-double lorenzo_pred_orig(const float* orig, const Dim3& d, index_t x, index_t y, index_t z,
-                         index_t zmin) {
-  return lorenzo_pred(orig, d, x, y, z, zmin);
-}
-
 /// Branch-free interior form of lorenzo_pred: valid when x >= 1, y >= 1 and
 /// z >= zmin+1, where all seven stencil neighbours exist and the 21 bounds
 /// checks of v() collapse to straight loads. Same terms, same left-to-right
@@ -190,8 +183,10 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
                     const double pr =
                         plane.m + plane.gx * (i - ci) + plane.gy * (j - cj) + plane.gz * (k - ck);
                     err_reg += std::abs(v - pr);
+                    // Lorenzo over the original data: SZ2's cheap selection
+                    // estimate, free of any reconstruction dependency.
                     err_lor += std::abs(
-                        v - lorenzo_pred_orig(orig, d, x0 + i, y0 + j, z0 + k, zmin));
+                        v - lorenzo_pred(orig, d, x0 + i, y0 + j, z0 + k, zmin));
                   }
               use_reg = err_reg < err_lor;
             }
@@ -349,7 +344,8 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
       OBS_SPAN("lorenzo.lossless", &ns_ll);
       const auto outlier_raw = lossless::lzss_decompress(ci_in.outliers);
       outliers.resize(outlier_raw.size() / sizeof(float));
-      std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
+      if (!outlier_raw.empty())  // memcpy from an empty vector's null data() is UB
+        std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
     }
 
     std::size_t code_pos = 0, outlier_pos = 0;

@@ -24,13 +24,29 @@ void fwd_lift(std::int32_t* p, std::ptrdiff_t s) {
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
+namespace {
+
+// Two's-complement wrapping add/sub: a corrupt block can drive the inverse
+// lift past int32, where plain signed += / -= is undefined. Valid blocks
+// never wrap, so for them these are the plain sums.
+std::int32_t wrap_add(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                   static_cast<std::uint32_t>(b));
+}
+std::int32_t wrap_sub(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) -
+                                   static_cast<std::uint32_t>(b));
+}
+
+}  // namespace
+
 void inv_lift(std::int32_t* p, std::ptrdiff_t s) {
   std::int32_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
-  y += w >> 1; w -= y >> 1;
-  y += w; w <<= 1; w -= y;
-  z += x; x <<= 1; x -= z;
-  y += z; z <<= 1; z -= y;
-  w += x; x <<= 1; x -= w;
+  y = wrap_add(y, w >> 1); w = wrap_sub(w, y >> 1);
+  y = wrap_add(y, w); w <<= 1; w = wrap_sub(w, y);
+  z = wrap_add(z, x); x <<= 1; x = wrap_sub(x, z);
+  y = wrap_add(y, z); z <<= 1; z = wrap_sub(z, y);
+  w = wrap_add(w, x); x <<= 1; x = wrap_sub(x, w);
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 
@@ -123,7 +139,7 @@ void encode_block(lossless::BitWriter& bw, const float* vals, double eb_log2_flo
       x |= static_cast<std::uint64_t>((nb[static_cast<std::size_t>(i)] >> k) & 1u) << i;
 
     bw.write_bits(x, static_cast<int>(n));
-    x >>= n;
+    x = n < 64 ? x >> n : 0;  // n == 64 once every coefficient is significant
     std::uint32_t idx = n;
     while (idx < 64) {
       const bool any = x != 0;

@@ -93,8 +93,8 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Streaming log2-bucket histogram (the generalization of the old
-/// serve::LatencyHistogram): fixed power-of-two buckets with relaxed atomic
+/// Streaming log2-bucket histogram (the serve tier's request-latency
+/// histogram, among others): fixed power-of-two buckets with relaxed atomic
 /// counters, so every sample records in O(1) with no lock and no
 /// allocation, and quantiles are answered from a snapshot of the bucket
 /// counts. Quantile values are bucket lower bounds, so they are monotone in

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 
+#include "exec/thread_pool.h"
 #include "grid/field.h"
 #include "metrics/ssim.h"
 #include "serve/dataset.h"
@@ -49,10 +50,9 @@ Image volume_render(const FieldF& f, const TransferFunction& tf) {
   img.pixels.assign(static_cast<std::size_t>(d.nx * d.ny), {0, 0, 0});
   const double inv_range = 1.0 / (tf.hi - tf.lo);
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t y = 0; y < d.ny; ++y)
+  // Rows run on the exec pool (not OpenMP) so ThreadSanitizer sees every
+  // lane; each pixel depends only on its own column, so any split is exact.
+  exec::ThreadPool(0).parallel_for(d.ny, [&](index_t y) {
     for (index_t x = 0; x < d.nx; ++x) {
       // Front-to-back compositing along +z.
       double r = 0, g = 0, b = 0, alpha = 0;
@@ -71,6 +71,7 @@ Image volume_render(const FieldF& f, const TransferFunction& tf) {
                       static_cast<std::uint8_t>(std::clamp(g, 0.0, 1.0) * 255.0),
                       static_cast<std::uint8_t>(std::clamp(b, 0.0, 1.0) * 255.0)};
     }
+  });
   return img;
 }
 

@@ -23,20 +23,28 @@ std::uint64_t brick_key(int level, index_t tile) {
 }  // namespace
 
 struct Dataset::Impl {
+  /// One addressable level, resolved once at open. MRCT is one level, MRCP
+  /// and MRCR one per nested tiled stream; MRCA is one level whose bricks
+  /// live in `aidx`, so its `ti` stays empty.
+  struct Level {
+    Dim3 dims;
+    double error = 0.0;                 ///< LOD error bound (level_error)
+    tiled::Index ti;                    ///< tile index of the level's stream
+    std::span<const std::byte> bytes;   ///< the level's stream inside `stream`
+    /// Made from the level stream's own codec magic (an MRCR's coarsest data
+    /// level may use another codec than its residual levels); stateless, so
+    /// shared by all lanes.
+    std::unique_ptr<Compressor> codec;
+  };
+
   // -- immutable after construction -----------------------------------------
   Bytes stream;
   Config cfg;
-  Dataset::Kind kind = Dataset::Kind::pyramid;
-  pyramid::Index pidx;             ///< pyramid datasets only
-  progressive::Index gidx;         ///< progressive datasets only
-  std::vector<tiled::Index> lidx;  ///< per-level tile index (pyramid /
-                                   ///< progressive); one entry for tiled
-  adaptive::Index aidx;            ///< adaptive datasets only
-  double adaptive_worst_err = 0.0; ///< max per-brick approx_err (adaptive)
-  std::unique_ptr<Compressor> codec;  ///< stateless; shared by all lanes
-  /// Progressive datasets may store the coarsest (data) level under a
-  /// different codec than the residual levels; null when they share one.
-  std::unique_ptr<Compressor> data_codec;
+  Dataset::Kind kind{};
+  double eb = 0.0;            ///< codec error bound from the container header
+  std::vector<Level> levels;  ///< [0] = finest
+  progressive::Index gidx;    ///< progressive datasets only (support chain)
+  adaptive::Index aidx;       ///< adaptive datasets only (brick table)
 
   // -- shared serving resources ---------------------------------------------
   // The cache is declared before the pool: when this Impl owns both (the
@@ -56,7 +64,7 @@ struct Dataset::Impl {
       MRC_REQUIRE(sh_pool == nullptr,
                   "serve: shared cache and pool come as a pair");
       MRC_REQUIRE(cfg.cache_bytes >= 1, "serve: cache byte budget must be >= 1");
-      cache = std::make_shared<BrickCache>(cfg.cache_bytes, cfg.shards);
+      cache = std::make_shared<BrickCache>(cfg.cache_bytes);
       pool = std::make_shared<exec::ThreadPool>(cfg.threads);
     } else {
       MRC_REQUIRE(sh_pool != nullptr,
@@ -67,34 +75,35 @@ struct Dataset::Impl {
     ds_id = cache->register_dataset();
 
     const StreamHeader h = peek_header(stream);
+    eb = h.eb;
+    const auto add_tiled_level = [this](std::span<const std::byte> bytes,
+                                        double error) {
+      tiled::Index ti = tiled::read_index(bytes);
+      std::unique_ptr<Compressor> codec = registry().make_for_magic(ti.codec_magic);
+      levels.push_back({ti.dims, error, std::move(ti), bytes, std::move(codec)});
+    };
     if (h.codec_magic == adaptive::kAdaptiveMagic) {
       kind = Dataset::Kind::adaptive;
       aidx = adaptive::read_index(stream);
-      codec = registry().make_for_magic(aidx.codec_magic);
-      adaptive_worst_err = aidx.eb;
+      // Level 0 mixes stored resolutions: its bound is the worst brick's.
+      double worst = aidx.eb;
       for (const adaptive::BrickEntry& e : aidx.bricks)
-        adaptive_worst_err =
-            std::max(adaptive_worst_err, static_cast<double>(e.approx_err));
+        worst = std::max(worst, static_cast<double>(e.approx_err));
+      levels.push_back(
+          {aidx.dims, worst, {}, stream, registry().make_for_magic(aidx.codec_magic)});
     } else if (h.codec_magic == tiled::kTiledMagic) {
       kind = Dataset::Kind::tiled;
-      lidx.push_back(tiled::read_index(stream));
-      codec = registry().make_for_magic(lidx[0].codec_magic);
+      add_tiled_level(stream, eb);  // no LOD: codec bound only
     } else if (h.codec_magic == progressive::kProgressiveMagic) {
       kind = Dataset::Kind::progressive;
       gidx = progressive::read_index(stream);
-      lidx.reserve(gidx.levels.size());
       for (std::size_t l = 0; l < gidx.levels.size(); ++l)
-        lidx.push_back(tiled::read_index(gidx.level_stream(stream, l)));
-      codec = registry().make_for_magic(gidx.codec_magic);
-      if (gidx.data_codec_magic != gidx.codec_magic)
-        data_codec = registry().make_for_magic(gidx.data_codec_magic);
+        add_tiled_level(gidx.level_stream(stream, l), gidx.levels[l].approx_err);
     } else {
       kind = Dataset::Kind::pyramid;
-      pidx = pyramid::read_index(stream);
-      lidx.reserve(pidx.levels.size());
+      const pyramid::Index pidx = pyramid::read_index(stream);
       for (std::size_t l = 0; l < pidx.levels.size(); ++l)
-        lidx.push_back(tiled::read_index(pidx.level_stream(stream, l)));
-      codec = registry().make_for_magic(pidx.codec_magic);
+        add_tiled_level(pidx.level_stream(stream, l), pidx.levels[l].approx_err);
     }
   }
 
@@ -108,12 +117,12 @@ struct Dataset::Impl {
     cache->drop(ds_id);  // a shared cache hands the budget back immediately
   }
 
-  /// Brick grid the prefetch ring walks (per level for pyramids, the single
-  /// tile grid for tiled and adaptive streams).
+  /// Brick grid the prefetch ring walks (per level for tiled levels, the
+  /// brick grid for adaptive streams).
   [[nodiscard]] const Dim3& grid_of(int level) const {
     return kind == Dataset::Kind::adaptive
                ? aidx.grid
-               : lidx[static_cast<std::size_t>(level)].grid;
+               : levels[static_cast<std::size_t>(level)].ti.grid;
   }
 
   /// Cache key of one brick. For adaptive streams the key carries the
@@ -126,65 +135,70 @@ struct Dataset::Impl {
     return {ds_id, brick_key(level, tile)};
   }
 
-  BrickPtr decode(int level, index_t tile) {
+  BrickPtr decode(int level, index_t tile) const {
+    const Level& lv = levels[static_cast<std::size_t>(level)];
+    const auto t = static_cast<std::size_t>(tile);
     if (kind == Dataset::Kind::adaptive) {
-      const auto t = static_cast<std::size_t>(tile);
       // The cache holds the fine-resolution rendition — decoded samples for
       // level-0 bricks, the trilinear prolongation for coarse ones — which
       // is what every assembly consumes.
       return std::make_shared<const FieldF>(adaptive::reconstruct_brick(
-          aidx, t, adaptive::decode_brick(aidx, *codec, stream, t)));
+          aidx, t, adaptive::decode_brick(aidx, *lv.codec, lv.bytes, t)));
     }
-    // Pyramid and progressive streams nest one tiled stream per level; for
-    // progressive datasets the cached brick holds *residual* samples (data
-    // samples for the coarsest level) — the reconstruction chain sits above
-    // the cache, in progressive_layers.
-    const tiled::Index& ti = lidx[static_cast<std::size_t>(level)];
-    const std::span<const std::byte> level_bytes =
-        kind == Dataset::Kind::tiled ? std::span<const std::byte>(stream)
-        : kind == Dataset::Kind::progressive
-            ? gidx.level_stream(stream, static_cast<std::size_t>(level))
-            : pidx.level_stream(stream, static_cast<std::size_t>(level));
-    const bool coarsest_data = kind == Dataset::Kind::progressive &&
-                               data_codec != nullptr &&
-                               static_cast<std::size_t>(level) + 1 == lidx.size();
-    const Compressor& c = coarsest_data ? *data_codec : *codec;
+    // For progressive datasets the cached brick holds *residual* samples
+    // (data samples for the coarsest level) — the reconstruction chain sits
+    // above the cache, in progressive_layers.
     return std::make_shared<const FieldF>(
-        tiled::decode_tile(ti, c, level_bytes, static_cast<std::size_t>(tile)));
+        tiled::decode_tile(lv.ti, *lv.codec, lv.bytes, t));
   }
 
-  /// Assembles the raw stored samples of one level over `box` through the
-  /// cache — core ∩ box from every intersecting brick, the same ownership
-  /// rule as tiled::read_region. For pyramid/tiled levels that is the data;
-  /// for progressive levels below the top it is the residual window.
-  FieldF assemble_level(int level, const tiled::Box& box,
-                        std::vector<index_t>* hit_out = nullptr) {
-    const tiled::Index& ti = lidx[static_cast<std::size_t>(level)];
-    std::vector<index_t> hit = tiled::tiles_in_region(ti, box);
+  /// Fetches the bricks `hit` of `level` through the shared cache: resident
+  /// bricks are hits, in-flight decodes (another reader's, or a queued
+  /// prefetch this read claims) are coalesced, the rest decode here — one
+  /// decode per brick however many threads collide. Each brick is held in
+  /// the result so an assembly stays exact even if the cache immediately
+  /// evicts it.
+  std::vector<BrickPtr> fetch(int level, const std::vector<index_t>& hit) {
     std::vector<BrickPtr> bricks(hit.size());
     pool->parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
       const auto slot = static_cast<std::size_t>(i);
       bricks[slot] = cache->fetch(key_of(level, hit[slot]),
                                   [&] { return decode(level, hit[slot]); });
     });
+    return bricks;
+  }
+
+  /// Assembles the raw stored samples of one tiled level over `box` through
+  /// the cache — core ∩ box from every intersecting brick, the same
+  /// ownership rule as tiled::read_region. For pyramid/tiled levels that is
+  /// the data; for progressive levels below the top it is the residual
+  /// window. `hit` receives the bricks read.
+  FieldF assemble_level(int level, const tiled::Box& box, std::vector<index_t>& hit) {
+    const tiled::Index& ti = levels[static_cast<std::size_t>(level)].ti;
+    hit = tiled::tiles_in_region(ti, box);
+    const std::vector<BrickPtr> bricks = fetch(level, hit);
     FieldF out(box.extent());
     for (std::size_t i = 0; i < hit.size(); ++i) {
       const auto t = static_cast<std::size_t>(hit[i]);
-      const tiled::TileEntry& e = ti.tiles[t];
-      const FieldF& b = *bricks[i];
-      const Dim3 core = ti.core_extent(t);
-      const index_t x0 = std::max(e.origin.x, box.lo.x);
-      const index_t x1 = std::min(e.origin.x + core.nx, box.hi.x);
-      const index_t y0 = std::max(e.origin.y, box.lo.y);
-      const index_t y1 = std::min(e.origin.y + core.ny, box.hi.y);
-      const index_t z0 = std::max(e.origin.z, box.lo.z);
-      const index_t z1 = std::min(e.origin.z + core.nz, box.hi.z);
-      for (index_t z = z0; z < z1; ++z)
-        for (index_t y = y0; y < y1; ++y)
-          std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
-                      &out.at(x0 - box.lo.x, y - box.lo.y, z - box.lo.z));
+      tiled::copy_core(*bricks[i], ti.tiles[t].origin, ti.core_extent(t), box, out);
     }
-    if (hit_out != nullptr) *hit_out = std::move(hit);
+    return out;
+  }
+
+  /// The seam-free adaptive read: `hit` receives the owners plus the
+  /// low-side contributors the blend needs, and the container's blend rule
+  /// runs over the cached fine-resolution renditions — bit-identical to
+  /// adaptive::read_region.
+  FieldF assemble_blend(const tiled::Box& region, std::vector<index_t>& hit) {
+    hit = adaptive::bricks_for_region(aidx, region);
+    const std::vector<BrickPtr> bricks = fetch(0, hit);
+    std::unordered_map<index_t, std::size_t> slot;
+    slot.reserve(hit.size());
+    for (std::size_t i = 0; i < hit.size(); ++i) slot.emplace(hit[i], i);
+    FieldF out(region.extent());
+    adaptive::detail::assemble_region(
+        aidx, region, [&](index_t t) -> const FieldF& { return *bricks[slot.at(t)]; },
+        out);
     return out;
   }
 
@@ -195,28 +209,31 @@ struct Dataset::Impl {
     MRC_REQUIRE(kind == Dataset::Kind::progressive,
                 "serve: not a progressive dataset");
     const auto boxes = progressive::support_chain(gidx, level, region);
-    const int top = static_cast<int>(gidx.levels.size()) - 1;
+    const int top = static_cast<int>(levels.size()) - 1;
     std::vector<ProgressiveLayer> layers;
     layers.reserve(static_cast<std::size_t>(top - level + 1));
-    std::vector<index_t> request_hit;
+    std::vector<index_t> hit;  // after the loop: the requested level's bricks
     for (int l = top; l >= level; --l) {
       OBS_SPAN("serve.progressive_layer");
       ProgressiveLayer layer;
       layer.level = l;
-      layer.level_dims = gidx.levels[static_cast<std::size_t>(l)].dims;
+      layer.level_dims = levels[static_cast<std::size_t>(l)].dims;
       layer.box = boxes[static_cast<std::size_t>(l)];
       layer.residual = l != top;
-      layer.data = assemble_level(l, layer.box, l == level ? &request_hit : nullptr);
+      layer.data = assemble_level(l, layer.box, hit);
       layers.push_back(std::move(layer));
     }
-    if (cfg.prefetch && pool->size() > 1) prefetch_ring(level, request_hit);
+    prefetch_ring(level, hit);
     return layers;
   }
 
   /// Queues async decodes for the bricks ringing `hit`'s bounding tile box
   /// at Priority::low (the cache dedups against resident bricks, in-flight
-  /// decodes and its own backlog cap).
+  /// decodes and its own backlog cap). Single-lane pools would run "async"
+  /// prefetch inline and make every read pay for its neighbors, so this
+  /// only warms ahead when prefetch is on and there are real workers.
   void prefetch_ring(int level, const std::vector<index_t>& hit) {
+    if (!cfg.prefetch || pool->size() <= 1) return;
     const Dim3& grid = grid_of(level);
     Coord3 lo{grid.nx, grid.ny, grid.nz};
     Coord3 hi{0, 0, 0};
@@ -259,66 +276,23 @@ Dataset& Dataset::operator=(Dataset&&) noexcept = default;
 
 Dataset::Kind Dataset::kind() const { return impl_->kind; }
 
-const tiled::Index& Dataset::tiled_index() const {
-  MRC_REQUIRE(impl_->kind == Kind::tiled, "serve: not a tiled dataset");
-  return impl_->lidx[0];
-}
-
-const pyramid::Index& Dataset::index() const {
-  MRC_REQUIRE(impl_->kind == Kind::pyramid, "serve: not a pyramid dataset");
-  return impl_->pidx;
-}
-
 const adaptive::Index& Dataset::adaptive_index() const {
   MRC_REQUIRE(impl_->kind == Kind::adaptive, "serve: not an adaptive dataset");
   return impl_->aidx;
 }
 
-const progressive::Index& Dataset::progressive_index() const {
-  MRC_REQUIRE(impl_->kind == Kind::progressive, "serve: not a progressive dataset");
-  return impl_->gidx;
-}
+int Dataset::levels() const { return static_cast<int>(impl_->levels.size()); }
 
-int Dataset::levels() const {
-  switch (impl_->kind) {
-    case Kind::pyramid: return static_cast<int>(impl_->pidx.levels.size());
-    case Kind::progressive: return static_cast<int>(impl_->gidx.levels.size());
-    default: return 1;
-  }
-}
-
-double Dataset::eb() const {
-  switch (impl_->kind) {
-    case Kind::adaptive: return impl_->aidx.eb;
-    case Kind::tiled: return impl_->lidx[0].eb;
-    case Kind::progressive: return impl_->gidx.eb;
-    case Kind::pyramid: break;
-  }
-  return impl_->pidx.eb;
-}
+double Dataset::eb() const { return impl_->eb; }
 
 Dim3 Dataset::dims(int level) const {
   MRC_REQUIRE(level >= 0 && level < levels(), "serve: level out of range");
-  switch (impl_->kind) {
-    case Kind::adaptive: return impl_->aidx.dims;
-    case Kind::tiled: return impl_->lidx[0].dims;
-    case Kind::progressive:
-      return impl_->gidx.levels[static_cast<std::size_t>(level)].dims;
-    case Kind::pyramid: break;
-  }
-  return impl_->pidx.levels[static_cast<std::size_t>(level)].dims;
+  return impl_->levels[static_cast<std::size_t>(level)].dims;
 }
 
 double Dataset::level_error(int level) const {
   MRC_REQUIRE(level >= 0 && level < levels(), "serve: level out of range");
-  switch (impl_->kind) {
-    case Kind::adaptive: return impl_->adaptive_worst_err;
-    case Kind::tiled: return impl_->lidx[0].eb;  // no LOD: codec bound only
-    case Kind::progressive:
-      return impl_->gidx.levels[static_cast<std::size_t>(level)].approx_err;
-    case Kind::pyramid: break;
-  }
-  return impl_->pidx.levels[static_cast<std::size_t>(level)].approx_err;
+  return impl_->levels[static_cast<std::size_t>(level)].error;
 }
 
 FieldF Dataset::read_region(int level, const tiled::Box& region) {
@@ -331,71 +305,17 @@ FieldF Dataset::read_region(int level, const tiled::Box& region) {
     auto layers = im.progressive_layers(level, region);
     FieldF window = std::move(layers.front().data);
     for (std::size_t i = 1; i < layers.size(); ++i) {
+      const ProgressiveLayer& coarse = layers[i - 1];
       const ProgressiveLayer& fine = layers[i];
-      window = progressive::refine(
-          window, layers[i - 1].box,
-          im.gidx.levels[static_cast<std::size_t>(layers[i - 1].level)].dims,
-          fine.data, fine.box,
-          im.gidx.levels[static_cast<std::size_t>(fine.level)].dims);
+      window = progressive::refine(window, coarse.box, coarse.level_dims, fine.data,
+                                   fine.box, fine.level_dims);
     }
     return window;
   }
-  const bool is_adaptive = im.kind == Kind::adaptive;
-  // For adaptive streams the hit set already includes the low-side
-  // contributors a seam-free blend needs, not just the owners.
-  const std::vector<index_t> hit =
-      is_adaptive
-          ? adaptive::bricks_for_region(im.aidx, region)
-          : tiled::tiles_in_region(im.lidx[static_cast<std::size_t>(level)], region);
-
-  // Fetch every brick through the shared cache: resident bricks are hits,
-  // in-flight decodes (another reader's, or a queued prefetch this read
-  // claims) are coalesced, the rest decode here — one decode per brick
-  // however many threads collide. Each brick is held locally so the result
-  // stays exact even if the cache immediately evicts it.
-  std::vector<BrickPtr> bricks(hit.size());
-  im.pool->parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
-    const auto slot = static_cast<std::size_t>(i);
-    bricks[slot] = im.cache->fetch(im.key_of(level, hit[slot]),
-                                   [&] { return im.decode(level, hit[slot]); });
-  });
-
-  FieldF out(region.extent());
-  if (is_adaptive) {
-    // Assemble with the container's blend rule over the cached
-    // fine-resolution renditions — bit-identical to adaptive::read_region.
-    std::unordered_map<index_t, std::size_t> slot;
-    slot.reserve(hit.size());
-    for (std::size_t i = 0; i < hit.size(); ++i) slot.emplace(hit[i], i);
-    adaptive::detail::assemble_region(
-        im.aidx, region,
-        [&](index_t t) -> const FieldF& { return *bricks[slot.at(t)]; }, out);
-  } else {
-    // Assemble core ∩ region from every brick — the same ownership rule as
-    // tiled::read_region, hence bit-identical output (tiled and pyramid
-    // levels share the tile-index layout).
-    const tiled::Index& ti = im.lidx[static_cast<std::size_t>(level)];
-    for (std::size_t i = 0; i < hit.size(); ++i) {
-      const auto t = static_cast<std::size_t>(hit[i]);
-      const tiled::TileEntry& e = ti.tiles[t];
-      const FieldF& b = *bricks[i];
-      const Dim3 core = ti.core_extent(t);
-      const index_t x0 = std::max(e.origin.x, region.lo.x);
-      const index_t x1 = std::min(e.origin.x + core.nx, region.hi.x);
-      const index_t y0 = std::max(e.origin.y, region.lo.y);
-      const index_t y1 = std::min(e.origin.y + core.ny, region.hi.y);
-      const index_t z0 = std::max(e.origin.z, region.lo.z);
-      const index_t z1 = std::min(e.origin.z + core.nz, region.hi.z);
-      for (index_t z = z0; z < z1; ++z)
-        for (index_t y = y0; y < y1; ++y)
-          std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
-                      &out.at(x0 - region.lo.x, y - region.lo.y, z - region.lo.z));
-    }
-  }
-
-  // Single-lane pools would run "async" prefetch inline and make every read
-  // pay for its neighbors — only warm ahead when there are real workers.
-  if (im.cfg.prefetch && im.pool->size() > 1) im.prefetch_ring(level, hit);
+  std::vector<index_t> hit;
+  FieldF out = im.kind == Kind::adaptive ? im.assemble_blend(region, hit)
+                                         : im.assemble_level(level, region, hit);
+  im.prefetch_ring(level, hit);
   return out;
 }
 

@@ -3,8 +3,16 @@
 // Cached Dataset serving layer over the multi-resolution containers: open a
 // tiled stream (MRCT), a LOD pyramid (MRCP), an adaptive stream (MRCA) or a
 // progressive residual stream (MRCR) once, then answer region queries with
-// a working set bounded by a byte budget instead of the request size. The
-// pieces:
+// a working set bounded by a byte budget instead of the request size.
+//
+// Opening dispatches on the container header exactly once and builds a
+// per-level table: extents, LOD error bound, tile index, the level's nested
+// tiled stream and a codec made from that stream's own codec id. MRCT is one
+// level, MRCP and MRCR one level per nested stream, MRCA one level whose
+// bricks stay in the adaptive index. Every accessor is a table lookup and
+// every tiled read is the same fetch-and-copy path; the only container
+// branches left are MRCR's top-down residual fold and MRCA's seam-free
+// blend. The serving pieces around the table:
 //
 //   * a shared, sharded, byte-budgeted brick cache (serve::BrickCache) so
 //     repeated viewport queries decode each brick once. A standalone Dataset
@@ -23,8 +31,8 @@
 //     so callers ask for a window and a budget, not a level.
 //
 // Dataset is safe to hammer from any number of threads: every read is
-// bit-identical to tiled/pyramid/adaptive read_region on the same
-// (level, box), whatever the cache/prefetch state. stats() returns an
+// bit-identical to tiled/pyramid/progressive/adaptive read_region on the
+// same (level, box), whatever the cache/prefetch state. stats() returns an
 // atomically consistent snapshot: `hits + misses == lookups` holds exactly
 // in any snapshot, concurrent load included (counters are mutated only
 // under the cache's shard locks — see brick_cache.h). Adaptive and tiled
@@ -62,7 +70,6 @@ struct Config {
   std::size_t cache_bytes = 256ull << 20;  ///< decoded-brick byte budget
   int threads = 0;   ///< exec-pool lanes for decode + prefetch; 0 = hardware
   bool prefetch = true;  ///< warm neighbor bricks asynchronously (needs > 1 lane)
-  int shards = 8;    ///< cache shard count (lock striping)
 };
 
 class Dataset {
@@ -72,12 +79,12 @@ class Dataset {
   /// Opens a tiled (MRCT), pyramid (MRCP), adaptive (MRCA) or progressive
   /// (MRCR) stream — dispatched on the container header — taking ownership
   /// of the bytes and parsing + validating the full index once. Builds a
-  /// private cache (cfg.cache_bytes, cfg.shards) and exec pool
-  /// (cfg.threads). Throws CodecError on any other stream.
+  /// private cache (cfg.cache_bytes) and exec pool (cfg.threads). Throws
+  /// CodecError on any other stream.
   explicit Dataset(Bytes stream, const Config& cfg = {});
 
   /// Same, but serving through a shared cache and pool (the multi-tenant
-  /// serve::Server path). cfg.cache_bytes/threads/shards are ignored — the
+  /// serve::Server path). cfg.cache_bytes/threads are ignored — the
   /// shared resources already exist — and cfg.prefetch still gates the
   /// prefetch ring. Both pointers must be non-null.
   Dataset(Bytes stream, const Config& cfg, std::shared_ptr<BrickCache> cache,
@@ -90,23 +97,19 @@ class Dataset {
   Dataset& operator=(const Dataset&) = delete;
 
   [[nodiscard]] Kind kind() const;
-  /// The tile index of a tiled dataset (throws ContractError otherwise).
-  [[nodiscard]] const tiled::Index& tiled_index() const;
-  /// The pyramid index (pyramid datasets only; throws ContractError else).
-  [[nodiscard]] const pyramid::Index& index() const;
-  /// The adaptive brick index (adaptive datasets only).
+  /// The adaptive brick index (adaptive datasets only; throws ContractError
+  /// otherwise).
   [[nodiscard]] const adaptive::Index& adaptive_index() const;
-  /// The progressive level table (progressive datasets only).
-  [[nodiscard]] const progressive::Index& progressive_index() const;
   /// Addressable level count: the pyramid's/progressive stream's level
   /// table, or 1 for tiled and adaptive streams (adaptive level 0 = the
   /// blended finest grid).
   [[nodiscard]] int levels() const;
   [[nodiscard]] Dim3 dims(int level) const;  ///< extents of one level
-  [[nodiscard]] double eb() const;
-  /// LOD error bound of a level: pyramid::LevelEntry::approx_err, the worst
-  /// per-brick approx_err of an adaptive stream (its level 0 already mixes
-  /// resolutions), or the codec error bound for tiled streams (no LOD).
+  [[nodiscard]] double eb() const;  ///< codec error bound (container header)
+  /// LOD error bound of a level: the pyramid's or progressive stream's
+  /// per-level approx_err, the worst of eb and every per-brick approx_err of
+  /// an adaptive stream (its level 0 already mixes resolutions), or the
+  /// codec error bound for tiled streams (no LOD).
   [[nodiscard]] double level_error(int level) const;
 
   /// Reads `region` (in level-`level` coordinates) through the brick cache —

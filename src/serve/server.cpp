@@ -9,7 +9,6 @@
 
 #include "obs/flight.h"
 #include "obs/obs.h"
-#include "serve/latency.h"
 #include "serve/wire.h"
 
 namespace mrc::serve {
@@ -35,12 +34,12 @@ struct Server::Impl {
   std::atomic<std::uint64_t> active{0};
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> rejected{0};
-  LatencyHistogram latency;
+  obs::Histogram latency;
 
   explicit Impl(const ServerConfig& c) : cfg(c) {
     MRC_REQUIRE(cfg.cache_bytes >= 1, "serve: cache byte budget must be >= 1");
     MRC_REQUIRE(cfg.max_active >= 1, "serve: admission cap must be >= 1");
-    cache = std::make_shared<BrickCache>(cfg.cache_bytes, cfg.shards);
+    cache = std::make_shared<BrickCache>(cfg.cache_bytes);
     pool = std::make_shared<exec::ThreadPool>(cfg.threads);
   }
 
@@ -111,7 +110,7 @@ Server& Server::operator=(Server&&) noexcept = default;
 
 std::uint32_t Server::open(Bytes stream, std::string name) {
   Impl& im = *impl_;
-  Config dcfg;  // budget/threads/shards live in the shared resources
+  Config dcfg;  // budget/threads live in the shared resources
   dcfg.prefetch = im.cfg.prefetch;
   auto ds = std::make_shared<Dataset>(std::move(stream), dcfg, im.cache, im.pool);
   const std::unique_lock lock(im.mu);

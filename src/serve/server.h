@@ -43,7 +43,6 @@ namespace mrc::serve {
 struct ServerConfig {
   std::size_t cache_bytes = 256ull << 20;  ///< global budget, all datasets
   int threads = 0;        ///< shared exec-pool lanes; 0 = hardware
-  int shards = 8;         ///< cache shard count (lock striping)
   bool prefetch = true;   ///< warm neighbor bricks after each read
   std::size_t max_active = 64;  ///< admission cap on in-flight reads, >= 1
 };

@@ -12,6 +12,20 @@ Coord3 tile_coord(const Dim3& grid, index_t t) {
   return {t % grid.nx, (t / grid.nx) % grid.ny, t / (grid.nx * grid.ny)};
 }
 
+void copy_core(const FieldF& brick, const Coord3& origin, const Dim3& core,
+               const Box& box, FieldF& out) {
+  const index_t x0 = std::max(origin.x, box.lo.x);
+  const index_t x1 = std::min(origin.x + core.nx, box.hi.x);
+  const index_t y0 = std::max(origin.y, box.lo.y);
+  const index_t y1 = std::min(origin.y + core.ny, box.hi.y);
+  const index_t z0 = std::max(origin.z, box.lo.z);
+  const index_t z1 = std::min(origin.z + core.nz, box.hi.z);
+  for (index_t z = z0; z < z1; ++z)
+    for (index_t y = y0; y < y1; ++y)
+      std::copy_n(&brick.at(x0 - origin.x, y - origin.y, z - origin.z), x1 - x0,
+                  &out.at(x0 - box.lo.x, y - box.lo.y, z - box.lo.z));
+}
+
 namespace {
 
 /// Stored extents of the brick at core origin `o`: core + overlap, clipped
@@ -251,21 +265,8 @@ RegionRead read_region(std::span<const std::byte> stream, const Box& region, int
   exec::ThreadPool pool(threads);
   pool.parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
     const auto t = static_cast<std::size_t>(hit[static_cast<std::size_t>(i)]);
-    const FieldF b = decode_tile(idx, *codec, stream, t);
-    const TileEntry& e = idx.tiles[t];
-    const Dim3 core = idx.core_extent(t);
-    // Copy core ∩ region; every output sample comes from its owning brick's
-    // core, so the result is bit-identical to a full decompress.
-    const index_t x0 = std::max(e.origin.x, region.lo.x);
-    const index_t x1 = std::min(e.origin.x + core.nx, region.hi.x);
-    const index_t y0 = std::max(e.origin.y, region.lo.y);
-    const index_t y1 = std::min(e.origin.y + core.ny, region.hi.y);
-    const index_t z0 = std::max(e.origin.z, region.lo.z);
-    const index_t z1 = std::min(e.origin.z + core.nz, region.hi.z);
-    for (index_t z = z0; z < z1; ++z)
-      for (index_t y = y0; y < y1; ++y)
-        std::copy_n(&b.at(x0 - e.origin.x, y - e.origin.y, z - e.origin.z), x1 - x0,
-                    &out.data.at(x0 - region.lo.x, y - region.lo.y, z - region.lo.z));
+    copy_core(decode_tile(idx, *codec, stream, t), idx.tiles[t].origin,
+              idx.core_extent(t), region, out.data);
   });
   return out;
 }

@@ -139,4 +139,12 @@ struct RegionRead {
 /// Tile-grid coordinate of tile id `t` (ids are x fastest).
 [[nodiscard]] Coord3 tile_coord(const Dim3& grid, index_t t);
 
+/// Copies core ∩ `box` of a decoded brick whose core starts at `origin` and
+/// spans `core` into `out`, which holds exactly `box`. Every region read
+/// assembles through this ownership rule — each sample comes from the brick
+/// whose core owns it — which is what keeps region reads bit-identical to a
+/// full decompress.
+void copy_core(const FieldF& brick, const Coord3& origin, const Dim3& core,
+               const Box& box, FieldF& out);
+
 }  // namespace mrc::tiled

@@ -382,7 +382,6 @@ TEST(ServeAdaptive, DatasetBitIdenticalToDirectReads) {
   EXPECT_EQ(ds.kind(), serve::Dataset::Kind::adaptive);
   EXPECT_EQ(ds.levels(), 1);
   EXPECT_EQ(ds.dims(0), d);
-  EXPECT_THROW((void)ds.index(), ContractError);
   EXPECT_EQ(ds.adaptive_index().grid, (Dim3{3, 3, 3}));
 
   const std::vector<tiled::Box> boxes = {

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/parallel.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
 
@@ -21,7 +20,6 @@ namespace {
 
 TEST(ThreadPool, HardwareThreadsAtLeastOne) {
   EXPECT_GE(exec::hardware_threads(), 1);
-  EXPECT_GE(max_threads(), 1);  // common/parallel.h delegates when OpenMP is absent
 }
 
 TEST(ThreadPool, SizeMatchesRequestedLanes) {

@@ -74,6 +74,80 @@ TEST(Serve, OpensTiledStreamsAsSingleLevelDatasets) {
   EXPECT_GT(ds.stats().hits, 0u);  // the second read came from cache
 }
 
+/// Opens `stream` and checks the Dataset's level table against the values
+/// read from the container's own index.
+void expect_level_table(const Bytes& stream, serve::Dataset::Kind kind, double eb,
+                        const std::vector<Dim3>& dims, const std::vector<double>& errs) {
+  serve::Dataset ds(stream, no_prefetch());
+  EXPECT_EQ(ds.kind(), kind);
+  EXPECT_EQ(ds.eb(), eb);
+  ASSERT_EQ(ds.levels(), static_cast<int>(dims.size()));
+  for (int l = 0; l < ds.levels(); ++l) {
+    const auto i = static_cast<std::size_t>(l);
+    EXPECT_EQ(ds.dims(l), dims[i]) << "level " << l;
+    EXPECT_EQ(ds.level_error(l), errs[i]) << "level " << l;
+  }
+}
+
+TEST(Serve, LevelTableMatchesEveryContainersIndex) {
+  const FieldF f = test::smooth_field({40, 40, 40});
+  {
+    SCOPED_TRACE("MRCT");
+    tiled::Config cfg;
+    cfg.codec = "zfpx";
+    cfg.brick = 16;
+    const Bytes stream = tiled::compress(f, 0.05, cfg);
+    const tiled::Index idx = tiled::read_index(stream);
+    expect_level_table(stream, serve::Dataset::Kind::tiled, idx.eb, {idx.dims},
+                       {idx.eb});
+  }
+  {
+    SCOPED_TRACE("MRCP");
+    const Bytes stream = test_pyramid();
+    const pyramid::Index idx = pyramid::read_index(stream);
+    std::vector<Dim3> dims;
+    std::vector<double> errs;
+    for (const pyramid::LevelEntry& e : idx.levels) {
+      dims.push_back(e.dims);
+      errs.push_back(e.approx_err);
+    }
+    expect_level_table(stream, serve::Dataset::Kind::pyramid, idx.eb, dims, errs);
+  }
+  {
+    SCOPED_TRACE("MRCR");
+    progressive::Config cfg;
+    cfg.codec = "zfpx";  // the coarsest level's codec differs from the residuals'
+    cfg.brick = 8;
+    cfg.threads = 2;
+    const Bytes stream = progressive::build(f, 0.05, cfg);
+    const progressive::Index idx = progressive::read_index(stream);
+    ASSERT_NE(idx.data_codec_magic, idx.codec_magic);
+    std::vector<Dim3> dims;
+    std::vector<double> errs;
+    for (const progressive::LevelEntry& e : idx.levels) {
+      dims.push_back(e.dims);
+      errs.push_back(e.approx_err);
+    }
+    expect_level_table(stream, serve::Dataset::Kind::progressive, idx.eb, dims, errs);
+  }
+  {
+    SCOPED_TRACE("MRCA");
+    adaptive::LevelMap map = adaptive::uniform_map(f.dims(), 16, 0);
+    for (std::size_t t = 0; t < map.level.size(); ++t)
+      map.level[t] = static_cast<std::uint8_t>(t % 3);
+    adaptive::Config cfg;
+    cfg.brick = 16;
+    const Bytes stream = adaptive::compress(f, 0.05, map, cfg);
+    const adaptive::Index idx = adaptive::read_index(stream);
+    double worst = idx.eb;
+    for (const adaptive::BrickEntry& e : idx.bricks)
+      worst = std::max(worst, static_cast<double>(e.approx_err));
+    EXPECT_GT(worst, idx.eb);  // coarse bricks dominate the codec bound
+    expect_level_table(stream, serve::Dataset::Kind::adaptive, idx.eb, {idx.dims},
+                       {worst});
+  }
+}
+
 TEST(Serve, RejectsNonContainerStreams) {
   const FieldF f = test::smooth_field({16, 16, 16});
   EXPECT_THROW((void)serve::Dataset(api::compress(f), no_prefetch()), CodecError);

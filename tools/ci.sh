@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify with warnings surfaced: configure, build with -Wall -Wextra
 # (always on in CMakeLists), print any compiler warnings, run ctest — then
-# repeat the test suite under AddressSanitizer (second cmake preset) so the
-# thread-pool / tiled-index code is leak- and overflow-checked on every
+# repeat the test suite under AddressSanitizer + UndefinedBehaviorSanitizer
+# (second cmake preset; any UB report aborts its test) so the thread-pool /
+# tiled-index / codec code is leak-, overflow- and UB-checked on every
 # verify, and finally run the concurrency-heavy suites (exec pool, tiled,
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
 # shared mutable state) under ThreadSanitizer (third preset, <build-dir>-tsan), then an
@@ -58,7 +59,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
 if [ "${MRC_SKIP_ASAN:-0}" != "1" ]; then
   echo
-  echo "== AddressSanitizer pass =="
+  echo "== AddressSanitizer + UndefinedBehaviorSanitizer pass =="
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . -DMRC_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       > /dev/null
