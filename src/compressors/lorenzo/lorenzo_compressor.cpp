@@ -343,6 +343,8 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
     {
       OBS_SPAN("lorenzo.lossless", &ns_ll);
       const auto outlier_raw = lossless::lzss_decompress(ci_in.outliers);
+      if (outlier_raw.size() % sizeof(float) != 0)
+        throw CodecError("lorenzo: bad outlier blob");
       outliers.resize(outlier_raw.size() / sizeof(float));
       if (!outlier_raw.empty())  // memcpy from an empty vector's null data() is UB
         std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());

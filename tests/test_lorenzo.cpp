@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "compressors/lorenzo/lorenzo_compressor.h"
+#include "lossless/lzss.h"
 #include "test_util.h"
 
 namespace mrc {
@@ -116,6 +117,44 @@ TEST(Lorenzo, SmallBlocksShowBoundaryArtifacts) {
 TEST(Lorenzo, DecompressRejectsWrongMagic) {
   Bytes garbage(64, std::byte{0x11});
   EXPECT_THROW((void)LorenzoCompressor{}.decompress(garbage), CodecError);
+}
+
+TEST(Lorenzo, RejectsOutlierBlobNotAMultipleOfFour) {
+  // A small quant radius on noise forces outliers into chunk 0's blob. The
+  // stream is rebuilt with three extra bytes appended to that blob's decoded
+  // payload: not a whole float, so decode must refuse it rather than copy
+  // past the outlier buffer.
+  const FieldF f = noise_field({16, 16, 16}, 30.0);
+  LorenzoConfig cfg;
+  cfg.quant_radius = 8;
+  const LorenzoCompressor comp(cfg);
+  const Bytes clean = comp.compress(f, 0.05);
+
+  ByteReader r(clean);
+  (void)detail::read_header(r, LorenzoCompressor::kMagic, "lorenzo");
+  (void)r.get_varint();         // block size
+  (void)r.get_varint();         // quant radius
+  (void)r.get<std::uint8_t>();  // use_regression
+  ASSERT_EQ(r.get_varint(), 1u);
+  const std::size_t prefix = r.position();
+  const auto flags = r.get_blob();
+  const auto coeffs = r.get_blob();
+  const auto codes = r.get_blob();
+  Bytes outliers = lossless::lzss_decompress(r.get_blob());
+  ASSERT_GT(outliers.size(), 0u);
+  ASSERT_EQ(outliers.size() % sizeof(float), 0u);
+  outliers.insert(outliers.end(), 3, std::byte{0x5a});
+
+  Bytes bad(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(prefix));
+  ByteWriter w(bad);
+  w.put_blob(flags);
+  w.put_blob(coeffs);
+  w.put_blob(codes);
+  w.put_blob(lossless::lzss_compress(outliers));
+  w.put_bytes(std::span(clean).subspan(r.position()));
+
+  EXPECT_LE(max_abs_err(f, comp.decompress(clean)), 0.05 + 1e-9);
+  EXPECT_THROW((void)comp.decompress(bad), CodecError);
 }
 
 TEST(Lorenzo, RejectsBadConfig) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "uncertainty/error_model.h"
@@ -110,6 +112,71 @@ TEST(ProbMc, CompareIsosurfacesCountsMissedCells) {
   // With sigma comparable to the lost amplitude, the probability field must
   // flag (recover) the missing region.
   EXPECT_GT(stats.recovery_rate(), 0.9);
+}
+
+/// Test-only reference: the per-cell closed form crossing_probability
+/// replaced. Every cell reads its 8 corners (x fastest, then y, then z, far
+/// faces clamped) and evaluates one normal CDF per corner.
+FieldD reference_crossing_probability(const FieldF& f, double isovalue,
+                                      const ErrorModel& model) {
+  const Dim3 d = f.dims();
+  const Dim3 cd{std::max<index_t>(d.nx - 1, 1), std::max<index_t>(d.ny - 1, 1),
+                std::max<index_t>(d.nz - 1, 1)};
+  FieldD prob(cd);
+  const double sigma = std::max(model.sigma, 1e-300);
+  for (index_t z = 0; z < cd.nz; ++z)
+    for (index_t y = 0; y < cd.ny; ++y)
+      for (index_t x = 0; x < cd.nx; ++x) {
+        double p_below = 1.0, p_above = 1.0;
+        for (index_t k = 0; k < 2; ++k)
+          for (index_t j = 0; j < 2; ++j)
+            for (index_t i = 0; i < 2; ++i) {
+              const double c = f.at(std::min(x + i, d.nx - 1), std::min(y + j, d.ny - 1),
+                                    std::min(z + k, d.nz - 1));
+              const double mu = c + model.mean;
+              const double pb =
+                  0.5 * std::erfc(-((isovalue - mu) / sigma) / std::numbers::sqrt2);
+              p_below *= pb;
+              p_above *= 1.0 - pb;
+            }
+        prob.at(x, y, z) = std::clamp(1.0 - p_below - p_above, 0.0, 1.0);
+      }
+  return prob;
+}
+
+TEST(ProbMc, MatchesPerCellReferenceBitForBit) {
+  // Random extents (1-wide axes, primes, and deep z so several slabs run at
+  // once), sigma = 0 (the 1e-300 floor), biased models, and isovalues both
+  // inside the value range (some exactly on a voxel) and outside it.
+  Rng rng(1515);
+  constexpr index_t kPrimes[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31};
+  auto extent = [&](int t, int axis) -> index_t {
+    if ((t + axis) % 6 == 0) return 1;
+    if ((t + axis) % 3 == 1) return kPrimes[rng.uniform_index(std::size(kPrimes))];
+    return 1 + static_cast<index_t>(rng.uniform_index(24));
+  };
+  constexpr double kSigmas[] = {0.0, 1e-3, 0.05, 0.5, 3.0};
+  constexpr double kMeans[] = {0.0, 0.3, -0.7};
+  for (int t = 0; t < 240; ++t) {
+    Dim3 d{extent(t, 0), extent(t, 1), extent(t, 2)};
+    if (t % 4 == 0) d.nz = 33 + static_cast<index_t>(rng.uniform_index(32));
+    const FieldF f = test::noise_field(d, 2.0, static_cast<std::uint64_t>(t));
+    const ErrorModel m{kMeans[t % 3], kSigmas[(t / 3) % 5], 1000};
+    const auto [lo, hi] = f.min_max();
+    double iso = rng.uniform(lo, hi);
+    if (t % 5 == 1) iso = f[static_cast<index_t>(rng.uniform_index(f.size()))] + m.mean;
+    if (t % 7 == 2) iso = t % 2 == 0 ? hi + 1.0 + m.mean : lo - 1.0 + m.mean;
+    SCOPED_TRACE(::testing::Message() << "case " << t << " dims " << d.nx << "x" << d.ny
+                                      << "x" << d.nz << " sigma " << m.sigma << " mean "
+                                      << m.mean << " iso " << iso);
+
+    const FieldD ref = reference_crossing_probability(f, iso, m);
+    const FieldD got = crossing_probability(f, iso, m);
+    ASSERT_EQ(got.dims(), ref.dims());
+    ASSERT_EQ(std::memcmp(got.data(), ref.data(),
+                          static_cast<std::size_t>(ref.size()) * sizeof(double)),
+              0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 # tiled-index / codec code is leak-, overflow- and UB-checked on every
 # verify, and finally run the concurrency-heavy suites (exec pool, tiled,
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
-# shared mutable state) under ThreadSanitizer (third preset, <build-dir>-tsan), then an
+# shared mutable state — plus the uq crossing-probability kernels, whose
+# z-planes run on the exec pool) under ThreadSanitizer (third preset,
+# <build-dir>-tsan), then an
 # observability smoke (traced `mrcc tiled` validated by
 # tools/check_trace_json.py, a traced `mrcc serve --flight` run whose trace
 # must stitch one request id across the wire/server/pool layers
@@ -70,7 +72,7 @@ fi
 
 if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   echo
-  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire) =="
+  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / uq) =="
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DMRC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       > /dev/null
@@ -78,7 +80,7 @@ if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   # Only the concurrency-bearing suites: the serial codec/metric suites add
   # nothing under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*'
+      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
