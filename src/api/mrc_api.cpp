@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -93,7 +94,8 @@ void Options::set(const std::string& key, const std::string& value) {
     codec = value;
   } else if (key == "eb") {
     eb = parse_double(key, value);
-    if (!(eb > 0.0)) throw ContractError("options: eb must be > 0, got " + value);
+    if (!(eb > 0.0) || !std::isfinite(eb))
+      throw ContractError("options: eb must be finite and > 0, got " + value);
   } else if (key == "eb_mode") {
     if (value == "rel" || value == "relative")
       eb_mode = EbMode::relative;

@@ -82,6 +82,9 @@ void write_header(ByteWriter& w, std::uint32_t codec_magic, Dim3 dims, double eb
                   std::uint32_t entropy_shards) {
   MRC_REQUIRE(entropy_shards <= lossless::kMaxEntropyShards,
               "entropy shard count out of range");
+  // parse_header's own condition: every writer stops here rather than emit
+  // a stream every reader rejects (an absolute bound can overflow to inf).
+  MRC_REQUIRE(eb > 0.0 && std::isfinite(eb), "error bound must be finite and > 0");
   w.put(kContainerMagic);
   w.put(entropy_shards > 1 ? kContainerVersionSharded : kContainerVersion);
   w.put(codec_magic);

@@ -352,7 +352,10 @@ std::string InterpCompressor::name() const {
 }
 
 Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
-  MRC_REQUIRE(abs_eb > 0.0, "error bound must be positive");
+  // The bound feeds the quantizer (and zfpx's exponent cast) before the
+  // header's own check runs, so a non-finite one must stop here.
+  MRC_REQUIRE(abs_eb > 0.0 && std::isfinite(abs_eb),
+              "error bound must be finite and > 0");
   MRC_REQUIRE(!f.empty(), "empty field");
   const Dim3 d = f.dims();
   const auto radius = cfg_.quant_radius;

@@ -235,7 +235,10 @@ std::string ZfpxCompressor::name() const {
 }
 
 Bytes ZfpxCompressor::compress(const FieldF& f, double abs_eb) const {
-  MRC_REQUIRE(abs_eb > 0.0, "error bound must be positive");
+  // The bound feeds the quantizer (and zfpx's exponent cast) before the
+  // header's own check runs, so a non-finite one must stop here.
+  MRC_REQUIRE(abs_eb > 0.0 && std::isfinite(abs_eb),
+              "error bound must be finite and > 0");
   MRC_REQUIRE(!f.empty(), "empty field");
   const Dim3 d = f.dims();
   const Dim3 nb = blocks_for(d, kBlock);

@@ -29,25 +29,31 @@ FieldF restrict_average(const FieldF& fine, index_t factor) {
 
 FieldF restrict_half(const FieldF& fine) {
   MRC_REQUIRE(!fine.empty(), "restrict_half of empty field");
+  FieldF coarse(blocks_for(fine.dims(), 2));
+  restrict_half_slab(fine, coarse, 0, coarse.dims().nz);
+  return coarse;
+}
+
+void restrict_half_slab(const FieldF& fine, FieldF& coarse, index_t z0, index_t z1) {
   const Dim3 fd = fine.dims();
-  const Dim3 cd = blocks_for(fd, 2);
-  FieldF coarse(cd);
-  for (index_t z = 0; z < cd.nz; ++z) {
-    const index_t z0 = 2 * z, z1 = std::min(z0 + 2, fd.nz);
+  const Dim3 cd = coarse.dims();
+  MRC_REQUIRE(cd == blocks_for(fd, 2), "restrict_half_slab: coarse extents mismatch");
+  MRC_REQUIRE(z0 >= 0 && z0 <= z1 && z1 <= cd.nz, "restrict_half_slab: bad slab");
+  for (index_t z = z0; z < z1; ++z) {
+    const index_t fz0 = 2 * z, fz1 = std::min(fz0 + 2, fd.nz);
     for (index_t y = 0; y < cd.ny; ++y) {
       const index_t y0 = 2 * y, y1 = std::min(y0 + 2, fd.ny);
       for (index_t x = 0; x < cd.nx; ++x) {
         const index_t x0 = 2 * x, x1 = std::min(x0 + 2, fd.nx);
         double sum = 0.0;
-        for (index_t k = z0; k < z1; ++k)
+        for (index_t k = fz0; k < fz1; ++k)
           for (index_t j = y0; j < y1; ++j)
             for (index_t i = x0; i < x1; ++i) sum += fine.at(i, j, k);
         coarse.at(x, y, z) = static_cast<float>(
-            sum / static_cast<double>((x1 - x0) * (y1 - y0) * (z1 - z0)));
+            sum / static_cast<double>((x1 - x0) * (y1 - y0) * (fz1 - fz0)));
       }
     }
   }
-  return coarse;
 }
 
 FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims) {
@@ -157,11 +163,19 @@ void prolong_rows(const FieldF& window, Coord3 wo, Dim3 cd, Dim3 fd, Coord3 fo, 
 
 FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims) {
   FieldF fine(fine_dims);
-  prolong_rows(coarse, {}, coarse.dims(), fine_dims, {}, fine_dims,
-               [&](index_t y, index_t z, const float* v) {
-                 std::copy_n(v, fine_dims.nx, &fine.at(0, y, z));
-               });
+  prolong_trilinear_rows(coarse, fine_dims, 0, fine_dims.nz,
+                         [&](index_t y, index_t z, const float* v) {
+                           std::copy_n(v, fine_dims.nx, &fine.at(0, y, z));
+                         });
   return fine;
+}
+
+void prolong_trilinear_rows(const FieldF& coarse, Dim3 fine_dims, index_t z0, index_t z1,
+                            const ProlongRowSink& row) {
+  MRC_REQUIRE(z0 >= 0 && z0 <= z1 && z1 <= fine_dims.nz, "bad prolongation slab");
+  prolong_rows(coarse, {}, coarse.dims(), fine_dims, {0, 0, z0},
+               {fine_dims.nx, fine_dims.ny, z1 - z0},
+               [&](index_t y, index_t z, const float* v) { row(y, z0 + z, v); });
 }
 
 SupportBox prolong_support(Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
@@ -216,15 +230,13 @@ FieldF prolong_trilinear_region(const FieldF& coarse_window, Coord3 window_origi
 double prolong_error_slab(const FieldF& coarse, const FieldF& fine, index_t z0,
                           index_t z1) {
   const Dim3 fd = fine.dims();
-  MRC_REQUIRE(z0 >= 0 && z0 <= z1 && z1 <= fd.nz, "bad prolongation slab");
   double err = 0.0;
-  prolong_rows(coarse, {}, coarse.dims(), fd, {0, 0, z0}, {fd.nx, fd.ny, z1 - z0},
-               [&](index_t y, index_t z, const float* v) {
-                 const float* f = &fine.at(0, y, z0 + z);
-                 for (index_t x = 0; x < fd.nx; ++x)
-                   err = std::max(err, std::abs(static_cast<double>(v[x]) -
-                                                static_cast<double>(f[x])));
-               });
+  prolong_trilinear_rows(coarse, fd, z0, z1, [&](index_t y, index_t z, const float* v) {
+    const float* f = &fine.at(0, y, z);
+    for (index_t x = 0; x < fd.nx; ++x)
+      err = std::max(err,
+                     std::abs(static_cast<double>(v[x]) - static_cast<double>(f[x])));
+  });
   return err;
 }
 

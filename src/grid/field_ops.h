@@ -4,6 +4,8 @@
 // and benches: restriction/prolongation between resolution levels, region
 // copies, and slicing.
 
+#include <functional>
+
 #include "grid/field.h"
 
 namespace mrc {
@@ -18,17 +20,35 @@ namespace mrc {
 /// built by iterating this, so level extents follow ceil_div(dims, 2^level).
 [[nodiscard]] FieldF restrict_half(const FieldF& fine);
 
+/// restrict_half into the coarse z-planes [z0, z1) of `coarse`, which must
+/// have blocks_for(fine.dims(), 2) extents. Each coarse plane reads only its
+/// own fine planes, so callers split z across a pool; restrict_half is the
+/// full-range call, and every sample is bit-identical either way.
+void restrict_half_slab(const FieldF& fine, FieldF& coarse, index_t z0, index_t z1);
+
 /// Nearest-neighbor (injection) upsampling to `fine_dims`.
 [[nodiscard]] FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims);
 
 /// Trilinear upsampling to `fine_dims` (cell-centered alignment).
 ///
-/// prolong_trilinear, prolong_trilinear_region and prolong_error_slab share
-/// one separable kernel. Its invariant: every fine sample evaluates the same
-/// double expressions in the same order (x-lerp per coarse row, then y, then
-/// z, one float rounding) with no FMA contraction, so the three entry points
-/// agree bit for bit, and stream bytes built on them never drift.
+/// prolong_trilinear, prolong_trilinear_rows, prolong_trilinear_region and
+/// prolong_error_slab share one separable kernel. Its invariant: every fine
+/// sample evaluates the same double expressions in the same order (x-lerp
+/// per coarse row, then y, then z, one float rounding) with no FMA
+/// contraction, so the entry points agree bit for bit, whatever z-range they
+/// cover, and stream bytes built on them never drift.
 [[nodiscard]] FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims);
+
+/// Receives one prolonged fine x-row: row(y, z, values), values[0, nx) being
+/// the samples (0, y, z) .. (nx - 1, y, z). The buffer is reused per row.
+using ProlongRowSink = std::function<void(index_t y, index_t z, const float* values)>;
+
+/// prolong_trilinear over the fine z-planes [z0, z1) of the full fine_dims
+/// grid, handed row by row to `row` (ascending z, then y) instead of stored.
+/// Slabs are independent, so callers fuse per-sample work into the sink and
+/// split z across a pool; prolong_trilinear is the full-range copy sink.
+void prolong_trilinear_rows(const FieldF& coarse, Dim3 fine_dims, index_t z0, index_t z1,
+                            const ProlongRowSink& row);
 
 /// Coarse footprint of prolong_trilinear over the fine window
 /// [fine_origin, fine_origin + fine_extent) of a fine_dims grid: the
@@ -55,9 +75,9 @@ struct SupportBox {
                                               Dim3 fine_extent);
 
 /// Max |prolong_trilinear(coarse, fine.dims()) - fine| over the fine z-slab
-/// [z0, z1), without materializing the prolonged field: the LOD error of the
-/// pyramid and progressive builders and of adaptive bricks. Slabs are
-/// independent, so callers parallelize by splitting z across a pool.
+/// [z0, z1), without materializing the prolonged field (a sink on
+/// prolong_trilinear_rows): the LOD error of the pyramid and progressive
+/// builders and of adaptive bricks.
 [[nodiscard]] double prolong_error_slab(const FieldF& coarse, const FieldF& fine,
                                         index_t z0, index_t z1);
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "exec/thread_pool.h"
 #include "grid/field_ops.h"
@@ -14,6 +17,11 @@ namespace {
 
 /// Smallest possible level record: 5 single-byte varints + six f32s.
 inline constexpr std::size_t kMinLevelRecord = 29;
+
+/// Widest bin range bin_entropy counts in dense per-slab histograms; wider
+/// or non-finite ranges take the map path. The benchmark's widest is a few
+/// hundred bins (the level-0 residual).
+inline constexpr long long kMaxDenseBins = 1 << 16;
 
 /// a + b per sample, accumulated in double and rounded once to float — the
 /// single reconstruction step recon = prolong + residual. Build, full
@@ -29,42 +37,200 @@ void add_into(FieldF& acc, const FieldF& add) {
                                              static_cast<double>(add.at(x, y, z)));
 }
 
-/// data - base per sample (double accumulate, one float rounding).
-FieldF subtract(const FieldF& data, const FieldF& base) {
-  MRC_REQUIRE(data.dims() == base.dims(), "progressive: residual extents mismatch");
+/// Every full-grid pass below splits the nz planes of its field into
+/// min(nz, lanes) contiguous z-slabs, slab s covering [s*nz/n, (s+1)*nz/n),
+/// so per-slab results merged in slab order are merged in sample order.
+index_t slab_count(index_t nz, const exec::ThreadPool& pool) {
+  return std::min<index_t>(nz, pool.size());
+}
+
+template <class Body>
+void for_slabs(exec::ThreadPool& pool, index_t nz, Body&& body) {
+  const index_t n = slab_count(nz, pool);
+  pool.parallel_for(n, [&](index_t s) { body(s, s * nz / n, (s + 1) * nz / n); });
+}
+
+/// Value range of a run of samples as std::minmax_element reports it: the
+/// first smallest and the last largest, which decides the stored bits when
+/// -0 and +0 tie. Starting from (+inf, -inf) gives the same answer as
+/// starting from the first sample. NaN breaks the ordering that answer rests
+/// on (where the NaN sits decides it), so a range that saw one is settled by
+/// the serial call instead; see min_max.
+struct Range {
+  float lo = std::numeric_limits<float>::infinity();
+  float hi = -std::numeric_limits<float>::infinity();
+  bool nan = false;
+
+  void add(float v) {
+    if (v < lo) lo = v;
+    if (!(v < hi)) hi = v;
+    nan = nan || std::isnan(v);
+  }
+  /// Folds in the range of the samples that follow this one's.
+  void merge(const Range& later) {
+    if (later.lo < lo) lo = later.lo;
+    if (!(later.hi < hi)) hi = later.hi;
+    nan = nan || later.nan;
+  }
+};
+
+/// (min, max) of `f` exactly as f.min_max() gives it, from `r`, the
+/// slab-merged range of f's samples.
+std::pair<float, float> min_max(const FieldF& f, const Range& r) {
+  return r.nan ? f.min_max() : std::pair{r.lo, r.hi};
+}
+
+// The passes below accumulate ranges in locals and store them back per row
+// or slab: a Range in a vector element may alias the float samples read or
+// written beside it, which would keep it out of registers.
+
+MRC_OBS_NOINLINE Range range_pass(const FieldF& f, exec::ThreadPool& pool) {
+  const index_t plane = f.dims().nx * f.dims().ny;
+  std::vector<Range> parts(static_cast<std::size_t>(slab_count(f.dims().nz, pool)));
+  for_slabs(pool, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
+    Range r;
+    for (index_t i = z0 * plane; i < z1 * plane; ++i) r.add(f[i]);
+    parts[static_cast<std::size_t>(s)] = r;
+  });
+  Range all;
+  for (const Range& r : parts) all.merge(r);
+  return all;
+}
+
+/// The fused residual pass of one level: resid = data - prolong(recon) per
+/// sample (double subtract, one float rounding) with the prolongation
+/// consumed row by row, never stored, plus the ranges of data and resid.
+struct ResidualRanges {
+  Range data, resid;
+};
+MRC_OBS_NOINLINE ResidualRanges residual_pass(const FieldF& data, const FieldF& recon,
+                                              FieldF& resid, exec::ThreadPool& pool) {
   const Dim3 d = data.dims();
-  FieldF out(d);
-  for (index_t z = 0; z < d.nz; ++z)
-    for (index_t y = 0; y < d.ny; ++y)
-      for (index_t x = 0; x < d.nx; ++x)
-        out.at(x, y, z) = static_cast<float>(static_cast<double>(data.at(x, y, z)) -
-                                             static_cast<double>(base.at(x, y, z)));
-  return out;
+  std::vector<ResidualRanges> parts(static_cast<std::size_t>(slab_count(d.nz, pool)));
+  for_slabs(pool, d.nz, [&](index_t s, index_t z0, index_t z1) {
+    ResidualRanges& part = parts[static_cast<std::size_t>(s)];
+    prolong_trilinear_rows(recon, d, z0, z1, [&](index_t y, index_t z, const float* v) {
+      const float* in = &data.at(0, y, z);
+      float* out = &resid.at(0, y, z);
+      ResidualRanges r = part;
+      for (index_t x = 0; x < d.nx; ++x) {
+        const float res =
+            static_cast<float>(static_cast<double>(in[x]) - static_cast<double>(v[x]));
+        out[x] = res;
+        r.data.add(in[x]);
+        r.resid.add(res);
+      }
+      part = r;
+    });
+  });
+  ResidualRanges all;
+  for (const ResidualRanges& r : parts) {
+    all.data.merge(r.data);
+    all.resid.merge(r.resid);
+  }
+  return all;
 }
 
-float max_abs(const FieldF& f) {
-  const auto [lo, hi] = f.min_max();
-  return std::max(std::abs(lo), std::abs(hi));
+/// recon = prolong(coarse) + decoded per sample, written over `decoded`:
+/// add_into's expression with the prolonged sample as the left operand, so
+/// the fold needs no prolonged field of its own.
+MRC_OBS_NOINLINE void fold(const FieldF& coarse, FieldF& decoded,
+                           exec::ThreadPool& pool) {
+  const Dim3 d = decoded.dims();
+  for_slabs(pool, d.nz, [&](index_t, index_t z0, index_t z1) {
+    prolong_trilinear_rows(coarse, d, z0, z1, [&](index_t y, index_t z, const float* v) {
+      float* r = &decoded.at(0, y, z);
+      for (index_t x = 0; x < d.nx; ++x)
+        r[x] = static_cast<float>(static_cast<double>(v[x]) + static_cast<double>(r[x]));
+    });
+  });
 }
 
-/// Shannon entropy (bits/sample) of the field quantized into 2*eb-wide bins
-/// — the same bin width the quantizer uses, so this estimates the entropy
-/// the Huffman stage actually sees. Recorded per level for `mrcc
-/// progressive`'s table.
-float bin_entropy(const FieldF& f, double eb) {
-  std::unordered_map<long long, std::uint64_t> bins;
-  const Dim3 d = f.dims();
-  for (index_t z = 0; z < d.nz; ++z)
-    for (index_t y = 0; y < d.ny; ++y)
-      for (index_t x = 0; x < d.nx; ++x)
-        ++bins[std::llround(static_cast<double>(f.at(x, y, z)) / (2.0 * eb))];
-  const double n = static_cast<double>(d.size());
+/// std::llround for |q| < 2^62 without the libm call. The cast truncates
+/// toward zero exactly and q - t is exact, so the half-way test sees the
+/// true fraction; (long long)(q + 0.5) does not, since
+/// 0.49999999999999994 + 0.5 rounds up to 1.
+long long round_half_away(double q) {
+  const auto t = static_cast<long long>(q);
+  const double r = q - static_cast<double>(t);
+  return t + (r >= 0.5 ? 1 : 0) - (r <= -0.5 ? 1 : 0);
+}
+
+using BinMap = std::unordered_map<long long, std::uint64_t>;
+
+float entropy_of(const BinMap& bins, index_t samples) {
+  const double n = static_cast<double>(samples);
   double h = 0.0;
   for (const auto& [bin, count] : bins) {
     const double p = static_cast<double>(count) / n;
     h -= p * std::log2(p);
   }
   return static_cast<float>(h);
+}
+
+/// Shannon entropy (bits/sample) of the field quantized into 2*eb-wide bins
+/// — the same bin width the quantizer uses, so this estimates the entropy
+/// the Huffman stage actually sees. Recorded per level for `mrcc
+/// progressive`'s table. `range` is the slab-merged range of f.
+///
+/// Bin b of sample v is llround(v / (2eb)), monotone in v, so every bin lies
+/// in [bin(lo), bin(hi)]. Within kMaxDenseBins each slab counts into a dense
+/// histogram and lists its bins in first-occurrence order. The sum below adds
+/// the bins in the map's iteration order, and that order follows the map's
+/// insertion history, so the distinct bins are inserted in first-occurrence
+/// order: the order the per-sample ++bins[b] map path inserts them in. The
+/// map is never reserve()d, because its bucket count decides the iteration
+/// order too. No test tells this order from plain bin order (reordering the
+/// sum rarely moves the rounded float), but it is the order that provably
+/// reproduces the stored bytes, which is what the frozen format asks for.
+/// NaN, non-finite or too-wide ranges take the map path itself.
+MRC_OBS_NOINLINE float bin_entropy(const FieldF& f, double eb, const Range& range,
+                                   exec::ThreadPool& pool) {
+  const double width = 2.0 * eb;
+  const auto map_path = [&] {
+    BinMap bins;
+    for (index_t i = 0; i < f.size(); ++i)
+      ++bins[std::llround(static_cast<double>(f[i]) / width)];
+    return entropy_of(bins, f.size());
+  };
+  constexpr double kMaxBin = 0x1p62;
+  const double q_lo = static_cast<double>(range.lo) / width;
+  const double q_hi = static_cast<double>(range.hi) / width;
+  if (range.nan || !(std::abs(q_lo) < kMaxBin && std::abs(q_hi) < kMaxBin))
+    return map_path();
+  const long long b0 = round_half_away(q_lo);
+  const long long n_bins = round_half_away(q_hi) - b0 + 1;
+  if (n_bins > kMaxDenseBins) return map_path();
+
+  struct Hist {
+    std::vector<std::uint64_t> count;
+    std::vector<std::size_t> seen;  ///< bins (minus b0) in first-occurrence order
+  };
+  const auto bins_n = static_cast<std::size_t>(n_bins);
+  const index_t plane = f.dims().nx * f.dims().ny;
+  std::vector<Hist> hists(static_cast<std::size_t>(slab_count(f.dims().nz, pool)));
+  for_slabs(pool, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
+    Hist& h = hists[static_cast<std::size_t>(s)];
+    h.count.assign(bins_n, 0);
+    // A local, so the rare push_back call does not force a reload per sample.
+    std::uint64_t* count = h.count.data();
+    for (index_t i = z0 * plane; i < z1 * plane; ++i) {
+      const auto b = static_cast<std::size_t>(
+          round_half_away(static_cast<double>(f[i]) / width) - b0);
+      if (count[b]++ == 0) h.seen.push_back(b);
+    }
+  });
+
+  // Slabs are in sample order, so their first occurrences in slab order,
+  // minus bins an earlier slab already inserted, are the field's.
+  std::vector<std::uint64_t> total(bins_n, 0);
+  for (const Hist& h : hists)
+    for (std::size_t b = 0; b < bins_n; ++b) total[b] += h.count[b];
+  BinMap bins;
+  for (const Hist& h : hists)
+    for (const std::size_t b : h.seen)
+      bins.try_emplace(b0 + static_cast<long long>(b), total[b]);
+  return entropy_of(bins, f.size());
 }
 
 }  // namespace
@@ -127,55 +293,76 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
   tiled::Config tc_resid = tc;
   tc_resid.codec = cfg.resid_codec;
 
-  // The restrict_half chain, materialized coarse-to-fine is not needed —
-  // levels() holds l >= 1, level 0 reads straight from f.
+  // Every full-grid pass below runs on z-slabs of this pool; brick
+  // compression and decode fan out inside tiled::.
+  exec::ThreadPool pool(cfg.threads);
+
+  // The restrict_half chain: chain[l] holds level l >= 1, level 0 reads
+  // straight from f.
   std::vector<FieldF> chain(static_cast<std::size_t>(n_levels));
-  for (int l = 1; l < n_levels; ++l)
-    chain[static_cast<std::size_t>(l)] =
-        restrict_half(l == 1 ? f : chain[static_cast<std::size_t>(l - 1)]);
+  {
+    OBS_SPAN("progressive.restrict");
+    for (int l = 1; l < n_levels; ++l) {
+      const FieldF& fine = l == 1 ? f : chain[static_cast<std::size_t>(l - 1)];
+      FieldF& coarse = chain[static_cast<std::size_t>(l)];
+      coarse = FieldF(blocks_for(fine.dims(), 2));
+      for_slabs(pool, coarse.dims().nz, [&](index_t, index_t z0, index_t z1) {
+        restrict_half_slab(fine, coarse, z0, z1);
+      });
+    }
+  }
   auto level_data = [&](int l) -> const FieldF& {
     return l == 0 ? f : chain[static_cast<std::size_t>(l)];
   };
 
   std::vector<Bytes> streams(static_cast<std::size_t>(n_levels));
   std::vector<LevelEntry> entries(static_cast<std::size_t>(n_levels));
-  exec::ThreadPool pool(cfg.threads);
 
   // Top-down with the decoder in the loop: each residual is measured against
   // the *reconstruction* the reader will actually have, so per-level decode
   // error stays at eb instead of accumulating down the chain.
   FieldF recon;
   for (int l = n_levels - 1; l >= 0; --l) {
+    OBS_SPAN("progressive.level_compress");
     const FieldF& data = level_data(l);
+    const bool top = l == n_levels - 1;
     LevelEntry& e = entries[static_cast<std::size_t>(l)];
     e.dims = data.dims();
-    const auto [lo, hi] = data.min_max();
-    e.vmin = lo;
-    e.vmax = hi;
     e.cum_err = static_cast<float>(abs_eb * (n_levels - l));
     e.approx_err = static_cast<float>(
         l == 0 ? static_cast<double>(e.cum_err)
                : pyramid::prolong_error(data, f, pool) + static_cast<double>(e.cum_err));
 
-    OBS_SPAN("progressive.level_compress");
-    if (l == n_levels - 1) {
-      // Coarsest level: stored verbatim; "residual" stats describe the data.
-      e.resid_max = max_abs(data);
-      e.resid_entropy = bin_entropy(data, abs_eb);
-      streams[static_cast<std::size_t>(l)] = tiled::compress(data, abs_eb, tc);
-      recon = tiled::decompress(streams[static_cast<std::size_t>(l)], cfg.threads);
-    } else {
-      FieldF prolonged = prolong_trilinear(recon, data.dims());
-      const FieldF resid = subtract(data, prolonged);
-      e.resid_max = max_abs(resid);
-      e.resid_entropy = bin_entropy(resid, abs_eb);
-      streams[static_cast<std::size_t>(l)] = tiled::compress(resid, abs_eb, tc_resid);
-      if (l > 0) {
-        add_into(prolonged,
-                 tiled::decompress(streams[static_cast<std::size_t>(l)], cfg.threads));
-        recon = std::move(prolonged);
+    // The coarsest level is stored verbatim, so its "residual" statistics
+    // describe the data.
+    FieldF resid;
+    ResidualRanges ranges;
+    {
+      OBS_SPAN("progressive.residual");
+      if (top) {
+        ranges.data = ranges.resid = range_pass(data, pool);
+      } else {
+        resid = FieldF(data.dims());
+        ranges = residual_pass(data, recon, resid, pool);
       }
     }
+    const FieldF& coded = top ? data : resid;
+    std::tie(e.vmin, e.vmax) = min_max(data, ranges.data);
+    const auto [lo, hi] = min_max(coded, ranges.resid);
+    e.resid_max = std::max(std::abs(lo), std::abs(hi));
+    {
+      OBS_SPAN("progressive.bin_entropy");
+      e.resid_entropy = bin_entropy(coded, abs_eb, ranges.resid, pool);
+    }
+    Bytes& stream = streams[static_cast<std::size_t>(l)];
+    stream = tiled::compress(coded, abs_eb, top ? tc : tc_resid);
+    if (l == 0) break;
+    FieldF decoded = tiled::decompress(stream, cfg.threads);
+    if (!top) {
+      OBS_SPAN("progressive.fold");
+      fold(recon, decoded, pool);
+    }
+    recon = std::move(decoded);
   }
 
   std::uint64_t payload_bytes = 0;
@@ -322,16 +509,18 @@ FieldF decompress_level(std::span<const std::byte> stream, int level, int thread
               "progressive: level out of range");
   const int top = static_cast<int>(idx.levels.size()) - 1;
   OBS_SPAN("progressive.level_decode");
+  exec::ThreadPool pool(threads);  // the folds; bricks decode inside tiled::
   FieldF recon =
       tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(top)),
                         threads);
   for (int l = top - 1; l >= level; --l) {
-    FieldF prolonged =
-        prolong_trilinear(recon, idx.levels[static_cast<std::size_t>(l)].dims);
-    add_into(prolonged,
-             tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(l)),
-                               threads));
-    recon = std::move(prolonged);
+    FieldF decoded =
+        tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(l)), threads);
+    {
+      OBS_SPAN("progressive.fold");
+      fold(recon, decoded, pool);
+    }
+    recon = std::move(decoded);
   }
   return recon;
 }

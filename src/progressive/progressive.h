@@ -113,7 +113,9 @@ struct Index {
 /// Builds the residual pyramid: restrict_half chain from `f`, the coarsest
 /// level compressed verbatim, every finer level as a residual against the
 /// decoded reconstruction of the level below, all through tiled::compress
-/// on the exec pool. Deterministic: byte-identical for any thread count.
+/// on the exec pool. The full-grid passes (restrict chain, residual +
+/// ranges, bin entropy, reconstruction fold) run on z-slabs of a pool of
+/// cfg.threads lanes. Deterministic: byte-identical for any thread count.
 [[nodiscard]] Bytes build(const FieldF& f, double abs_eb, const Config& cfg = {});
 
 /// Parses and validates header + level table in O(levels) without touching
@@ -127,8 +129,9 @@ struct Index {
 [[nodiscard]] Index read_index(std::span<const std::byte> stream);
 
 /// Reconstructs level `level` in full: decode the coarsest stream, then
-/// prolong + residual down to `level`. Bit-deterministic for any thread
-/// count (threads = 0 means hardware).
+/// prolong + residual down to `level`, each fold z-slabbed on a pool of
+/// `threads` lanes. Bit-deterministic for any thread count (threads = 0
+/// means hardware).
 [[nodiscard]] FieldF decompress_level(std::span<const std::byte> stream, int level,
                                       int threads = 1);
 

@@ -76,6 +76,7 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
   exec::ThreadPool pool(cfg.threads);
   FieldF coarse;  // level l's data for l >= 1
   for (int l = 0; l < n_levels; ++l) {
+    OBS_SPAN("pyramid.level_compress");
     if (l > 0) coarse = restrict_half(l == 1 ? f : coarse);
     const FieldF& level = l == 0 ? f : coarse;
 
@@ -89,7 +90,6 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     // measured against the pre-compression data; the codec adds at most eb.
     e.approx_err = static_cast<float>(
         l == 0 ? abs_eb : prolong_error(level, f, pool) + abs_eb);
-    OBS_SPAN("pyramid.level_compress");
     streams[static_cast<std::size_t>(l)] = tiled::compress(level, abs_eb, tc);
   }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "api/mrc_api.h"
 #include "test_util.h"
 
@@ -277,6 +279,37 @@ TEST(ApiOptions, BadInputRejected) {
   EXPECT_THROW(o.set("cache_mb", "-4"), ContractError);
   EXPECT_THROW(o.set("prefetch", "maybe"), ContractError);
   EXPECT_THROW((void)api::Options::parse("justakey"), ContractError);
+}
+
+TEST(ApiFacade, NonFiniteErrorBoundRejectedByEveryWriter) {
+  // Readers reject a non-finite bound as a corrupt header, so no writer may
+  // emit one — not from a parsed option, and not from a finite relative
+  // bound whose absolute value overflows.
+  api::Options o;
+  EXPECT_THROW(o.set("eb", "inf"), ContractError);
+  EXPECT_THROW(o.set("eb", "1e999"), ContractError);
+
+  const FieldF f = test::smooth_field({16, 16, 16});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& name : registry().names())
+    EXPECT_THROW((void)registry().make(name)->compress(f, inf), ContractError) << name;
+
+  api::Options abs_inf;
+  abs_inf.eb_mode = api::EbMode::absolute;
+  abs_inf.eb = inf;
+  abs_inf.tile = 8;
+  EXPECT_THROW((void)api::compress_tiled(f, abs_inf), ContractError);
+  EXPECT_THROW((void)api::build_pyramid(f, abs_inf), ContractError);
+  EXPECT_THROW((void)api::build_progressive(f, abs_inf), ContractError);
+  EXPECT_THROW((void)api::compress_adaptive(f, abs_inf), ContractError);
+
+  api::Options overflow;  // relative 1e300 of a 2e30 range is +inf
+  overflow.eb = 1e300;
+  FieldF wide = f;
+  wide[0] = -1e30f;
+  wide[1] = 1e30f;
+  ASSERT_EQ(overflow.absolute_eb(wide), inf);
+  EXPECT_THROW((void)api::build_progressive(wide, overflow), ContractError);
 }
 
 TEST(ApiOptions, PipelineMatchesSz3mrPreset) {

@@ -3,7 +3,8 @@
 // get-or-create handle stability and snapshot consistency under 8-thread
 // contention, trace-ring wraparound accounting, a traced tiled round trip
 // containing spans from all three instrumented layers (codec stage,
-// container brick, pool task), the wire `metrics` frame (round trip,
+// container brick, pool task), a traced MRCR build naming every step
+// inside its level's span, the wire `metrics` frame (round trip,
 // ServerStats reconciliation, malformed frames earning error frames), and
 // the disabled mode recording nothing. Tests share a process under the
 // ci.sh TSan pass, so every test works in deltas, uses test-unique metric
@@ -11,16 +12,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.h"
 #include "compressors/registry.h"
 #include "obs/obs.h"
+#include "progressive/progressive.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "test_util.h"
@@ -249,6 +255,58 @@ TEST(ObsTrace, TracedTiledRoundTripSpansAllThreeLayers) {
   EXPECT_NE(json.find("\"tiled.brick_decode\""), std::string::npos);
   EXPECT_NE(json.find("\"exec."), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+}
+
+TEST(ObsTrace, TracedProgressiveBuildNamesEveryStep) {
+  ScopedEnable on;
+  obs::reset_trace();
+  progressive::Config cfg;
+  cfg.brick = 8;  // 40^3 -> 20^3 -> 10^3 -> 5^3: four levels
+  cfg.threads = 2;
+  const std::uint64_t trace = 0x16b0;
+  auto ctx = std::make_shared<obs::RequestCtx>();
+  ctx->trace = trace;
+  Bytes stream;
+  {
+    const obs::RequestScope scope(ctx);
+    stream = progressive::build(test::smooth_field({40, 40, 40}), 0.05, cfg);
+  }
+  const auto spans = obs::spans_for(trace);
+  const int levels = static_cast<int>(progressive::read_index(stream).levels.size());
+  ASSERT_EQ(levels, 4);
+
+  // One restrict chain, then per level: the residual pass (the coarsest
+  // level's is its range pass), its entropy, its bricks, and — between the
+  // coarsest and the finest level — the fold of its decoded residual.
+  std::map<std::string_view, int> count;
+  for (const auto& e : spans) ++count[e.name];
+  EXPECT_EQ(count["progressive.restrict"], 1);
+  EXPECT_EQ(count["progressive.level_compress"], levels);
+  EXPECT_EQ(count["progressive.residual"], levels);
+  EXPECT_EQ(count["progressive.bin_entropy"], levels);
+  EXPECT_EQ(count["progressive.fold"], levels - 2);
+  EXPECT_GT(count["tiled.brick_compress"], 0);
+
+  // The level spans cover their levels: every step nests in one, and so
+  // does every pool lane outside the restrict chain (the LOD error's lanes
+  // included).
+  auto inside = [&](const obs::TraceEvent& e, std::string_view parent) {
+    return std::any_of(spans.begin(), spans.end(), [&](const obs::TraceEvent& p) {
+      return parent == p.name && p.t0_ns <= e.t0_ns &&
+             e.t0_ns + e.dur_ns <= p.t0_ns + p.dur_ns;
+    });
+  };
+  for (const auto& e : spans) {
+    const std::string_view name(e.name);
+    if (name == "progressive.residual" || name == "progressive.bin_entropy" ||
+        name == "progressive.fold" || name == "tiled.brick_compress") {
+      EXPECT_TRUE(inside(e, "progressive.level_compress")) << name;
+    } else if (name == "exec.lane") {
+      EXPECT_TRUE(inside(e, "progressive.restrict") ||
+                  inside(e, "progressive.level_compress"));
+    }
+  }
+  obs::reset_trace();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // progressive:: residual pyramid container (MRCR) — level table geometry,
 // the telescoped error-bound model (per-level decode error stays at eb
 // because residuals are measured against the reconstruction), bit-exact
-// windowed reads, determinism across thread counts, the serve-layer path
+// windowed reads, determinism across thread counts, the z-slabbed build
+// and fold against the serial code they replaced (ProgressiveProperty,
+// compared with memcmp), the serve-layer path
 // (Dataset + the multi-frame wire read, including graceful degradation when
 // the connection drops mid-refinement), and the same hostile-input
 // discipline as test_pyramid.cpp: hostile counts, off-chain extents,
@@ -12,10 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string_view>
+#include <unordered_map>
 
 #include "api/mrc_api.h"
+#include "common/rng.h"
 #include "grid/field_ops.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
@@ -199,6 +206,194 @@ TEST(Progressive, StreamBytesIdenticalForAnyThreadCount) {
   const FieldF d1 = progressive::decompress_level(s1, 0, 1);
   const FieldF d7 = progressive::decompress_level(s1, 0, 7);
   EXPECT_EQ(d1, d7);
+}
+
+// ---------------------------------------------------------------------------
+// The slabbed build passes and fold against the serial code they replaced.
+// ---------------------------------------------------------------------------
+
+/// The serial level-table statistics and fold the slabbed passes replaced,
+/// kept as references: map-counted bin entropy, minmax_element, max |v|,
+/// and per-sample subtract / add against a whole-field prolongation.
+float serial_bin_entropy(const FieldF& f, double eb) {
+  std::unordered_map<long long, std::uint64_t> bins;
+  for (index_t i = 0; i < f.size(); ++i)
+    ++bins[std::llround(static_cast<double>(f[i]) / (2.0 * eb))];
+  const double n = static_cast<double>(f.size());
+  double h = 0.0;
+  for (const auto& [bin, count] : bins) {
+    const double p = static_cast<double>(count) / n;
+    h -= p * std::log2(p);
+  }
+  return static_cast<float>(h);
+}
+
+float serial_max_abs(const FieldF& f) {
+  const auto [lo, hi] = f.min_max();
+  return std::max(std::abs(lo), std::abs(hi));
+}
+
+FieldF serial_subtract(const FieldF& data, const FieldF& base) {
+  FieldF out(data.dims());
+  for (index_t i = 0; i < data.size(); ++i)
+    out[i] =
+        static_cast<float>(static_cast<double>(data[i]) - static_cast<double>(base[i]));
+  return out;
+}
+
+void serial_add_into(FieldF& acc, const FieldF& add) {
+  for (index_t i = 0; i < acc.size(); ++i)
+    acc[i] =
+        static_cast<float>(static_cast<double>(acc[i]) + static_cast<double>(add[i]));
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_bits(const FieldF& a, const FieldF& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+/// Recomputes `stream`'s level table, every nested stream and its level-0
+/// decode with the serial reference (each residual decoded from the stream
+/// itself, as the build's in-loop decoder does) and compares them bit for
+/// bit with what progressive::build wrote and decompress_level returns.
+void expect_matches_serial(const FieldF& f, double eb, const progressive::Config& cfg,
+                           const Bytes& stream, int lanes) {
+  const auto idx = progressive::read_index(stream);
+  const int n = static_cast<int>(idx.levels.size());
+  tiled::Config tc;
+  tc.codec = cfg.codec;
+  tc.tuning = cfg.tuning;
+  tc.brick = cfg.brick;
+  tiled::Config tc_resid = tc;
+  tc_resid.codec = cfg.resid_codec;
+  std::vector<FieldF> chain{f};
+  for (int l = 1; l < n; ++l) chain.push_back(restrict_half(chain.back()));
+
+  FieldF recon;
+  for (int l = n - 1; l >= 0; --l) {
+    SCOPED_TRACE(::testing::Message() << "level " << l);
+    const FieldF& data = chain[static_cast<std::size_t>(l)];
+    const progressive::LevelEntry& e = idx.levels[static_cast<std::size_t>(l)];
+    const bool top = l == n - 1;
+    FieldF prolonged = top ? FieldF() : prolong_trilinear(recon, data.dims());
+    const FieldF coded = top ? data : serial_subtract(data, prolonged);
+
+    const auto [lo, hi] = data.min_max();
+    const float cum_err = static_cast<float>(eb * (n - l));
+    const double lod_err = l == 0 ? 0.0 : prolong_error_slab(data, f, 0, f.dims().nz);
+    const float approx_err = static_cast<float>(
+        l == 0 ? static_cast<double>(cum_err) : lod_err + static_cast<double>(cum_err));
+    EXPECT_EQ(e.dims, data.dims());
+    EXPECT_TRUE(same_bits(e.vmin, lo)) << e.vmin << " vs " << lo;
+    EXPECT_TRUE(same_bits(e.vmax, hi)) << e.vmax << " vs " << hi;
+    EXPECT_TRUE(same_bits(e.resid_max, serial_max_abs(coded)))
+        << e.resid_max << " vs " << serial_max_abs(coded);
+    EXPECT_TRUE(same_bits(e.resid_entropy, serial_bin_entropy(coded, eb)))
+        << e.resid_entropy << " vs " << serial_bin_entropy(coded, eb);
+    EXPECT_TRUE(same_bits(e.cum_err, cum_err));
+    EXPECT_TRUE(same_bits(e.approx_err, approx_err));
+
+    const auto level_stream = idx.level_stream(stream, static_cast<std::size_t>(l));
+    const Bytes expect = tiled::compress(coded, eb, top ? tc : tc_resid);
+    EXPECT_TRUE(std::equal(level_stream.begin(), level_stream.end(), expect.begin(),
+                           expect.end()));
+    FieldF decoded = tiled::decompress(level_stream, 1);
+    if (top) {
+      recon = std::move(decoded);
+    } else {
+      serial_add_into(prolonged, decoded);
+      recon = std::move(prolonged);
+    }
+  }
+  EXPECT_TRUE(same_bits(progressive::decompress_level(stream, 0, lanes), recon));
+}
+
+TEST(ProgressiveProperty, ParallelBuildMatchesSerialReference) {
+  Rng rng(2407);
+  constexpr std::array<index_t, 9> kPrimeOrUnit{1, 2, 3, 5, 7, 11, 13, 17, 23};
+  constexpr std::array<index_t, 5> kBricks{3, 4, 6, 8, 16};
+  auto extent = [&] {
+    return rng.uniform_index(3) == 0
+               ? 1 + static_cast<index_t>(rng.uniform_index(24))
+               : kPrimeOrUnit[rng.uniform_index(kPrimeOrUnit.size())];
+  };
+  auto pick = [&](index_t n) { return static_cast<index_t>(rng.uniform_index(n)); };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // v = 0.37f sits at q = v / (2eb) = nextafter(0.5, 0) under this bound:
+  // llround gives 0 there, (long long)(q + 0.5) gives 1.
+  const double half_eb = 0.37000000476837164;
+  ASSERT_EQ(static_cast<double>(0.37f) / (2.0 * half_eb), std::nextafter(0.5, 0.0));
+
+  for (int t = 0; t < 240; ++t) {
+    Dim3 d{extent(), extent(), extent()};
+    // Every kind of case below (t % 8) runs on 1-4 lanes; every fifth case
+    // runs more lanes than z-planes.
+    int lanes = 1 + (t / 8) % 4;
+    if (t % 5 == 4) {
+      d.nz = 1 + pick(4);
+      lanes = static_cast<int>(d.nz + 1 + pick(3));
+    }
+    progressive::Config cfg;
+    cfg.brick = kBricks[rng.uniform_index(kBricks.size())];
+    cfg.levels =
+        rng.uniform_index(2) == 0 ? 0 : 1 + static_cast<int>(rng.uniform_index(4));
+    cfg.threads = lanes;
+    double eb = 0.05;
+    FieldF f = test::noise_field(d, 10.0, static_cast<std::uint64_t>(t));
+    const char* kind = "noise";
+    switch (t % 8) {
+      case 1:  // zeros of both signs on one side of the data: +-0 ties
+        kind = "signed zeros";
+        for (index_t i = 0; i < f.size(); ++i)
+          f[i] = rng.uniform_index(3) == 0
+                     ? (t % 16 == 1 ? 1.0f : -1.0f) * std::abs(f[i])
+                     : (rng.uniform_index(2) == 0 ? -0.0f : 0.0f);
+        break;
+      case 2:  // one NaN, at the first sample or anywhere
+        kind = "NaN";
+        f[t % 16 == 2 ? 0 : pick(f.size())] = nan;
+        break;
+      case 3:
+        kind = "inf";
+        f[pick(f.size())] = t % 16 == 3 ? inf : -inf;
+        break;
+      case 4:  // ~3e7 bins: too wide for the dense histogram
+        kind = "map path";
+        eb = 1e-6;
+        break;
+      case 5:  // every sample on a bin edge +-(k + 1/2) * 2eb
+        kind = "bin edges";
+        eb = 0.25;
+        if (t % 16 == 5) cfg.levels = 1;
+        for (index_t i = 0; i < f.size(); ++i)
+          f[i] = (static_cast<float>(pick(40)) - 20.0f + 0.5f) * 0.5f;
+        break;
+      case 6:  // single level, samples at q = nextafter(0.5, 0)
+        kind = "half-way";
+        eb = half_eb;
+        cfg.levels = 1;
+        for (index_t i = 0; i < f.size(); ++i)
+          if (rng.uniform_index(4) != 0)
+            f[i] = rng.uniform_index(3) == 0 ? -0.37f : 0.37f;
+        break;
+      case 7:
+        kind = "smooth";
+        f = test::smooth_field(d);
+        break;
+      default:
+        break;
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << t << " (" << kind << ") " << d.str() << " brick "
+                 << cfg.brick << " levels " << cfg.levels << " lanes " << lanes);
+    const Bytes stream = progressive::build(f, eb, cfg);
+    expect_matches_serial(f, eb, cfg, stream, lanes);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(Progressive, RejectsBadConfigAndInputs) {
