@@ -135,8 +135,7 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
   std::vector<ChunkStream> chunks(static_cast<std::size_t>(n_chunks));
   const float* orig = f.data();
 
-  exec::ThreadPool pool(std::min(n_chunks, exec::hardware_threads()));
-  pool.parallel_for(n_chunks, [&](index_t c) {
+  exec::parallel_for(n_chunks, [&](index_t c) {
     const index_t bz0 = nbz * c / n_chunks;
     const index_t bz1 = nbz * (c + 1) / n_chunks;
     const index_t zmin = bz0 * bs;
@@ -309,8 +308,7 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
 
   FieldF recon(d);
 
-  exec::ThreadPool pool(std::min(n_chunks, exec::hardware_threads()));
-  pool.parallel_for(n_chunks, [&](index_t c) {
+  exec::parallel_for(n_chunks, [&](index_t c) {
    try {
     const index_t bz0 = nbz * c / n_chunks;
     const index_t bz1 = nbz * (c + 1) / n_chunks;

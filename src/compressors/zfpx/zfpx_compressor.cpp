@@ -252,8 +252,7 @@ Bytes ZfpxCompressor::compress(const FieldF& f, double abs_eb) const {
 
   std::vector<Bytes> streams(static_cast<std::size_t>(n_chunks));
 
-  exec::ThreadPool pool(std::min(n_chunks, exec::hardware_threads()));
-  pool.parallel_for(n_chunks, [&](index_t c) {
+  exec::parallel_for(n_chunks, [&](index_t c) {
     // zfpx fuses transform + bit-plane coding per block, so one span covers
     // the chunk's whole encode; the duration feeds the entropy-stage total.
     static obs::Counter& ns_ent =
@@ -297,8 +296,7 @@ FieldF ZfpxCompressor::decompress(std::span<const std::byte> stream) const {
 
   FieldF recon(d);
 
-  exec::ThreadPool pool(std::min(n_chunks, exec::hardware_threads()));
-  pool.parallel_for(n_chunks, [&](index_t c) {
+  exec::parallel_for(n_chunks, [&](index_t c) {
    try {
     static obs::Counter& ns_ent =
         obs::Registry::global().counter("mrc.codec.entropy.decode_ns");

@@ -139,11 +139,9 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& body,
-                              index_t grain) {
-  MRC_REQUIRE(grain >= 1, "parallel_for grain must be >= 1");
+void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& body) {
   if (n <= 0) return;
-  const int lanes = static_cast<int>(std::min<index_t>(size(), ceil_div(n, grain)));
+  const int lanes = static_cast<int>(std::min<index_t>(size(), n));
   if (lanes <= 1) {
     // Still a pool lane conceptually (the calling thread), so serial
     // parallel_for runs stay visible in the trace timeline.
@@ -160,16 +158,15 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& bod
     std::exception_ptr error;
   } sh;
 
-  auto lane = [&sh, n, grain, &body] {
+  auto lane = [&sh, n, &body] {
     const LaneScope lane_scope;
     OBS_SPAN("exec.lane");
     try {
       for (;;) {
         if (sh.failed.load(std::memory_order_relaxed)) return;
-        const index_t i0 = sh.next.fetch_add(grain, std::memory_order_relaxed);
-        if (i0 >= n) return;
-        const index_t i1 = std::min(i0 + grain, n);
-        for (index_t i = i0; i < i1; ++i) body(i);
+        const index_t i = sh.next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
+        body(i);
       }
     } catch (...) {
       const std::lock_guard lock(sh.err_mu);
@@ -184,6 +181,16 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& bod
   lane();  // the calling thread is a lane too
   for (auto& f : futs) f.get();  // lane() never throws; errors land in sh.error
   if (sh.error) std::rethrow_exception(sh.error);
+}
+
+void parallel_for(index_t n, const std::function<void(index_t)>& body) {
+  if (n <= 0) return;
+  if (on_pool_lane()) {
+    for (index_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  ThreadPool(static_cast<int>(std::min<index_t>(n, hardware_threads())))
+      .parallel_for(n, body);
 }
 
 }  // namespace mrc::exec

@@ -17,9 +17,10 @@
 // call sites pay zero overhead. Construction with threads=0 sizes the pool
 // to the hardware. Pools are cheap enough to build per operation (thread
 // spawn is microseconds against the millisecond-scale compression work they
-// schedule), so call sites that already know their width — the tiled
-// container, per-level snapshot encoding, chunked codecs — construct one
-// locally instead of sharing global mutable state.
+// schedule), so call sites whose width comes from a config — the tiled
+// container, per-level snapshot encoding, the serve layer — construct one
+// locally instead of sharing global mutable state. Every other loop goes
+// through the free exec::parallel_for below.
 //
 // Exceptions thrown by tasks propagate: submit() delivers them through the
 // future, parallel_for() rethrows the first one after all lanes have
@@ -54,11 +55,8 @@ namespace mrc::exec {
 /// True while the calling thread is executing work scheduled by any
 /// ThreadPool — a worker running a task, a parallel_for lane (including the
 /// calling thread's own lane, and the inline single-lane path), or an
-/// inline post() on a workerless pool. Nested operations that could fan out
-/// again (the sharded entropy decode) consult this to run serially instead:
-/// a nested pool's lanes blocking on futures queued behind the outer pool's
-/// own work is a deadlock, and the outer parallel_for is already using the
-/// machine.
+/// inline post() on a workerless pool. exec::parallel_for consults this to
+/// run nested loops inline.
 [[nodiscard]] bool on_pool_lane();
 
 /// Scheduling class of a pool task. High tasks preempt (queue ahead of) low
@@ -105,12 +103,11 @@ class ThreadPool {
   [[nodiscard]] std::size_t queued_high() const;
   [[nodiscard]] std::size_t queued_low() const;
 
-  /// Runs body(i) for i in [0, n) across all lanes, grabbing `grain`-sized
-  /// chunks off a shared counter (dynamic load balancing for uneven work
+  /// Runs body(i) for i in [0, n) across all lanes, each lane claiming the
+  /// next index off a shared counter (dynamic load balancing for uneven work
   /// like variable-entropy bricks). Blocks until done; rethrows the first
   /// task exception.
-  void parallel_for(index_t n, const std::function<void(index_t)>& body,
-                    index_t grain = 1);
+  void parallel_for(index_t n, const std::function<void(index_t)>& body);
 
  private:
   void post(std::function<void()> fn, Priority p = Priority::high);
@@ -124,5 +121,13 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// The library's one way to spread a loop across the machine when no
+/// configured width applies: runs body(i) for i in [0, n) on a pool of
+/// min(n, hardware_threads()) lanes built for the call. On a pool lane it
+/// runs serially on the caller instead — the outer loop already owns the
+/// machine, and a nested pool would only oversubscribe it. Rethrows the
+/// first exception like ThreadPool::parallel_for.
+void parallel_for(index_t n, const std::function<void(index_t)>& body);
 
 }  // namespace mrc::exec

@@ -413,18 +413,10 @@ void decode_shards(std::span<const std::byte> in, std::uint32_t radius,
     decode_stream(br, h.cb, radius, static_cast<std::size_t>(e.count), sink);
   };
 
-  if (pool != nullptr) {
+  if (pool != nullptr)
     pool->parallel_for(shard_count, decode_one);
-  } else if (!exec::on_pool_lane() && exec::hardware_threads() > 1) {
-    // Private fan-out pool, sized by the work. Never when already on a pool
-    // lane: a nested pool's lanes blocking behind the outer pool's queue is
-    // a deadlock, and the outer parallel_for already owns the machine.
-    exec::ThreadPool local(static_cast<int>(
-        std::min<index_t>(shard_count, exec::hardware_threads())));
-    local.parallel_for(shard_count, decode_one);
-  } else {
-    for (index_t s = 0; s < shard_count; ++s) decode_one(s);
-  }
+  else
+    exec::parallel_for(shard_count, decode_one);
 }
 
 void decode_into_impl(std::span<const std::byte> in, std::uint32_t radius,

@@ -105,9 +105,9 @@ inline constexpr std::uint64_t kMinShardSymbols = 4096;
 /// (validate-before-allocate: a corrupt stream whose count disagrees with
 /// the caller's geometry throws without any sizing; for a sharded stream
 /// the whole shard table is validated first too). Throws CodecError on any
-/// mismatch. Sharded streams fan their chunks out across a small private
-/// pool when the calling thread is not already an exec pool lane
-/// (exec::on_pool_lane()); decoded bytes are identical either way.
+/// mismatch. Sharded streams fan their chunks out through
+/// exec::parallel_for (serially when the calling thread is already an exec
+/// pool lane); decoded bytes are identical either way.
 void decode_quant_codes_into(std::span<const std::byte> in, std::uint32_t radius,
                              AlignedVec<std::uint32_t>& out,
                              std::uint64_t expected_count);

@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "common/require.h"
+#include "exec/thread_pool.h"
 
 namespace mrc::metrics {
 
@@ -43,37 +44,29 @@ void fft_3d(std::vector<cplx>& data, Dim3 dims, bool inverse) {
   const index_t nx = dims.nx, ny = dims.ny, nz = dims.nz;
 
   // Along x: contiguous lines.
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t l = 0; l < ny * nz; ++l)
+  exec::parallel_for(ny * nz, [&](index_t l) {
     fft_1d(data.data() + l * nx, static_cast<std::size_t>(nx), inverse);
+  });
 
   // Along y: gather/scatter strided lines.
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < nz; ++z) {
+  exec::parallel_for(nz, [&](index_t z) {
     std::vector<cplx> line(static_cast<std::size_t>(ny));
     for (index_t x = 0; x < nx; ++x) {
       for (index_t y = 0; y < ny; ++y) line[static_cast<std::size_t>(y)] = data[static_cast<std::size_t>(dims.index(x, y, z))];
       fft_1d(line.data(), static_cast<std::size_t>(ny), inverse);
       for (index_t y = 0; y < ny; ++y) data[static_cast<std::size_t>(dims.index(x, y, z))] = line[static_cast<std::size_t>(y)];
     }
-  }
+  });
 
   // Along z.
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t y = 0; y < ny; ++y) {
+  exec::parallel_for(ny, [&](index_t y) {
     std::vector<cplx> line(static_cast<std::size_t>(nz));
     for (index_t x = 0; x < nx; ++x) {
       for (index_t z = 0; z < nz; ++z) line[static_cast<std::size_t>(z)] = data[static_cast<std::size_t>(dims.index(x, y, z))];
       fft_1d(line.data(), static_cast<std::size_t>(nz), inverse);
       for (index_t z = 0; z < nz; ++z) data[static_cast<std::size_t>(dims.index(x, y, z))] = line[static_cast<std::size_t>(z)];
     }
-  }
+  });
 }
 
 }  // namespace mrc::metrics

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
+#include "exec/thread_pool.h"
 #include "grid/field_ops.h"
 
 namespace mrc::metrics {
@@ -17,13 +20,15 @@ double ssim_impl(const FieldF& a, const FieldF& b, index_t wx, index_t wy, index
   const double c2 = (k2 * range) * (k2 * range);
   const double inv_n = 1.0 / static_cast<double>(wx * wy * wz);
 
-  double total = 0.0;
-  index_t count = 0;
-
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) reduction(+ : total, count)
-#endif
-  for (index_t z0 = 0; z0 <= d.nz - wz; z0 += stride)
+  // One (sum, count) partial per window plane, each kept in locals on its
+  // lane and stored once, then added in plane order: the value does not
+  // depend on how many lanes ran the planes.
+  const index_t planes = (d.nz - wz) / stride + 1;
+  std::vector<std::pair<double, index_t>> partial(static_cast<std::size_t>(planes));
+  exec::parallel_for(planes, [&](index_t p) {
+    const index_t z0 = p * stride;
+    double sum = 0.0;
+    index_t n = 0;
     for (index_t y0 = 0; y0 <= d.ny - wy; y0 += stride)
       for (index_t x0 = 0; x0 <= d.nx - wx; x0 += stride) {
         double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
@@ -45,9 +50,17 @@ double ssim_impl(const FieldF& a, const FieldF& b, index_t wx, index_t wy, index
         const double cov = sab * inv_n - mu_a * mu_b;
         const double s = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) /
                          ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2));
-        total += s;
-        ++count;
+        sum += s;
+        ++n;
       }
+    partial[static_cast<std::size_t>(p)] = {sum, n};
+  });
+  double total = 0.0;
+  index_t count = 0;
+  for (const auto& [sum, n] : partial) {
+    total += sum;
+    count += n;
+  }
   MRC_REQUIRE(count > 0, "field smaller than SSIM window");
   return total / static_cast<double>(count);
 }

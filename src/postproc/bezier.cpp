@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "exec/thread_pool.h"
+
 namespace mrc::postproc {
 
 namespace {
@@ -25,10 +27,7 @@ FieldF sweep(const FieldF& in, index_t bs, double eb, double a, int axis, bool c
   const double lim = a * eb;
   const index_t stride = axis == 0 ? 1 : (axis == 1 ? d.nx : d.nx * d.ny);
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < d.nz; ++z)
+  exec::parallel_for(d.nz, [&](index_t z) {
     for (index_t y = 0; y < d.ny; ++y)
       for (index_t x = 0; x < d.nx; ++x) {
         const index_t i = axis == 0 ? x : (axis == 1 ? y : z);
@@ -60,6 +59,7 @@ FieldF sweep(const FieldF& in, index_t bs, double eb, double a, int axis, bool c
         if (clamp) b = std::clamp(b, dc - lim, dc + lim);
         out[idx] = static_cast<float>(b);
       }
+  });
   return out;
 }
 

@@ -5,15 +5,14 @@
 #include <cmath>
 #include <vector>
 
+#include "exec/thread_pool.h"
+
 namespace mrc::postproc {
 
 FieldF median_filter3(const FieldF& f) {
   const Dim3 d = f.dims();
   FieldF out(d);
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < d.nz; ++z) {
+  exec::parallel_for(d.nz, [&](index_t z) {
     std::array<float, 27> window;
     for (index_t y = 0; y < d.ny; ++y)
       for (index_t x = 0; x < d.nx; ++x) {
@@ -30,7 +29,7 @@ FieldF median_filter3(const FieldF& f) {
         std::nth_element(window.begin(), mid, window.begin() + n);
         out.at(x, y, z) = *mid;
       }
-  }
+  });
   return out;
 }
 
@@ -41,10 +40,7 @@ FieldF blur_axis(const FieldF& f, const std::vector<double>& kernel, int axis) {
   const auto r = static_cast<index_t>(kernel.size() / 2);
   FieldF out(d);
   const index_t n_axis = d[axis];
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < d.nz; ++z)
+  exec::parallel_for(d.nz, [&](index_t z) {
     for (index_t y = 0; y < d.ny; ++y)
       for (index_t x = 0; x < d.nx; ++x) {
         double acc = 0.0;
@@ -56,6 +52,7 @@ FieldF blur_axis(const FieldF& f, const std::vector<double>& kernel, int axis) {
         }
         out.at(x, y, z) = static_cast<float>(acc);
       }
+  });
   return out;
 }
 
@@ -88,10 +85,7 @@ FieldF anisotropic_diffusion(const FieldF& f, int iterations, double kappa, doub
     return std::exp(-r * r);
   };
   for (int it = 0; it < iterations; ++it) {
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-    for (index_t z = 0; z < d.nz; ++z)
+    exec::parallel_for(d.nz, [&](index_t z) {
       for (index_t y = 0; y < d.ny; ++y)
         for (index_t x = 0; x < d.nx; ++x) {
           const double c = cur.at(x, y, z);
@@ -111,6 +105,7 @@ FieldF anisotropic_diffusion(const FieldF& f, int iterations, double kappa, doub
           flow(x, y, z + 1);
           next.at(x, y, z) = static_cast<float>(c + lambda * acc);
         }
+    });
     std::swap(cur, next);
   }
   return cur;

@@ -50,9 +50,9 @@ Image volume_render(const FieldF& f, const TransferFunction& tf) {
   img.pixels.assign(static_cast<std::size_t>(d.nx * d.ny), {0, 0, 0});
   const double inv_range = 1.0 / (tf.hi - tf.lo);
 
-  // Rows run on the exec pool (not OpenMP) so ThreadSanitizer sees every
-  // lane; each pixel depends only on its own column, so any split is exact.
-  exec::ThreadPool(0).parallel_for(d.ny, [&](index_t y) {
+  // Each pixel depends only on its own column, so any split of the rows is
+  // exact.
+  exec::parallel_for(d.ny, [&](index_t y) {
     for (index_t x = 0; x < d.nx; ++x) {
       // Front-to-back compositing along +z.
       double r = 0, g = 0, b = 0, alpha = 0;

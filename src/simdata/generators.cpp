@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "metrics/fft.h"
 
 namespace mrc::sim {
@@ -90,10 +91,7 @@ FieldF warpx_ez(Dim3 dims, std::uint64_t seed) {
   // away from the packet (mirrors physical noise in PIC output).
   FieldF noise = gaussian_random_field(dims, 2.0, seed ^ 0xabcdef);
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < dims.nz; ++z)
+  exec::parallel_for(dims.nz, [&](index_t z) {
     for (index_t y = 0; y < dims.ny; ++y)
       for (index_t x = 0; x < dims.nx; ++x) {
         const double r2 = sqr(x - cx) + sqr(y - cy);
@@ -109,6 +107,7 @@ FieldF warpx_ez(Dim3 dims, std::uint64_t seed) {
         ez.at(x, y, z) =
             static_cast<float>(1e11 * (radial * v + 2e-4 * noise.at(x, y, z)));
       }
+  });
   return ez;
 }
 
@@ -131,10 +130,7 @@ FieldF rayleigh_taylor(Dim3 dims, std::uint64_t seed) {
   const double z_mid = dims.nz / 2.0;
   const double delta = dims.nz * 0.015;  // interface thickness
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < dims.nz; ++z)
+  exec::parallel_for(dims.nz, [&](index_t z) {
     for (index_t y = 0; y < dims.ny; ++y)
       for (index_t x = 0; x < dims.nx; ++x) {
         double h = z_mid;
@@ -145,6 +141,7 @@ FieldF rayleigh_taylor(Dim3 dims, std::uint64_t seed) {
         const double v = 2.0 + s + 0.12 * envelope * turb.at(x, y, z);
         rho.at(x, y, z) = static_cast<float>(v);
       }
+  });
   return rho;
 }
 
@@ -155,10 +152,7 @@ FieldF hurricane_field(Dim3 dims, std::uint64_t seed) {
   const double v_max = 70.0;  // m/s scale
   const double tilt = rng.uniform(-0.15, 0.15);
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < dims.nz; ++z) {
+  exec::parallel_for(dims.nz, [&](index_t z) {
     // Vortex center drifts (tilts) with height.
     const double cx = dims.nx * 0.5 + tilt * static_cast<double>(z) * 2.0;
     const double cy = dims.ny * 0.5 - tilt * static_cast<double>(z) * 1.5;
@@ -177,7 +171,7 @@ FieldF hurricane_field(Dim3 dims, std::uint64_t seed) {
         v *= std::exp(-r / (std::min(dims.nx, dims.ny) * 0.45));
         wind.at(x, y, z) = static_cast<float>(v * vert);
       }
-  }
+  });
   return wind;
 }
 
@@ -196,10 +190,7 @@ FieldF s3d_flame(Dim3 dims, std::uint64_t seed) {
   const double t_unburnt = 300.0, t_burnt = 2100.0;
   const double layer = dims.max_extent() * 0.01;  // reaction-layer thickness
 
-#if defined(MRC_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (index_t z = 0; z < dims.nz; ++z)
+  exec::parallel_for(dims.nz, [&](index_t z) {
     for (index_t y = 0; y < dims.ny; ++y)
       for (index_t x = 0; x < dims.nx; ++x) {
         double burn = 0.0;  // max over kernels of the progress variable
@@ -210,6 +201,7 @@ FieldF s3d_flame(Dim3 dims, std::uint64_t seed) {
         }
         temp.at(x, y, z) = static_cast<float>(t_unburnt + (t_burnt - t_unburnt) * burn);
       }
+  });
   return temp;
 }
 

@@ -28,6 +28,8 @@ class MiniWarpX {
   [[nodiscard]] int current_step() const { return step_; }
 
  private:
+  static constexpr index_t kSourceZ = 4;  ///< plane the driven source feeds
+
   Params params_;
   FieldF prev_, cur_, next_;
   int step_ = 0;

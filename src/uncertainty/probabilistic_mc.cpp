@@ -61,14 +61,13 @@ FieldD crossing_probability(const FieldF& dec, double isovalue, const ErrorModel
   // one contiguous z-slab of cell planes per lane, each sliding a two-plane
   // CDF buffer. Every cell multiplies its corners' CDFs in cell_corners'
   // order (x fastest, then y, then z), so the result is bit-identical to the
-  // per-cell loop. Lanes run on the exec pool so ThreadSanitizer sees them.
-  exec::ThreadPool pool(static_cast<int>(std::min<index_t>(exec::hardware_threads(), cd.nz)));
-  const index_t slabs = pool.size();
+  // per-cell loop.
+  const index_t slabs = std::min<index_t>(exec::hardware_threads(), cd.nz);
   // The caller allocates every slab's buffer: buffers malloc'd on the lanes
   // land in the short-lived pool threads' own glibc arenas, whose retained
   // free memory raised the insitu benchmark's peak RSS.
   std::vector<double> buf(static_cast<std::size_t>(slabs * 2 * plane));
-  pool.parallel_for(slabs, [&](index_t s) {
+  exec::parallel_for(slabs, [&](index_t s) {
     const index_t z0 = cd.nz * s / slabs, z1 = cd.nz * (s + 1) / slabs;
     double* lo = buf.data() + s * 2 * plane;
     double* hi = lo + plane;
@@ -106,25 +105,24 @@ FieldD crossing_probability_mc(const FieldF& dec, double isovalue, const ErrorMo
 
   // Draws are seeded per cell plane, so any split of the planes across
   // lanes yields the same bytes.
-  exec::ThreadPool(static_cast<int>(std::min<index_t>(exec::hardware_threads(), cd.nz)))
-      .parallel_for(cd.nz, [&](index_t z) {
-        Rng rng(seed ^ (0x9e37u + static_cast<std::uint64_t>(z) * 0x1000193u));
-        for (index_t y = 0; y < cd.ny; ++y)
-          for (index_t x = 0; x < cd.nx; ++x) {
-            double corners[8];
-            cell_corners(dec, x, y, z, corners);
-            int crossings = 0;
-            for (int t = 0; t < n_draws; ++t) {
-              bool any_above = false, any_below = false;
-              for (double c : corners) {
-                const double v = c + rng.normal(model.mean, model.sigma);
-                (v >= isovalue ? any_above : any_below) = true;
-              }
-              crossings += (any_above && any_below) ? 1 : 0;
-            }
-            prob.at(x, y, z) = static_cast<double>(crossings) / static_cast<double>(n_draws);
+  exec::parallel_for(cd.nz, [&](index_t z) {
+    Rng rng(seed ^ (0x9e37u + static_cast<std::uint64_t>(z) * 0x1000193u));
+    for (index_t y = 0; y < cd.ny; ++y)
+      for (index_t x = 0; x < cd.nx; ++x) {
+        double corners[8];
+        cell_corners(dec, x, y, z, corners);
+        int crossings = 0;
+        for (int t = 0; t < n_draws; ++t) {
+          bool any_above = false, any_below = false;
+          for (double c : corners) {
+            const double v = c + rng.normal(model.mean, model.sigma);
+            (v >= isovalue ? any_above : any_below) = true;
           }
-      });
+          crossings += (any_above && any_below) ? 1 : 0;
+        }
+        prob.at(x, y, z) = static_cast<double>(crossings) / static_cast<double>(n_draws);
+      }
+  });
   return prob;
 }
 

@@ -1,5 +1,6 @@
 // exec::ThreadPool — the library's scheduling primitive: sizing, task
-// futures, parallel_for coverage/determinism, and exception propagation.
+// futures, parallel_for coverage/determinism, and exception propagation —
+// and the free exec::parallel_for built on it.
 
 #include <gtest/gtest.h>
 
@@ -59,14 +60,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
         ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << threads << " " << i;
     }
   }
-}
-
-TEST(ThreadPool, ParallelForHonoursGrain) {
-  exec::ThreadPool pool(4);
-  std::atomic<index_t> sum{0};
-  pool.parallel_for(100, [&](index_t i) { sum += i; }, /*grain=*/16);
-  EXPECT_EQ(sum.load(), 100 * 99 / 2);
-  EXPECT_THROW(pool.parallel_for(10, [](index_t) {}, /*grain=*/0), ContractError);
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
@@ -224,18 +217,15 @@ TEST(ThreadPool, ParallelForLanesSeeTheCallersContext) {
   const obs::RequestScope scope(ctx);
   exec::ThreadPool pool(4);
   std::atomic<int> wrong{0};
-  pool.parallel_for(
-      64,
-      [&](index_t) {
-        if (obs::current_trace() != 0xabc) wrong.fetch_add(1);
-      },
-      1);
+  pool.parallel_for(64, [&](index_t) {
+    if (obs::current_trace() != 0xabc) wrong.fetch_add(1);
+  });
   EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(ThreadPool, NestedPoolsDoNotDeadlock) {
-  // A lane that builds its own (serial) pool — the tiled container's
-  // brick-codec pattern — must not interact with the outer pool's queue.
+  // A lane that builds its own (serial) pool must not interact with the
+  // outer pool's queue.
   exec::ThreadPool outer(3);
   std::atomic<index_t> sum{0};
   outer.parallel_for(9, [&](index_t i) {
@@ -243,6 +233,61 @@ TEST(ThreadPool, NestedPoolsDoNotDeadlock) {
     inner.parallel_for(3, [&](index_t j) { sum += i * 3 + j; });
   });
   EXPECT_EQ(sum.load(), 27 * 26 / 2);
+}
+
+// exec::parallel_for — the free loop that sizes its own pool by the work.
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  const index_t wide = 4 * exec::hardware_threads() + 3;
+  for (const index_t n : {index_t{1}, index_t{2}, index_t{7}, wide, index_t{1000}}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    exec::parallel_for(n, [&](index_t i) { hits[static_cast<std::size_t>(i)]++; });
+    for (index_t i = 0; i < n; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << n << " " << i;
+  }
+}
+
+TEST(ParallelFor, RunsOnTheCallingLaneWhenNested) {
+  // Called from a pool lane, every index runs serially on that lane's own
+  // thread: no nested pool, no extra threads.
+  exec::ThreadPool outer(3);
+  std::atomic<int> foreign{0};
+  std::atomic<int> ran{0};
+  outer.parallel_for(6, [&](index_t) {
+    const auto lane = std::this_thread::get_id();
+    exec::parallel_for(5, [&](index_t) {
+      ran++;
+      if (std::this_thread::get_id() != lane) foreign++;
+    });
+  });
+  EXPECT_EQ(ran.load(), 30);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ParallelFor, PropagatesTheFirstException) {
+  for (const bool nested : {false, true}) {
+    auto run = [] {
+      exec::parallel_for(64, [](index_t i) {
+        if (i == 13) throw CodecError("lane failure");
+      });
+    };
+    try {
+      if (nested)
+        exec::ThreadPool(1).parallel_for(1, [&](index_t) { run(); });
+      else
+        run();
+      FAIL() << "expected CodecError, nested=" << nested;
+    } catch (const CodecError& e) {
+      EXPECT_STREQ(e.what(), "lane failure");
+    }
+  }
+}
+
+TEST(ParallelFor, ZeroAndNegativeCountsAreNoOps) {
+  int calls = 0;
+  exec::parallel_for(0, [&](index_t) { ++calls; });
+  exec::parallel_for(-3, [&](index_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
 }  // namespace

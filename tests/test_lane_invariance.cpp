@@ -1,0 +1,141 @@
+// Every loop that exec::parallel_for spreads across the machine writes the
+// same bytes on one lane as on min(n, hardware) lanes: each iteration owns
+// its outputs (SSIM adds its per-plane partials in plane order). The
+// one-lane run calls the function from inside a single-lane pool, where every
+// nested exec::parallel_for runs inline.
+
+#include <gtest/gtest.h>
+
+#include <complex>
+#include <cstring>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "compressors/lorenzo/lorenzo_compressor.h"
+#include "compressors/zfpx/zfpx_compressor.h"
+#include "exec/thread_pool.h"
+#include "metrics/fft.h"
+#include "metrics/ssim.h"
+#include "postproc/bezier.h"
+#include "postproc/filters.h"
+#include "render/volume_renderer.h"
+#include "simdata/generators.h"
+#include "simdata/mini_warpx.h"
+#include "uncertainty/error_model.h"
+#include "uncertainty/probabilistic_mc.h"
+#include "test_util.h"
+
+namespace mrc {
+namespace {
+
+template <typename T>
+std::span<const std::byte> bytes_of(const Field3D<T>& f) {
+  return std::as_bytes(f.span());
+}
+std::span<const std::byte> bytes_of(const Bytes& b) { return b; }
+std::span<const std::byte> bytes_of(const std::vector<metrics::cplx>& v) {
+  return std::as_bytes(std::span(v));
+}
+std::span<const std::byte> bytes_of(const render::Image& img) {
+  return std::as_bytes(std::span(img.pixels));
+}
+std::span<const std::byte> bytes_of(const double& v) {
+  return std::as_bytes(std::span(&v, 1));
+}
+
+/// Runs `fn` directly and on one lane; the two results must match with memcmp.
+template <typename Fn>
+void expect_lane_invariant(const std::string& what, Fn fn) {
+  const auto wide = fn();
+  std::optional<decltype(wide)> one;
+  exec::ThreadPool(1).parallel_for(1, [&](index_t) { one.emplace(fn()); });
+  const auto a = bytes_of(wide);
+  const auto b = bytes_of(*one);
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0) << what;
+}
+
+TEST(LaneInvariance, PortedLoopsMatchTheirOneLaneRun) {
+  struct Case {
+    Dim3 dims;  ///< powers of two: the generators draw a Gaussian random field
+    std::uint64_t seed;
+  };
+  for (const Case& c : {Case{{16, 16, 16}, 1}, Case{{32, 8, 16}, 2}, Case{{8, 32, 32}, 3}}) {
+    const std::string tag = std::to_string(c.dims.nx) + "x" + std::to_string(c.dims.ny) +
+                            "x" + std::to_string(c.dims.nz) + " seed " +
+                            std::to_string(c.seed) + ": ";
+    expect_lane_invariant(tag + "fft_3d", [&] {
+      Rng rng(c.seed);
+      std::vector<metrics::cplx> v(static_cast<std::size_t>(c.dims.size()));
+      for (auto& z : v) z = {rng.normal(), rng.normal()};
+      metrics::fft_3d(v, c.dims, /*inverse=*/false);
+      return v;
+    });
+    expect_lane_invariant(tag + "gaussian_random_field",
+                          [&] { return sim::gaussian_random_field(c.dims, 3.0, c.seed); });
+    expect_lane_invariant(tag + "warpx_ez", [&] { return sim::warpx_ez(c.dims, c.seed); });
+    expect_lane_invariant(tag + "rayleigh_taylor",
+                          [&] { return sim::rayleigh_taylor(c.dims, c.seed); });
+    expect_lane_invariant(tag + "hurricane_field",
+                          [&] { return sim::hurricane_field(c.dims, c.seed); });
+    expect_lane_invariant(tag + "s3d_flame", [&] { return sim::s3d_flame(c.dims, c.seed); });
+    expect_lane_invariant(tag + "MiniWarpX::step", [&] {
+      sim::MiniWarpX::Params p;
+      p.dims = {c.dims.nx, c.dims.ny, c.dims.nz + 6};
+      p.seed = c.seed;
+      sim::MiniWarpX w(p);
+      for (int i = 0; i < 8; ++i) w.step();
+      return w.ez();
+    });
+
+    const FieldF f = sim::rayleigh_taylor(c.dims, c.seed + 10);
+    const FieldF g = test::noise_field(c.dims, 0.05, c.seed);
+    FieldF noisy = f;
+    for (index_t i = 0; i < f.size(); ++i) noisy[i] += g[i];
+    expect_lane_invariant(tag + "median_filter3", [&] { return postproc::median_filter3(noisy); });
+    expect_lane_invariant(tag + "gaussian_blur",
+                          [&] { return postproc::gaussian_blur(noisy, 1.2); });
+    expect_lane_invariant(tag + "anisotropic_diffusion",
+                          [&] { return postproc::anisotropic_diffusion(noisy, 2, 0.3, 0.1); });
+    postproc::BezierParams bp;
+    bp.block_size = 4;
+    bp.eb = 0.05;
+    bp.ax = 0.6;
+    bp.ay = 0.8;
+    bp.az = 1.0;
+    expect_lane_invariant(tag + "bezier_postprocess",
+                          [&] { return postproc::bezier_postprocess(noisy, bp); });
+    expect_lane_invariant(tag + "bezier_unclamped",
+                          [&] { return postproc::bezier_unclamped(noisy, 4); });
+    expect_lane_invariant(tag + "ssim", [&] { return metrics::ssim(f, noisy); });
+
+    // Loops that size their pool by the work: chunked codecs, the uq kernels
+    // and the renderer.
+    LorenzoConfig lc;
+    lc.chunks = 3;
+    const LorenzoCompressor lorenzo(lc);
+    ZfpxConfig zc;
+    zc.chunks = 3;
+    const ZfpxCompressor zfpx(zc);
+    const Bytes ls = lorenzo.compress(noisy, 0.01);
+    const Bytes zs = zfpx.compress(noisy, 0.01);
+    expect_lane_invariant(tag + "lorenzo chunks", [&] { return lorenzo.compress(noisy, 0.01); });
+    expect_lane_invariant(tag + "lorenzo decode", [&] { return lorenzo.decompress(ls); });
+    expect_lane_invariant(tag + "zfpx chunks", [&] { return zfpx.compress(noisy, 0.01); });
+    expect_lane_invariant(tag + "zfpx decode", [&] { return zfpx.decompress(zs); });
+    const uq::ErrorModel model{0.001, 0.02, f.size()};
+    expect_lane_invariant(tag + "crossing_probability",
+                          [&] { return uq::crossing_probability(noisy, 2.0, model); });
+    expect_lane_invariant(tag + "crossing_probability_mc", [&] {
+      return uq::crossing_probability_mc(noisy, 2.0, model, 4, c.seed);
+    });
+    const render::TransferFunction tf = render::auto_transfer(f);
+    expect_lane_invariant(tag + "volume_render", [&] { return render::volume_render(f, tf); });
+  }
+}
+
+}  // namespace
+}  // namespace mrc

@@ -39,7 +39,7 @@ INSTANTIATE_TEST_SUITE_P(
                       LorenzoCase{{24, 24, 24}, 0.01, 6, 1},
                       LorenzoCase{{16, 16, 16}, 0.5, 4, 1},
                       LorenzoCase{{17, 13, 9}, 0.5, 6, 1},  // partial blocks
-                      LorenzoCase{{24, 24, 24}, 0.5, 6, 4},  // chunked/OpenMP
+                      LorenzoCase{{24, 24, 24}, 0.5, 6, 4},  // chunked, on the exec pool
                       LorenzoCase{{32, 8, 40}, 0.1, 4, 3},
                       LorenzoCase{{5, 5, 5}, 0.25, 6, 1},  // single partial block
                       LorenzoCase{{64, 64, 8}, 1.0, 8, 2}));

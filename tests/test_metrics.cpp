@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <utility>
+#include <vector>
 
+#include "exec/thread_pool.h"
 #include "metrics/fft.h"
 #include "metrics/psnr.h"
 #include "metrics/spectrum.h"
@@ -75,6 +81,78 @@ TEST(Ssim, MoreDistortionLowerScore) {
 TEST(Ssim, CentralSliceWorks) {
   const FieldF f = test::smooth_field({32, 32, 8}, 50.0);
   EXPECT_NEAR(ssim_central_slice(f, f), 1.0, 1e-12);
+}
+
+/// Test-side SSIM: each window's score as ssim.h defines it, summed per
+/// window plane in scan order, then the plane sums added in plane order.
+double ssim_plane_order_reference(const FieldF& a, const FieldF& b, const SsimConfig& cfg) {
+  const Dim3 d = a.dims();
+  const index_t wx = std::min(cfg.window, d.nx);
+  const index_t wy = std::min(cfg.window, d.ny);
+  const index_t wz = std::min(cfg.window, d.nz);
+  const index_t stride = std::max<index_t>(cfg.stride, 1);
+  const double range = a.value_range();
+  const double c1 = (cfg.k1 * range) * (cfg.k1 * range);
+  const double c2 = (cfg.k2 * range) * (cfg.k2 * range);
+  const double inv_n = 1.0 / static_cast<double>(wx * wy * wz);
+  std::vector<double> plane_sums;
+  index_t count = 0;
+  for (index_t z0 = 0; z0 <= d.nz - wz; z0 += stride) {
+    double plane = 0.0;
+    for (index_t y0 = 0; y0 <= d.ny - wy; y0 += stride)
+      for (index_t x0 = 0; x0 <= d.nx - wx; x0 += stride) {
+        double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
+        for (index_t k = 0; k < wz; ++k)
+          for (index_t j = 0; j < wy; ++j)
+            for (index_t i = 0; i < wx; ++i) {
+              const double va = a.at(x0 + i, y0 + j, z0 + k);
+              const double vb = b.at(x0 + i, y0 + j, z0 + k);
+              sa += va;
+              sb += vb;
+              saa += va * va;
+              sbb += vb * vb;
+              sab += va * vb;
+            }
+        const double mu_a = sa * inv_n, mu_b = sb * inv_n;
+        const double var_a = std::max(0.0, saa * inv_n - mu_a * mu_a);
+        const double var_b = std::max(0.0, sbb * inv_n - mu_b * mu_b);
+        const double cov = sab * inv_n - mu_a * mu_b;
+        plane += ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) /
+                 ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2));
+        ++count;
+      }
+    plane_sums.push_back(plane);
+  }
+  double total = 0.0;
+  for (const double p : plane_sums) total += p;
+  return total / static_cast<double>(count);
+}
+
+TEST(Ssim, SumsPlanePartialsInPlaneOrderOnAnyLaneCount) {
+  // Bit for bit against the plane-order reference, called directly (planes
+  // spread over the hardware's lanes) and from inside a one-lane pool (every
+  // plane on that lane): the value does not depend on the lane count.
+  Rng rng(17);
+  const std::vector<std::pair<Dim3, SsimConfig>> cases = {
+      {{40, 36, 44}, {}},
+      {{33, 17, 29}, {5, 1, 0.01, 0.03}},
+      {{24, 24, 64}, {7, 3, 0.02, 0.05}},
+      {{16, 16, 3}, {7, 2, 0.01, 0.03}},  // window taller than the field
+  };
+  for (const auto& [dims, cfg] : cases) {
+    const FieldF a = test::smooth_field(dims, 80.0);
+    FieldF b = a;
+    for (index_t i = 0; i < b.size(); ++i)
+      b[i] += static_cast<float>(rng.normal(0.0, 4.0));
+    const double want = ssim_plane_order_reference(a, b, cfg);
+    const double wide = ssim(a, b, cfg);
+    double one_lane = 0.0;
+    exec::ThreadPool(1).parallel_for(1, [&](index_t) { one_lane = ssim(a, b, cfg); });
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(wide), std::bit_cast<std::uint64_t>(want))
+        << dims.nx << "x" << dims.ny << "x" << dims.nz << ": " << wide << " vs " << want;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(one_lane), std::bit_cast<std::uint64_t>(want))
+        << dims.nx << "x" << dims.ny << "x" << dims.nz;
+  }
 }
 
 TEST(Fft, DeltaFunctionIsFlat) {

@@ -129,5 +129,26 @@ TEST(MiniWarpX, RejectsUnstableCourant) {
   EXPECT_THROW(MiniWarpX{p}, ContractError);
 }
 
+TEST(MiniWarpX, RejectsGridsTooThinForTheSourcePlane) {
+  // The source feeds plane z = 4, which must be an interior plane the
+  // stencil updates; on a thinner grid it is a boundary plane or past the
+  // end of the field.
+  MiniWarpX::Params p;
+  for (const index_t nz : {index_t{4}, index_t{5}}) {
+    p.dims = {16, 16, nz};
+    EXPECT_THROW(MiniWarpX{p}, ContractError) << nz;
+  }
+  p.dims = {16, 16, 6};
+  MiniWarpX sim(p);
+  sim.step();
+  sim.step();
+  EXPECT_EQ(sim.current_step(), 2);
+  // Plane 4 carries the driven source; the boundary planes stay at zero.
+  EXPECT_NE(sim.ez().at(8, 8, 4), 0.0f);
+  for (const index_t z : {index_t{0}, index_t{5}})
+    for (index_t y = 0; y < 16; ++y)
+      for (index_t x = 0; x < 16; ++x) ASSERT_EQ(sim.ez().at(x, y, z), 0.0f) << z;
+}
+
 }  // namespace
 }  // namespace mrc::sim

@@ -6,9 +6,11 @@
 # tiled-index / codec code is leak-, overflow- and UB-checked on every
 # verify, and finally run the concurrency-heavy suites (exec pool, tiled,
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
-# shared mutable state — plus the uq crossing-probability kernels, whose
-# z-planes run on the exec pool) under ThreadSanitizer (third preset,
-# <build-dir>-tsan), then an
+# shared mutable state — plus every suite that reaches an exec::parallel_for
+# loop: the uq crossing-probability kernels, the chunked lorenzo/zfpx codecs,
+# the field generators and their FFT, MiniNyx/MiniWarpX, SSIM, the Bézier
+# post-process, the filters and the volume renderer) under ThreadSanitizer
+# (third preset, <build-dir>-tsan), then an
 # observability smoke (traced `mrcc tiled` validated by
 # tools/check_trace_json.py, a traced `mrcc serve --flight` run whose trace
 # must stitch one request id across the wire/server/pool layers
@@ -72,15 +74,15 @@ fi
 
 if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   echo
-  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / uq) =="
+  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / uq / codecs / simdata / metrics / postproc / render) =="
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DMRC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       > /dev/null
   cmake --build "$TSAN_DIR" -j"$(nproc)" --target mrc_tests > /dev/null
-  # Only the concurrency-bearing suites: the serial codec/metric suites add
-  # nothing under TSan but multiply its ~10x slowdown.
+  # Only the suites that reach the exec pool: the serial suites add nothing
+  # under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*'
+      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
