@@ -18,6 +18,11 @@
 // taken against a prolonged reconstruction) and an MRCP stream (whose level
 // table stores approx_err from prolong_error). A prolongation kernel that
 // drifts by one ulp anywhere fails here.
+//
+// WireReplyFrames pins what a Server sends back for those streams: the
+// region_ok frame, the multi-frame progressive_ok reply and the trace-id
+// stamping of both, so the reply encoders can be rewritten without a byte
+// moving on the wire.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +39,8 @@
 #include "lossless/quant_codec.h"
 #include "progressive/progressive.h"
 #include "pyramid/pyramid.h"
+#include "serve/server.h"
+#include "tiled/tiled.h"
 
 namespace mrc {
 namespace {
@@ -173,6 +180,62 @@ TEST(FrozenFormat, PyramidContainer) {
   const auto s = pyramid::build(golden_field(), 1e-3, cfg);
   EXPECT_EQ(s.size(), 6821u);
   EXPECT_EQ(fnv1a(s), 0x1cb8aedfc07007a7ull);
+}
+
+TEST(FrozenFormat, WireReplyFrames) {
+  tiled::Config tcfg;
+  tcfg.brick = 8;
+  progressive::Config pcfg;
+  pcfg.brick = 8;
+  pcfg.levels = 3;
+  serve::ServerConfig scfg;
+  scfg.threads = 2;
+  scfg.prefetch = false;
+  serve::Server srv(scfg);
+  const std::uint32_t mrct = srv.open(tiled::compress(golden_field(), 1e-3, tcfg));
+  const std::uint32_t mrcr =
+      srv.open(progressive::build(golden_field(), 1e-3, pcfg));
+
+  // Requests are built by hand, independent of the wire encoder: u32
+  // length, u8 type (| 0x10 when traced), u32 dataset id, i32 level 0, the
+  // box as 6 x i64, then the u64 trace id when traced. The box straddles
+  // bricks on every axis.
+  const auto request = [](std::uint8_t type, std::uint32_t id, std::uint64_t trace) {
+    Bytes body;
+    ByteWriter w(body);
+    w.put<std::uint32_t>(id);
+    w.put<std::int32_t>(0);
+    for (const std::int64_t v : {3, 2, 1, 13, 11, 9}) w.put<std::int64_t>(v);
+    if (trace != 0) w.put<std::uint64_t>(trace);
+    Bytes frame;
+    ByteWriter f(frame);
+    f.put<std::uint32_t>(static_cast<std::uint32_t>(body.size() + 1));
+    f.put<std::uint8_t>(trace != 0 ? static_cast<std::uint8_t>(type | 0x10) : type);
+    f.put_bytes(body);
+    return frame;
+  };
+  constexpr std::uint8_t kRegion = 0x02, kProgressive = 0x08;
+  struct Case {
+    const char* what;
+    std::uint8_t type;
+    std::uint32_t id;
+    std::uint64_t trace;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"MRCT region", kRegion, mrct, 0, 2909u, 0xc576162687964d99ull},
+      {"MRCT region, traced", kRegion, mrct, 0x5151, 2917u, 0x473c186190295c6bull},
+      {"MRCR region", kRegion, mrcr, 0, 2909u, 0x2f481f4c42b2e688ull},
+      {"MRCR region, traced", kRegion, mrcr, 0x5151, 2917u, 0xfedfd9ae42581c46ull},
+      {"MRCR progressive", kProgressive, mrcr, 0, 4454u, 0x6836b518d607237aull},
+      {"MRCR progressive, traced", kProgressive, mrcr, 0x5151, 4478u, 0x04a5389246573648ull},
+  };
+  for (const Case& c : cases) {
+    const Bytes reply = srv.handle_frame(request(c.type, c.id, c.trace));
+    EXPECT_EQ(reply.size(), c.size) << c.what;
+    EXPECT_EQ(fnv1a(reply), c.hash) << c.what;
+  }
 }
 
 }  // namespace
