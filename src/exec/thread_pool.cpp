@@ -90,6 +90,10 @@ void ThreadPool::post(std::function<void()> fn, Priority p) {
       inner();
     };
   }
+  enqueue(std::move(fn), p);
+}
+
+void ThreadPool::enqueue(std::function<void()> fn, Priority p) {
   {
     const std::lock_guard lock(mu_);
     (p == Priority::high ? queue_ : low_queue_).push_back(std::move(fn));
@@ -139,6 +143,58 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// One parallel_for call, shared by the caller and the lanes it posts. A
+/// posted lane may start after the call has returned, so it holds this by
+/// shared_ptr and touches `body` only after claiming an index: every
+/// claimed index finishes before the caller returns.
+struct LoopState {
+  LoopState(index_t count, const std::function<void(index_t)>& fn)
+      : n(count), body(&fn) {}
+
+  const index_t n;
+  const std::function<void(index_t)>* body;
+  std::atomic<index_t> next{0};  ///< next unclaimed index
+  std::atomic<index_t> done{0};  ///< claimed indices that have finished
+  std::mutex mu;  ///< guards `error`; the caller waits for `done` under it
+  std::condition_variable all_done;
+  std::exception_ptr error;
+
+  [[nodiscard]] index_t claim() { return next.fetch_add(1, std::memory_order_relaxed); }
+
+  /// Runs claimed index `i` and every index claimed after it, then reports
+  /// them finished. The exec.lane span closes before the report, so it ends
+  /// inside the caller's call.
+  void run(index_t i, obs::Counter* run_ns = nullptr) {
+    index_t ran = 0;
+    {
+      OBS_SPAN("exec.lane", run_ns);
+      for (; i < n; i = claim()) {
+        try {
+          (*body)(i);
+        } catch (...) {
+          {
+            const std::lock_guard lock(mu);
+            if (!error) error = std::current_exception();
+          }
+          // Fail fast: no index is handed out after this one, and the ones
+          // never handed out count as finished here.
+          const index_t rest = next.exchange(n, std::memory_order_relaxed);
+          if (rest < n) ran += n - rest;
+        }
+        ++ran;
+      }
+    }
+    if (done.fetch_add(ran, std::memory_order_acq_rel) + ran == n) {
+      const std::lock_guard lock(mu);
+      all_done.notify_one();
+    }
+  }
+};
+
+}  // namespace
+
 void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& body) {
   if (n <= 0) return;
   const int lanes = static_cast<int>(std::min<index_t>(size(), n));
@@ -151,36 +207,47 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& bod
     return;
   }
 
-  struct Shared {
-    std::atomic<index_t> next{0};
-    std::atomic<bool> failed{false};
-    std::mutex err_mu;
-    std::exception_ptr error;
-  } sh;
-
-  auto lane = [&sh, n, &body] {
-    const LaneScope lane_scope;
-    OBS_SPAN("exec.lane");
-    try {
-      for (;;) {
-        if (sh.failed.load(std::memory_order_relaxed)) return;
-        const index_t i = sh.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        body(i);
+  static obs::Counter& tasks = obs::Registry::global().counter("mrc.exec.tasks");
+  const auto st = std::make_shared<LoopState>(n, body);
+  // A posted lane joins the request only once it claims an index: that is
+  // when it installs the caller's context and charges its queue wait, as a
+  // demand task does when it starts. One that starts after the caller took
+  // every index returns at once, leaving no span and no charge.
+  const obs::RequestCtxPtr ctx = obs::current_request();
+  const bool stamp = ctx != nullptr || obs::enabled();
+  const std::uint64_t enq = stamp ? obs::now_ns() : 0;
+  for (int i = 0; i < lanes - 1; ++i) {
+    tasks.add(1);
+    enqueue([st, ctx, enq, stamp] {
+      const index_t first = st->claim();
+      if (first >= st->n) return;
+      const obs::RequestScope scope(ctx);
+      if (stamp) {
+        const std::uint64_t waited = obs::now_ns() - enq;
+        if (ctx != nullptr)
+          ctx->queue_wait_ns.fetch_add(waited, std::memory_order_relaxed);
+        if (obs::enabled()) {
+          static obs::Counter& wait =
+              obs::Registry::global().counter("mrc.exec.wait_ns");
+          wait.add(waited);
+        }
       }
-    } catch (...) {
-      const std::lock_guard lock(sh.err_mu);
-      if (!sh.error) sh.error = std::current_exception();
-      sh.failed.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::future<void>> futs;
-  futs.reserve(static_cast<std::size_t>(lanes - 1));
-  for (int i = 0; i < lanes - 1; ++i) futs.push_back(submit(lane));
-  lane();  // the calling thread is a lane too
-  for (auto& f : futs) f.get();  // lane() never throws; errors land in sh.error
-  if (sh.error) std::rethrow_exception(sh.error);
+      static obs::Counter& run = obs::Registry::global().counter("mrc.exec.run_ns");
+      st->run(first, &run);
+    }, Priority::high);
+  }
+  {
+    const LaneScope lane_scope;  // the calling thread is a lane too
+    const index_t first = st->claim();
+    if (first < n) st->run(first);
+  }
+  // Wait for the indices still running on posted lanes, never for a lane
+  // to start: one that has not claimed anything by now never will.
+  if (st->done.load(std::memory_order_acquire) != n) {
+    std::unique_lock lock(st->mu);
+    st->all_done.wait(lock, [&] { return st->done.load(std::memory_order_acquire) == n; });
+  }
+  if (st->error) std::rethrow_exception(st->error);
 }
 
 void parallel_for(index_t n, const std::function<void(index_t)>& body) {

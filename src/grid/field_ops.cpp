@@ -210,6 +210,18 @@ SupportBox prolong_support(Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
 FieldF prolong_trilinear_region(const FieldF& coarse_window, Coord3 window_origin,
                                 Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
                                 Dim3 fine_extent) {
+  FieldF fine(fine_extent);
+  prolong_trilinear_region_rows(coarse_window, window_origin, coarse_dims, fine_dims,
+                                fine_origin, fine_extent,
+                                [&](index_t y, index_t z, const float* v) {
+                                  std::copy_n(v, fine_extent.nx, &fine.at(0, y, z));
+                                });
+  return fine;
+}
+
+void prolong_trilinear_region_rows(const FieldF& coarse_window, Coord3 window_origin,
+                                   Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
+                                   Dim3 fine_extent, const ProlongRowSink& row) {
   const SupportBox need =
       prolong_support(coarse_dims, fine_dims, fine_origin, fine_extent);
   const Dim3 wd = coarse_window.dims();
@@ -219,12 +231,8 @@ FieldF prolong_trilinear_region(const FieldF& coarse_window, Coord3 window_origi
                   window_origin.y + wd.ny >= need.origin.y + need.extent.ny &&
                   window_origin.z + wd.nz >= need.origin.z + need.extent.nz,
               "prolong_trilinear_region: coarse window does not cover the support");
-  FieldF fine(fine_extent);
   prolong_rows(coarse_window, window_origin, coarse_dims, fine_dims, fine_origin,
-               fine_extent, [&](index_t y, index_t z, const float* v) {
-                 std::copy_n(v, fine_extent.nx, &fine.at(0, y, z));
-               });
-  return fine;
+               fine_extent, row);
 }
 
 double prolong_error_slab(const FieldF& coarse, const FieldF& fine, index_t z0,

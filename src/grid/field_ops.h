@@ -31,8 +31,9 @@ void restrict_half_slab(const FieldF& fine, FieldF& coarse, index_t z0, index_t 
 
 /// Trilinear upsampling to `fine_dims` (cell-centered alignment).
 ///
-/// prolong_trilinear, prolong_trilinear_rows, prolong_trilinear_region and
-/// prolong_error_slab share one separable kernel. Its invariant: every fine
+/// prolong_trilinear, prolong_trilinear_rows, prolong_trilinear_region,
+/// prolong_trilinear_region_rows and prolong_error_slab share one separable
+/// kernel. Its invariant: every fine
 /// sample evaluates the same double expressions in the same order (x-lerp
 /// per coarse row, then y, then z, one float rounding) with no FMA
 /// contraction, so the entry points agree bit for bit, whatever z-range they
@@ -73,6 +74,15 @@ struct SupportBox {
                                               Coord3 window_origin, Dim3 coarse_dims,
                                               Dim3 fine_dims, Coord3 fine_origin,
                                               Dim3 fine_extent);
+
+/// prolong_trilinear_region handed row by row to `row` (ascending z, then y)
+/// instead of stored, with y and z relative to fine_origin and values[0,
+/// fine_extent.nx) the window's samples on that row: the window's
+/// prolong_trilinear_rows. Callers fuse per-sample work into the sink;
+/// prolong_trilinear_region is the copy sink.
+void prolong_trilinear_region_rows(const FieldF& coarse_window, Coord3 window_origin,
+                                   Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
+                                   Dim3 fine_extent, const ProlongRowSink& row);
 
 /// Max |prolong_trilinear(coarse, fine.dims()) - fine| over the fine z-slab
 /// [z0, z1), without materializing the prolonged field (a sink on

@@ -23,20 +23,6 @@ inline constexpr std::size_t kMinLevelRecord = 29;
 /// hundred bins (the level-0 residual).
 inline constexpr long long kMaxDenseBins = 1 << 16;
 
-/// a + b per sample, accumulated in double and rounded once to float — the
-/// single reconstruction step recon = prolong + residual. Build, full
-/// decode, windowed reads and the wire client all go through this exact
-/// expression, which is what makes every path bit-identical.
-void add_into(FieldF& acc, const FieldF& add) {
-  MRC_REQUIRE(acc.dims() == add.dims(), "progressive: addend extents mismatch");
-  const Dim3 d = acc.dims();
-  for (index_t z = 0; z < d.nz; ++z)
-    for (index_t y = 0; y < d.ny; ++y)
-      for (index_t x = 0; x < d.nx; ++x)
-        acc.at(x, y, z) = static_cast<float>(static_cast<double>(acc.at(x, y, z)) +
-                                             static_cast<double>(add.at(x, y, z)));
-}
-
 /// Every full-grid pass below splits the nz planes of its field into
 /// min(nz, lanes) contiguous z-slabs, slab s covering [s*nz/n, (s+1)*nz/n),
 /// so per-slab results merged in slab order are merged in sample order.
@@ -132,8 +118,7 @@ MRC_OBS_NOINLINE ResidualRanges residual_pass(const FieldF& data, const FieldF& 
 }
 
 /// recon = prolong(coarse) + decoded per sample, written over `decoded`:
-/// add_into's expression with the prolonged sample as the left operand, so
-/// the fold needs no prolonged field of its own.
+/// refine's expression, so the fold needs no prolonged field of its own.
 MRC_OBS_NOINLINE void fold(const FieldF& coarse, FieldF& decoded,
                            exec::ThreadPool& pool) {
   const Dim3 d = decoded.dims();
@@ -260,11 +245,22 @@ FieldF refine(const FieldF& coarse_window, const tiled::Box& coarse_box,
   MRC_REQUIRE(coarse_window.dims() == coarse_box.extent() &&
                   residual.dims() == fine_box.extent(),
               "progressive: refine window extents mismatch");
-  FieldF prolonged = prolong_trilinear_region(coarse_window, coarse_box.lo, coarse_dims,
-                                              fine_dims, fine_box.lo,
-                                              fine_box.extent());
-  add_into(prolonged, residual);
-  return prolonged;
+  // recon = prolong + residual per sample, accumulated in double with the
+  // prolonged sample first and rounded once to float. Build, full decode,
+  // windowed reads and the wire client all go through this expression,
+  // which is what makes every path bit-identical. The prolonged rows go
+  // straight into the sum: no prolonged window is stored.
+  const Dim3 fe = fine_box.extent();
+  FieldF out(fe);
+  prolong_trilinear_region_rows(
+      coarse_window, coarse_box.lo, coarse_dims, fine_dims, fine_box.lo, fe,
+      [&](index_t y, index_t z, const float* v) {
+        const float* r = &residual.at(0, y, z);
+        float* o = &out.at(0, y, z);
+        for (index_t x = 0; x < fe.nx; ++x)
+          o[x] = static_cast<float>(static_cast<double>(v[x]) + static_cast<double>(r[x]));
+      });
+  return out;
 }
 
 std::span<const std::byte> Index::level_stream(std::span<const std::byte> stream,

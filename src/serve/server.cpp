@@ -309,16 +309,11 @@ Bytes Server::handle_frame(std::span<const std::byte> frame) {
         const std::vector<ProgressiveLayer> layers =
             read_progressive(id, level, box);
         // The reply is N concatenated frames, coarsest first, and every one
-        // echoes the trace id itself — so this case concatenates already-
-        // stamped frames and returns through `reply`, NOT `finish` (which
-        // would stamp the concatenation a second time).
+        // echoes the trace id itself — so the encoder stamps each frame and
+        // this case returns through `reply`, NOT `finish` (which would stamp
+        // the concatenation a second time).
         const std::uint64_t te0 = timed ? obs::now_ns() : 0;
-        Bytes out;
-        for (const ProgressiveLayer& layer : layers) {
-          const Bytes one = wire::echo_trace(wire::encode_progressive_ok(layer),
-                                             req.traced, req.trace);
-          out.insert(out.end(), one.begin(), one.end());
-        }
+        Bytes out = wire::encode_progressive_reply(layers, req.traced, req.trace);
         if (timed)
           obs::detail::record_span("wire.encode", te0, obs::now_ns() - te0);
         if (obs::enabled()) {

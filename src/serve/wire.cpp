@@ -16,6 +16,36 @@ void require_wire(bool cond, const std::string& msg) {
 /// Frame header: u32 length + u8 type.
 inline constexpr std::size_t kHeaderBytes = 5;
 
+/// Opens a frame of type `t` at the end of `out`: appends a placeholder
+/// length prefix and the type byte, and returns where the frame starts. The
+/// caller appends the body in place, then calls end_frame.
+std::size_t begin_frame(Bytes& out, Type t) {
+  const std::size_t start = out.size();
+  ByteWriter w(out);
+  w.put<std::uint32_t>(0);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(t));
+  return start;
+}
+
+/// Closes the frame begun at `start`, the last one in `out`: when `traced`,
+/// sets kTracedFlag and appends the trace id, then writes the length prefix.
+void end_frame(Bytes& out, std::size_t start, bool traced = false,
+               std::uint64_t trace = 0) {
+  if (traced) {
+    out[start + 4] |= static_cast<std::byte>(kTracedFlag);
+    ByteWriter(out).put<std::uint64_t>(trace);
+  }
+  const std::size_t len = out.size() - start - sizeof(std::uint32_t);
+  require_wire(len <= kMaxFrameBytes, "frame exceeds the 1 GiB cap");
+  const auto len32 = static_cast<std::uint32_t>(len);
+  std::memcpy(out.data() + start, &len32, sizeof(len32));
+}
+
+/// Bytes of a progressive_ok body ahead of its samples: i32 level, u8 flag,
+/// 3 x i64 level dims, 6 x i64 box.
+inline constexpr std::size_t kLayerHeaderBytes =
+    sizeof(std::int32_t) + sizeof(std::uint8_t) + 9 * sizeof(std::int64_t);
+
 }  // namespace
 
 Frame parse_frame(std::span<const std::byte> buf) {
@@ -51,28 +81,19 @@ Request parse_request(std::span<const std::byte> buf) {
 }
 
 Bytes make_frame(Type t, std::span<const std::byte> body) {
-  require_wire(body.size() + 1 <= kMaxFrameBytes, "frame body exceeds the cap");
-  const auto len = static_cast<std::uint32_t>(body.size() + 1);
-  Bytes out(kHeaderBytes + body.size());
-  std::memcpy(out.data(), &len, sizeof(len));
-  out[4] = static_cast<std::byte>(t);
-  if (!body.empty()) std::memcpy(out.data() + kHeaderBytes, body.data(), body.size());
+  Bytes out;
+  // Room for the trace id too, so echo_trace never reallocates.
+  out.reserve(kHeaderBytes + body.size() + sizeof(std::uint64_t));
+  const std::size_t start = begin_frame(out, t);
+  ByteWriter(out).put_bytes(body);
+  end_frame(out, start);
   return out;
 }
 
 Bytes echo_trace(Bytes frame, bool traced, std::uint64_t trace) {
   if (!traced) return frame;
   require_wire(frame.size() >= kHeaderBytes, "cannot trace-stamp a non-frame");
-  std::uint32_t len = 0;
-  std::memcpy(&len, frame.data(), sizeof(len));
-  len += sizeof(std::uint64_t);
-  require_wire(len <= kMaxFrameBytes, "traced frame exceeds the cap");
-  std::memcpy(frame.data(), &len, sizeof(len));
-  frame[4] = static_cast<std::byte>(static_cast<std::uint8_t>(frame[4]) |
-                                    kTracedFlag);
-  const std::size_t n = frame.size();
-  frame.resize(n + sizeof(std::uint64_t));
-  std::memcpy(frame.data() + n, &trace, sizeof(trace));
+  end_frame(frame, 0, traced, trace);
   return frame;
 }
 
@@ -111,13 +132,20 @@ tiled::Box get_box(ByteReader& r) {
 }
 
 Bytes encode_region_ok(const FieldF& f) {
-  Bytes body;
-  ByteWriter w(body);
+  const std::span<const std::byte> samples = std::as_bytes(f.span());
+  Bytes out;
+  // Sized once, trace suffix included: the samples are copied exactly once
+  // and echo_trace never reallocates.
+  out.reserve(kHeaderBytes + 3 * sizeof(std::int64_t) + samples.size() +
+              sizeof(std::uint64_t));
+  const std::size_t start = begin_frame(out, Type::region_ok);
+  ByteWriter w(out);
   w.put<std::int64_t>(f.dims().nx);
   w.put<std::int64_t>(f.dims().ny);
   w.put<std::int64_t>(f.dims().nz);
-  w.put_bytes(std::as_bytes(f.span()));
-  return make_frame(Type::region_ok, body);
+  w.put_bytes(samples);
+  end_frame(out, start);
+  return out;
 }
 
 FieldF decode_region_ok(std::span<const std::byte> body) {
@@ -142,17 +170,27 @@ FieldF decode_region_ok(std::span<const std::byte> body) {
   return FieldF{Dim3{nx, ny, nz}, std::move(data)};
 }
 
-Bytes encode_progressive_ok(const ProgressiveLayer& layer) {
-  Bytes body;
-  ByteWriter w(body);
-  w.put<std::int32_t>(layer.level);
-  w.put<std::uint8_t>(layer.residual ? 1 : 0);
-  w.put<std::int64_t>(layer.level_dims.nx);
-  w.put<std::int64_t>(layer.level_dims.ny);
-  w.put<std::int64_t>(layer.level_dims.nz);
-  put_box(w, layer.box);
-  w.put_bytes(std::as_bytes(layer.data.span()));
-  return make_frame(Type::progressive_ok, body);
+Bytes encode_progressive_reply(std::span<const ProgressiveLayer> layers, bool traced,
+                               std::uint64_t trace) {
+  const std::size_t suffix = traced ? sizeof(std::uint64_t) : 0;
+  std::size_t total = 0;
+  for (const ProgressiveLayer& layer : layers)
+    total += kHeaderBytes + kLayerHeaderBytes + layer.data.span().size_bytes() + suffix;
+  Bytes out;
+  out.reserve(total);
+  for (const ProgressiveLayer& layer : layers) {
+    const std::size_t start = begin_frame(out, Type::progressive_ok);
+    ByteWriter w(out);
+    w.put<std::int32_t>(layer.level);
+    w.put<std::uint8_t>(layer.residual ? 1 : 0);
+    w.put<std::int64_t>(layer.level_dims.nx);
+    w.put<std::int64_t>(layer.level_dims.ny);
+    w.put<std::int64_t>(layer.level_dims.nz);
+    put_box(w, layer.box);
+    w.put_bytes(std::as_bytes(layer.data.span()));
+    end_frame(out, start, traced, trace);
+  }
+  return out;
 }
 
 ProgressiveLayer decode_progressive_ok(std::span<const std::byte> body) {

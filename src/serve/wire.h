@@ -232,8 +232,12 @@ void put_box(ByteWriter& w, const tiled::Box& box);
 [[nodiscard]] Bytes encode_region_ok(const FieldF& f);
 [[nodiscard]] FieldF decode_region_ok(std::span<const std::byte> body);
 
-/// One progressive_ok frame from one layer (layout under Type).
-[[nodiscard]] Bytes encode_progressive_ok(const ProgressiveLayer& layer);
+/// The whole reply to a progressive request: one progressive_ok frame per
+/// layer (layout under Type), in order, each stamped with `trace` when
+/// `traced`. Written in place into one buffer sized up front, so every
+/// sample is copied once.
+[[nodiscard]] Bytes encode_progressive_reply(std::span<const ProgressiveLayer> layers,
+                                             bool traced, std::uint64_t trace);
 /// Validates level, flag, dims, box-within-dims and payload == extent
 /// product * 4 BEFORE the sample buffer is allocated.
 [[nodiscard]] ProgressiveLayer decode_progressive_ok(std::span<const std::byte> body);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -209,6 +210,87 @@ TEST(ThreadPool, QueueWaitIsChargedToDemandTasksOnly) {
 
   EXPECT_EQ(advisory->queue_wait_ns.load(), 0u);
   EXPECT_GE(demand->queue_wait_ns.load(), 1'000'000u);  // >= 1 of the ~5 ms
+}
+
+/// Holds the single worker of a two-lane pool behind a gate, so a lane the
+/// pool posts cannot start until release(); the destructor always opens the
+/// gate and waits for the held task.
+struct HeldWorker {
+  exec::ThreadPool pool{2};
+  std::promise<void> started;
+  std::promise<void> gate;
+  std::future<void> blocker;
+
+  HeldWorker() {
+    std::shared_future<void> open = gate.get_future().share();
+    blocker = pool.submit([this, open] {
+      started.set_value();
+      open.wait();
+    });
+    started.get_future().wait();
+  }
+  ~HeldWorker() { release(); }
+  void release() {
+    if (!blocker.valid()) return;
+    gate.set_value();
+    blocker.get();
+  }
+  HeldWorker(const HeldWorker&) = delete;
+  HeldWorker& operator=(const HeldWorker&) = delete;
+};
+
+TEST(ThreadPool, ParallelForReturnsWhileTheOtherLaneIsBusy) {
+  // The lane parallel_for posts sits behind the held worker, so the caller
+  // claims every index itself and must return without waiting for that
+  // lane to start. Run through std::async so a pool that does wait fails
+  // the 5 s deadline instead of hanging the test.
+  HeldWorker held;
+  std::vector<int> hits(8, 0);
+  std::atomic<int> foreign{0};
+  auto loop = std::async(std::launch::async, [&] {
+    const auto self = std::this_thread::get_id();
+    held.pool.parallel_for(8, [&](index_t i) {
+      if (std::this_thread::get_id() != self) foreign++;
+      ++hits[static_cast<std::size_t>(i)];
+    });
+  });
+  const bool returned =
+      loop.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  held.release();
+  loop.get();
+  EXPECT_TRUE(returned);
+  EXPECT_EQ(foreign.load(), 0);
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, LaneThatClaimsNothingLeavesNoTrace) {
+  // The posted lane starts only after the caller has claimed every index:
+  // it must return without a span of its own and without charging its ~5 s
+  // in the queue to the request that posted it.
+  obs::set_enabled(true);
+  obs::reset_trace();
+  const auto ctx = std::make_shared<obs::RequestCtx>();
+  ctx->trace = 0x1a4e;
+  bool returned = false;
+  {
+    HeldWorker held;
+    auto loop = std::async(std::launch::async, [&] {
+      const obs::RequestScope scope(ctx);
+      held.pool.parallel_for(8, [](index_t) {});
+    });
+    returned = loop.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    held.release();
+    loop.get();
+    held.pool.submit([] {}).get();  // FIFO behind the posted lane: it has run
+  }
+  std::size_t lanes = 0;
+  for (const obs::TraceEvent& e : obs::spans_for(ctx->trace))
+    if (std::string_view(e.name) == "exec.lane") ++lanes;
+  obs::set_enabled(false);
+  obs::reset_trace();
+  EXPECT_TRUE(returned);
+  EXPECT_EQ(lanes, 1u);  // the caller's
+  EXPECT_EQ(ctx->queue_wait_ns.load(), 0u);
 }
 
 TEST(ThreadPool, ParallelForLanesSeeTheCallersContext) {

@@ -396,6 +396,126 @@ TEST(ProgressiveProperty, ParallelBuildMatchesSerialReference) {
   }
 }
 
+/// The refinement step composed as it was before the add moved into the
+/// prolongation rows: prolong the fine window, then add the residual into it
+/// in place, prolonged sample first.
+FieldF prolong_then_add(const FieldF& coarse_window, const tiled::Box& coarse_box,
+                        Dim3 coarse_dims, const FieldF& residual,
+                        const tiled::Box& fine_box, Dim3 fine_dims) {
+  FieldF acc = prolong_trilinear_region(coarse_window, coarse_box.lo, coarse_dims,
+                                        fine_dims, fine_box.lo, fine_box.extent());
+  const Dim3 d = acc.dims();
+  for (index_t z = 0; z < d.nz; ++z)
+    for (index_t y = 0; y < d.ny; ++y)
+      for (index_t x = 0; x < d.nx; ++x)
+        acc.at(x, y, z) = static_cast<float>(static_cast<double>(acc.at(x, y, z)) +
+                                             static_cast<double>(residual.at(x, y, z)));
+  return acc;
+}
+
+TEST(ProgressiveProperty, RefineMatchesProlongThenAdd) {
+  Rng rng(1931);
+  constexpr std::array<index_t, 10> kOddOrPrime{1, 2, 3, 5, 7, 9, 11, 13, 17, 23};
+  auto pick = [&](index_t n) {
+    return static_cast<index_t>(rng.uniform_index(static_cast<std::uint64_t>(n)));
+  };
+  auto extent = [&] {
+    return rng.uniform_index(3) == 0 ? 1 + pick(40)
+                                     : kOddOrPrime[rng.uniform_index(kOddOrPrime.size())];
+  };
+  const std::array<float, 10> kSpecial{
+      0.0f, -0.0f, std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(), std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(), std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(), 3.0e-39f, -1.1754942e-38f};
+  // Replaces about one sample in `one_in` with a signed zero, a NaN, an
+  // infinity or a subnormal.
+  auto salt = [&](FieldF& f, std::uint64_t one_in) {
+    for (index_t i = 0; i < f.size(); ++i)
+      if (rng.uniform_index(one_in) == 0)
+        f[i] = kSpecial[rng.uniform_index(kSpecial.size())];
+  };
+
+  for (int t = 0; t < 240; ++t) {
+    const Dim3 fd{extent(), extent(), extent()};
+    const Dim3 cd = blocks_for(fd, 2);  // the level above in the halving chain
+    // A random fine window, 1 wide on one axis in every fifth case and on
+    // all three in every tenth, then moved onto face t % 6 of the grid.
+    const index_t n[3] = {fd.nx, fd.ny, fd.nz};
+    index_t lo[3], hi[3];
+    for (int a = 0; a < 3; ++a) {
+      lo[a] = pick(n[a]);
+      hi[a] = t % 10 == 0 || (t % 5 == 0 && a == t % 3)
+                  ? lo[a] + 1
+                  : lo[a] + 1 + pick(n[a] - lo[a]);
+    }
+    const int face = (t % 6) / 2;
+    if (t % 2 == 0) {
+      hi[face] -= lo[face];
+      lo[face] = 0;
+    } else {
+      lo[face] += n[face] - hi[face];
+      hi[face] = n[face];
+    }
+    const tiled::Box fine_box{{lo[0], lo[1], lo[2]}, {hi[0], hi[1], hi[2]}};
+
+    // The coarse window is the support, or (every third case) the support
+    // grown by a random margin, so its origin is not always the support's.
+    const SupportBox sup = prolong_support(cd, fd, fine_box.lo, fine_box.extent());
+    Coord3 wlo = sup.origin;
+    Coord3 whi{sup.origin.x + sup.extent.nx, sup.origin.y + sup.extent.ny,
+               sup.origin.z + sup.extent.nz};
+    if (t % 3 == 0) {
+      wlo = {wlo.x - pick(wlo.x + 1), wlo.y - pick(wlo.y + 1), wlo.z - pick(wlo.z + 1)};
+      whi = {whi.x + pick(cd.nx - whi.x + 1), whi.y + pick(cd.ny - whi.y + 1),
+             whi.z + pick(cd.nz - whi.z + 1)};
+    }
+    const tiled::Box coarse_box{wlo, whi};
+
+    FieldF coarse = test::noise_field(cd, 50.0, static_cast<std::uint64_t>(t));
+    FieldF residual =
+        test::noise_field(fine_box.extent(), 0.5, static_cast<std::uint64_t>(1000 + t));
+    const char* kind = "finite";
+    switch (t % 4) {
+      case 1:
+        kind = "special residual";
+        salt(residual, 4);
+        break;
+      case 2:
+        kind = "special coarse";
+        salt(coarse, 6);
+        break;
+      case 3:
+        kind = "special both";
+        salt(coarse, 8);
+        salt(residual, 3);
+        break;
+      default:
+        break;
+    }
+    const FieldF window = extract_region(coarse, coarse_box.lo, coarse_box.extent());
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << t << " (" << kind << ") fine " << fd.str() << " box ("
+                 << lo[0] << "," << lo[1] << "," << lo[2] << ")-(" << hi[0] << ","
+                 << hi[1] << "," << hi[2] << ")");
+    FieldF got = progressive::refine(window, coarse_box, cd, residual, fine_box, fd);
+    FieldF want = prolong_then_add(window, coarse_box, cd, residual, fine_box, fd);
+    // Where both addends are NaN, IEEE 754 leaves the sum's sign and payload
+    // to the implementation, and compiled code keeps either operand's (the
+    // parent's add loop kept the residual's NaN in its SSE body and the
+    // prolonged one's in its scalar tail): there both sums must be NaN.
+    // Every other sample, a lone NaN addend included, matches bit for bit.
+    const FieldF prolonged = prolong_trilinear_region(window, coarse_box.lo, cd, fd,
+                                                      fine_box.lo, fine_box.extent());
+    for (index_t i = 0; i < got.size(); ++i)
+      if (std::isnan(prolonged[i]) && std::isnan(residual[i])) {
+        ASSERT_TRUE(std::isnan(got[i]) && std::isnan(want[i])) << "sample " << i;
+        got[i] = want[i] = 0.0f;
+      }
+    ASSERT_TRUE(same_bits(got, want));
+  }
+}
+
 TEST(Progressive, RejectsBadConfigAndInputs) {
   const FieldF f = test::smooth_field({16, 16, 16});
   progressive::Config cfg;

@@ -248,12 +248,17 @@ TEST(Server, AdmissionGateShedsLoadWithExplicitOverload) {
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> served{0};
   std::atomic<int> mismatches{0};
+  // Every client starts reading at once: a client that finished its reads
+  // before the next one started would never collide.
+  std::atomic<int> ready{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       wire::Client client(loopback(srv));
       Rng rng(9000u + static_cast<std::uint64_t>(c));
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
       for (int r = 0; r < kReads; ++r) {
         const index_t x0 = static_cast<index_t>(rng.uniform() * 32);
         const Box box{{x0, 0, 0}, {x0 + 8, 8, 8}};
