@@ -291,6 +291,7 @@ int main() {
   FILE* json = std::fopen("BENCH_codec_hotpath.json", "w");
   MRC_REQUIRE(json != nullptr, "cannot write BENCH_codec_hotpath.json");
   std::fprintf(json, "{\n  \"bench\": \"codec_hotpath\",\n");
+  std::fprintf(json, "  \"hardware_threads\": %d,\n", exec::hardware_threads());
   std::fprintf(json, "  \"symbols\": %zu,\n  \"radius\": %u,\n  \"results\": [\n",
                syms.size(), radius);
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "exec/thread_pool.h"
 #include "obs/obs.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -143,6 +144,7 @@ int main() {
   MRC_REQUIRE(json != nullptr, "cannot write BENCH_obs_overhead.json");
   std::fprintf(json, "{\n  \"bench\": \"obs_overhead\",\n  \"dims\": \"%s\",\n",
                dims.str().c_str());
+  std::fprintf(json, "  \"hardware_threads\": %d,\n", exec::hardware_threads());
   std::fprintf(json, "  \"codec\": \"interp\",\n  \"rel_eb\": 1e-3,\n  \"reps\": %d,\n",
                reps);
   std::fprintf(json, "  \"results\": [\n");

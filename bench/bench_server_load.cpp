@@ -28,6 +28,7 @@
 #include "api/mrc_api.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 
@@ -158,6 +159,7 @@ int main() {
   MRC_REQUIRE(json != nullptr, "cannot write BENCH_server_load.json");
   std::fprintf(json, "{\n  \"bench\": \"server_load\",\n  \"dims\": \"%s\",\n",
                dims.str().c_str());
+  std::fprintf(json, "  \"hardware_threads\": %d,\n", exec::hardware_threads());
   std::fprintf(json, "  \"datasets\": 2,\n  \"reads_per_client\": %d,\n", kReads);
   std::fprintf(json, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {

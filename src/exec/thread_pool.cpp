@@ -1,7 +1,8 @@
 #include "exec/thread_pool.h"
 
-#include <atomic>
 #include <algorithm>
+#include <atomic>
+#include <utility>
 
 #include "common/require.h"
 #include "obs/obs.h"
@@ -156,9 +157,9 @@ struct LoopState {
   const index_t n;
   const std::function<void(index_t)>* body;
   std::atomic<index_t> next{0};  ///< next unclaimed index
-  std::atomic<index_t> done{0};  ///< claimed indices that have finished
-  std::mutex mu;  ///< guards `error`; the caller waits for `done` under it
+  std::mutex mu;                 ///< guards done and error
   std::condition_variable all_done;
+  index_t done = 0;  ///< claimed indices that have finished
   std::exception_ptr error;
 
   [[nodiscard]] index_t claim() { return next.fetch_add(1, std::memory_order_relaxed); }
@@ -186,10 +187,9 @@ struct LoopState {
         ++ran;
       }
     }
-    if (done.fetch_add(ran, std::memory_order_acq_rel) + ran == n) {
-      const std::lock_guard lock(mu);
-      all_done.notify_one();
-    }
+    const std::lock_guard lock(mu);
+    done += ran;
+    if (done == n) all_done.notify_one();
   }
 };
 
@@ -243,11 +243,15 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& bod
   }
   // Wait for the indices still running on posted lanes, never for a lane
   // to start: one that has not claimed anything by now never will.
-  if (st->done.load(std::memory_order_acquire) != n) {
+  std::exception_ptr error;
+  {
     std::unique_lock lock(st->mu);
-    st->all_done.wait(lock, [&] { return st->done.load(std::memory_order_acquire) == n; });
+    st->all_done.wait(lock, [&] { return st->done == n; });
+    // Take the exception out of the shared state: a posted lane may be the
+    // last owner of that state, and the exception must die on this thread.
+    error = std::exchange(st->error, nullptr);
   }
-  if (st->error) std::rethrow_exception(st->error);
+  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for(index_t n, const std::function<void(index_t)>& body) {

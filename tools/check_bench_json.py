@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validates BENCH_*.json files: every file must parse as a JSON object with
-a "bench" name and a non-empty "results" list of objects, and every row of
-one file must carry the same keys (a malformed row usually means a broken
+a "bench" name, a "hardware_threads" integer >= 1 (the machine the numbers
+came from) and a non-empty "results" list of objects, and every row of one
+file must carry the same keys (a malformed row usually means a broken
 fprintf). Benches listed in ROW_SCHEMAS additionally have their row keys
 checked against the expected schema, so a renamed or dropped column fails
 the pipeline instead of silently rotting dashboards. ci.sh runs this after
@@ -78,6 +79,9 @@ def check(path):
             raise ValueError(f"missing required key '{key}'")
     if not isinstance(doc["bench"], str) or not doc["bench"]:
         raise ValueError("'bench' must be a non-empty string")
+    threads = doc.get("hardware_threads")
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError("'hardware_threads' must be an integer >= 1")
     rows = doc["results"]
     if not isinstance(rows, list) or not rows:
         raise ValueError("'results' must be a non-empty list")
