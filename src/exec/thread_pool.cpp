@@ -187,9 +187,15 @@ struct LoopState {
         ++ran;
       }
     }
-    const std::lock_guard lock(mu);
-    done += ran;
-    if (done == n) all_done.notify_one();
+    bool last = false;
+    {
+      const std::lock_guard lock(mu);
+      done += ran;
+      last = done == n;
+    }
+    // Outside the lock, so the woken caller does not block on it again. This
+    // lane's own reference keeps the state alive until the call returns.
+    if (last) all_done.notify_one();
   }
 };
 

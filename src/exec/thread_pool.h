@@ -18,7 +18,7 @@
 // to the hardware. Call sites whose width comes from a config — the tiled
 // container, per-level snapshot encoding, the serve layer — construct one
 // locally instead of sharing global mutable state. That is not free: on a
-// 4-core x86 box, ThreadPool(4) plus an empty 4-index parallel_for takes
+// 4-vCPU x86 VM, ThreadPool(4) plus an empty 4-index parallel_for takes
 // 63-71 us idle (p25-p75) against 13-15 us on a live pool, and ~4 ms when
 // every core is busy, because the new threads wait for a time slice. Every
 // other loop goes through the free exec::parallel_for below.

@@ -502,7 +502,7 @@ TEST(ProgressiveProperty, RefineMatchesProlongThenAdd) {
     FieldF want = prolong_then_add(window, coarse_box, cd, residual, fine_box, fd);
     // Where both addends are NaN, IEEE 754 leaves the sum's sign and payload
     // to the implementation, and compiled code keeps either operand's (the
-    // parent's add loop kept the residual's NaN in its SSE body and the
+    // separate add loop kept the residual's NaN in its SSE body and the
     // prolonged one's in its scalar tail): there both sums must be NaN.
     // Every other sample, a lone NaN addend included, matches bit for bit.
     const FieldF prolonged = prolong_trilinear_region(window, coarse_box.lo, cd, fd,
