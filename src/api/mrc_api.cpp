@@ -465,10 +465,13 @@ StreamInfo info(std::span<const std::byte> stream) {
     out.overlap = idx.overlap;
     out.tile_grid = idx.grid;
     out.tiles = static_cast<std::size_t>(idx.grid.size());
-  } else if (h.codec_magic == pyramid::kPyramidMagic) {
+  } else if (h.codec_magic == pyramid::kPyramidMagic ||
+             h.codec_magic == progressive::kProgressiveMagic) {
     // O(levels) table peek — no nested tile index is walked here.
-    const pyramid::Index idx = pyramid::read_geometry(stream);
-    out.kind = StreamInfo::Kind::pyramid;
+    const bool mrcr = h.codec_magic == progressive::kProgressiveMagic;
+    const pyramid::Index idx =
+        mrcr ? progressive::read_geometry(stream) : pyramid::read_geometry(stream);
+    out.kind = mrcr ? StreamInfo::Kind::progressive : StreamInfo::Kind::pyramid;
     out.codec = idx.codec;
     out.brick = idx.brick;
     out.levels = idx.levels.size();
@@ -485,16 +488,6 @@ StreamInfo info(std::span<const std::byte> stream) {
     out.tile_grid = idx.grid;
     out.tiles = static_cast<std::size_t>(idx.grid.size());
     out.levels = static_cast<std::size_t>(idx.n_levels);
-  } else if (h.codec_magic == progressive::kProgressiveMagic) {
-    // O(levels) table peek — no nested tile index is walked here.
-    const progressive::Index idx = progressive::read_geometry(stream);
-    out.kind = StreamInfo::Kind::progressive;
-    out.codec = idx.codec;
-    out.brick = idx.brick;
-    out.levels = idx.levels.size();
-    out.level_meta.reserve(idx.levels.size());
-    for (const auto& e : idx.levels)
-      out.level_meta.push_back({e.dims, e.length, e.vmin, e.vmax, e.approx_err});
   } else if (h.codec_magic == sz3mr::kLevelMagic) {
     out.kind = StreamInfo::Kind::level;
     out.codec = "sz3mr";

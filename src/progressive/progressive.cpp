@@ -15,8 +15,8 @@ namespace mrc::progressive {
 
 namespace {
 
-/// Smallest possible level record: 5 single-byte varints + six f32s.
-inline constexpr std::size_t kMinLevelRecord = 29;
+inline constexpr pyramid::detail::TableFormat kTable{kProgressiveMagic, "progressive",
+                                                    true};
 
 /// Widest bin range bin_entropy counts in dense per-slab histograms; wider
 /// or non-finite ranges take the map path. The benchmark's widest is a few
@@ -263,14 +263,6 @@ FieldF refine(const FieldF& coarse_window, const tiled::Box& coarse_box,
   return out;
 }
 
-std::span<const std::byte> Index::level_stream(std::span<const std::byte> stream,
-                                               std::size_t l) const {
-  MRC_REQUIRE(l < levels.size(), "level_stream: level out of range");
-  const LevelEntry& e = levels[l];
-  return stream.subspan(payload_offset + static_cast<std::size_t>(e.offset),
-                        static_cast<std::size_t>(e.length));
-}
-
 Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
   MRC_REQUIRE(!f.empty(), "progressive: empty field");
   MRC_REQUIRE(abs_eb > 0.0, "progressive: error bound must be positive");
@@ -361,142 +353,15 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     recon = std::move(decoded);
   }
 
-  std::uint64_t payload_bytes = 0;
-  for (int l = 0; l < n_levels; ++l) {
-    auto& e = entries[static_cast<std::size_t>(l)];
-    e.offset = payload_bytes;
-    e.length = streams[static_cast<std::size_t>(l)].size();
-    payload_bytes += e.length;
-  }
-
-  Bytes out;
-  ByteWriter w(out);
-  detail::write_header(w, kProgressiveMagic, d, abs_eb);
-  w.put_varint(static_cast<std::uint64_t>(n_levels));
-  w.put_varint(payload_bytes);
-  for (const LevelEntry& e : entries) {
-    w.put_varint(e.offset);
-    w.put_varint(e.length);
-    w.put_varint(static_cast<std::uint64_t>(e.dims.nx));
-    w.put_varint(static_cast<std::uint64_t>(e.dims.ny));
-    w.put_varint(static_cast<std::uint64_t>(e.dims.nz));
-    w.put(e.vmin);
-    w.put(e.vmax);
-    w.put(e.resid_max);
-    w.put(e.resid_entropy);
-    w.put(e.cum_err);
-    w.put(e.approx_err);
-  }
-  for (const Bytes& s : streams) w.put_bytes(s);
-  return out;
+  return pyramid::detail::write_table(kTable, d, abs_eb, std::move(entries), streams);
 }
 
 Index read_geometry(std::span<const std::byte> stream) {
-  ByteReader r(stream);
-  const auto header = detail::read_header(r, kProgressiveMagic, "progressive");
-
-  Index idx;
-  idx.dims = header.dims;
-  idx.eb = header.eb;
-  const std::uint64_t n_levels = r.get_varint();
-  // A hostile stream can claim any level count; the cap plus the
-  // records-must-fit check bound every allocation before it is sized.
-  if (n_levels < 1 || n_levels > static_cast<std::uint64_t>(kMaxLevels))
-    throw CodecError("progressive: bad level count");
-  idx.payload_bytes = r.get_varint();
-  if (n_levels > r.remaining() / kMinLevelRecord)
-    throw CodecError("progressive: level count exceeds stream size");
-
-  idx.levels.resize(static_cast<std::size_t>(n_levels));
-  Dim3 expect = idx.dims;
-  std::uint64_t next_offset = 0;
-  for (std::size_t l = 0; l < idx.levels.size(); ++l) {
-    LevelEntry& e = idx.levels[l];
-    e.offset = r.get_varint();
-    e.length = r.get_varint();
-    e.dims.nx = static_cast<index_t>(r.get_varint());
-    e.dims.ny = static_cast<index_t>(r.get_varint());
-    e.dims.nz = static_cast<index_t>(r.get_varint());
-    e.vmin = r.get<float>();
-    e.vmax = r.get<float>();
-    e.resid_max = r.get<float>();
-    e.resid_entropy = r.get<float>();
-    e.cum_err = r.get<float>();
-    e.approx_err = r.get<float>();
-
-    // Levels are pinned to the halving chain and must tile the payload
-    // exactly — anything else (overlapping records, gaps, extents that are
-    // not the parent's half) means a corrupt or hostile table.
-    if (e.dims != expect)
-      throw CodecError("progressive: level " + std::to_string(l) + " extents " +
-                       e.dims.str() + " off the halving chain (want " + expect.str() +
-                       ")");
-    if (e.offset != next_offset || e.length == 0 ||
-        e.length > idx.payload_bytes - e.offset)
-      throw CodecError("progressive: level " + std::to_string(l) +
-                       " offset/length out of range");
-    next_offset = e.offset + e.length;
-    expect = blocks_for(expect, 2);
-  }
-  if (next_offset != idx.payload_bytes)
-    throw CodecError("progressive: level streams do not tile the payload");
-
-  idx.payload_offset = r.position();
-  if (r.remaining() < idx.payload_bytes)
-    throw CodecError("progressive: payload truncated");
-
-  // Level 0's tiled preamble (O(1) peek) supplies the residual codec + brick
-  // edge and cross-checks the finest extents and error bound; the coarsest
-  // level's preamble supplies the data codec (residuals and data carry
-  // different statistics and may use different codecs).
-  const tiled::Index fine = tiled::read_geometry(idx.level_stream(stream, 0));
-  if (fine.dims != idx.dims)
-    throw CodecError(
-        "progressive: level 0 stream extents disagree with the level table");
-  if (fine.eb != idx.eb)
-    throw CodecError(
-        "progressive: level 0 stream error bound disagrees with the header");
-  idx.codec = fine.codec;
-  idx.codec_magic = fine.codec_magic;
-  idx.brick = fine.brick;
-  if (idx.levels.size() == 1) {
-    idx.data_codec = fine.codec;
-    idx.data_codec_magic = fine.codec_magic;
-  } else {
-    const tiled::Index coarse =
-        tiled::read_geometry(idx.level_stream(stream, idx.levels.size() - 1));
-    if (coarse.dims != idx.levels.back().dims)
-      throw CodecError(
-          "progressive: coarsest stream extents disagree with the level table");
-    if (coarse.eb != idx.eb)
-      throw CodecError(
-          "progressive: coarsest stream error bound disagrees with the header");
-    idx.data_codec = coarse.codec;
-    idx.data_codec_magic = coarse.codec_magic;
-  }
-  return idx;
+  return pyramid::detail::read_table(kTable, stream);
 }
 
 Index read_index(std::span<const std::byte> stream) {
-  Index idx = read_geometry(stream);
-  // Every nested stream must be a tiled stream of exactly the level table's
-  // extents, the section's codec (residual levels share one, the coarsest
-  // data level its own), same bound — a mismatch means the table points at
-  // the wrong bytes.
-  for (std::size_t l = 1; l < idx.levels.size(); ++l) {
-    const tiled::Index li = tiled::read_geometry(idx.level_stream(stream, l));
-    const std::uint32_t want =
-        l == idx.levels.size() - 1 ? idx.data_codec_magic : idx.codec_magic;
-    if (li.dims != idx.levels[l].dims)
-      throw CodecError("progressive: level " + std::to_string(l) +
-                       " stream extents disagree with the level table");
-    if (li.codec_magic != want)
-      throw CodecError("progressive: level " + std::to_string(l) + " codec mismatch");
-    if (li.eb != idx.eb)
-      throw CodecError("progressive: level " + std::to_string(l) +
-                       " error bound mismatch");
-  }
-  return idx;
+  return pyramid::detail::read_table_checked(kTable, stream);
 }
 
 FieldF decompress_level(std::span<const std::byte> stream, int level, int threads) {

@@ -22,27 +22,17 @@
 // bound cum_err(L) = eb * (n_levels - L), the a-priori guarantee that holds
 // compositionally without trusting the build-time measurement.
 //
-// Stream layout (container header v6 under kProgressiveMagic):
-//   shared container header      finest-grid extents + absolute error bound
-//   varint  n_levels             >= 1, halving chain
-//   varint  payload_bytes        total size of the level payload section
-//   per level:                   varint offset, varint length,
-//                                varint nx,ny,nz (level extents),
-//                                f32 vmin, f32 vmax      (level data range)
-//                                f32 resid_max           (max |residual|)
-//                                f32 resid_entropy       (bits/sample, 2eb bins)
-//                                f32 cum_err             (telescoped bound)
-//                                f32 approx_err          (LOD error vs finest)
-//   payload                      concatenated tiled (MRCT) residual streams,
-//                                finest first; the last one is the coarsest
-//                                level's data stream. Residual levels share
-//                                one codec, the data level may use another
-//                                (each nested preamble is self-describing).
-//
-// Validation discipline matches pyramid/tiled/adaptive: level extents are
-// pinned to the halving chain, level streams must tile the payload exactly,
-// hostile level counts are rejected before any allocation is sized from
-// them, and read_index cross-checks every nested tiled preamble.
+// Stream layout (container header v6 under kProgressiveMagic): the MRCP
+// level table of pyramid/pyramid.h, written and parsed by the same code,
+// whose records carry three more f32s between vmax and approx_err —
+// resid_max (max |residual|), resid_entropy (bits/sample over 2eb-wide bins)
+// and cum_err (the telescoped bound). The payload concatenates tiled (MRCT)
+// residual streams, finest first; the last one is the coarsest level's data
+// stream. Residual levels share one codec, the data level may use another
+// (each nested preamble is self-describing). Validation is the pyramid's:
+// halving-chain extents, exact payload tiling, hostile level counts rejected
+// before any allocation is sized from them, and read_index cross-checks
+// every nested tiled preamble.
 
 #include <span>
 #include <string>
@@ -79,36 +69,9 @@ struct Config {
   int levels = 0;
 };
 
-/// One record of the level table.
-struct LevelEntry {
-  std::uint64_t offset = 0;  ///< within the payload section
-  std::uint64_t length = 0;  ///< bytes of this level's tiled residual stream
-  Dim3 dims;                 ///< level extents (= ceil_div(fine, 2^level))
-  float vmin = 0.0f;         ///< value range over the level's *data* samples
-  float vmax = 0.0f;
-  float resid_max = 0.0f;      ///< max |residual| (coarsest: max |data|)
-  float resid_entropy = 0.0f;  ///< Shannon bits/sample over 2eb-wide bins
-  float cum_err = 0.0f;        ///< telescoped bound eb * (n_levels - level)
-  float approx_err = 0.0f;     ///< LOD bound: max|prolong(level)-finest|+cum_err
-};
-
-/// Parsed + validated level table of a progressive stream.
-struct Index {
-  Dim3 dims;          ///< finest-grid extents
-  double eb = 0.0;    ///< absolute codec error bound (every residual level)
-  std::string codec;  ///< per-brick codec of level 0 (all residual levels match)
-  std::uint32_t codec_magic = 0;
-  std::string data_codec;  ///< codec of the coarsest (data) level
-  std::uint32_t data_codec_magic = 0;
-  index_t brick = 0;  ///< brick edge of level 0
-  std::size_t payload_offset = 0;  ///< absolute offset of the payload section
-  std::uint64_t payload_bytes = 0;
-  std::vector<LevelEntry> levels;  ///< [0] = finest residual, back() = coarsest data
-
-  /// The sub-span of `stream` holding level `l`'s complete tiled stream.
-  [[nodiscard]] std::span<const std::byte> level_stream(
-      std::span<const std::byte> stream, std::size_t l) const;
-};
+/// The pyramid's level table, with resid_max, resid_entropy and cum_err set.
+using LevelEntry = pyramid::LevelEntry;
+using Index = pyramid::Index;
 
 /// Builds the residual pyramid: restrict_half chain from `f`, the coarsest
 /// level compressed verbatim, every finer level as a residual against the

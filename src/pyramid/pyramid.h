@@ -8,13 +8,18 @@
 // random-access region reads — and the pyramid adds a small validated level
 // table in front of the concatenated level streams.
 //
-// Stream layout (container header v4 under kPyramidMagic):
+// Stream layout (container header v4 under kPyramidMagic). The progressive
+// residual pyramid (MRCR, progressive/progressive.h) shares this level table
+// and its reader and writer (detail:: below); its records carry three more
+// f32s, marked [MRCR]:
 //   shared container header      finest-grid extents + absolute error bound
 //   varint  n_levels             >= 1, halving chain
 //   varint  payload_bytes        total size of the level payload section
 //   per level:                   varint offset, varint length,
 //                                varint nx,ny,nz (level extents),
-//                                f32 vmin, f32 vmax, f32 approx_err
+//                                f32 vmin, f32 vmax,
+//                                [MRCR] f32 resid_max, resid_entropy, cum_err,
+//                                f32 approx_err
 //   payload                      concatenated tiled (MRCT) streams, finest first
 //
 // Level extents are pinned to the halving chain — level l must have extents
@@ -56,22 +61,30 @@ struct Config {
   int levels = 0;
 };
 
-/// One record of the level table.
+/// One record of the level table. The three residual statistics are MRCR's
+/// and stay zero in a pyramid stream.
 struct LevelEntry {
   std::uint64_t offset = 0;  ///< within the payload section
   std::uint64_t length = 0;  ///< bytes of this level's tiled stream
   Dim3 dims;                 ///< level extents (= ceil_div(fine, 2^level))
-  float vmin = 0.0f;         ///< value range over the level's samples
+  float vmin = 0.0f;         ///< value range over the level's (data) samples
   float vmax = 0.0f;
-  float approx_err = 0.0f;   ///< LOD error bound vs the finest grid (above)
+  float resid_max = 0.0f;      ///< MRCR: max |residual| (coarsest: max |data|)
+  float resid_entropy = 0.0f;  ///< MRCR: Shannon bits/sample over 2eb-wide bins
+  float cum_err = 0.0f;        ///< MRCR: telescoped bound eb * (n_levels - level)
+  float approx_err = 0.0f;     ///< LOD error bound vs the finest grid (above)
 };
 
-/// Parsed + validated level table of a pyramid stream.
+/// Parsed + validated level table of a pyramid or progressive stream.
 struct Index {
   Dim3 dims;          ///< finest-grid extents
   double eb = 0.0;    ///< absolute codec error bound (every level)
-  std::string codec;  ///< per-brick codec of level 0 (all levels match)
+  std::string codec;  ///< per-brick codec of level 0 (every level but MRCR's coarsest)
   std::uint32_t codec_magic = 0;
+  /// Codec of the coarsest level: MRCR's data level may use another codec
+  /// than its residual levels; in a pyramid stream it equals `codec`.
+  std::string data_codec;
+  std::uint32_t data_codec_magic = 0;
   index_t brick = 0;  ///< brick edge of level 0
   std::size_t payload_offset = 0;  ///< absolute offset of the payload section
   std::uint64_t payload_bytes = 0;
@@ -120,5 +133,32 @@ struct Index {
 /// decompress_level.
 [[nodiscard]] tiled::RegionRead read_region(std::span<const std::byte> stream, int level,
                                             const tiled::Box& region, int threads = 1);
+
+namespace detail {
+
+/// What tells the two level-chain containers' tables apart.
+struct TableFormat {
+  std::uint32_t magic = 0;
+  const char* name = "";  ///< container-header name and error-message prefix
+  /// MRCR: records carry resid_max, resid_entropy and cum_err, and the
+  /// geometry pass peeks at the coarsest level for the data codec.
+  bool residual = false;
+};
+
+/// Writes the container header, the level table and the level streams,
+/// filling in each entry's offset and length from `streams`.
+[[nodiscard]] Bytes write_table(const TableFormat& fmt, Dim3 dims, double eb,
+                                std::vector<LevelEntry> entries,
+                                const std::vector<Bytes>& streams);
+
+/// Parses and validates header + level table in O(levels), touching only
+/// the O(1) geometry preambles of level 0 and, for MRCR, the coarsest level.
+[[nodiscard]] Index read_table(const TableFormat& fmt, std::span<const std::byte> stream);
+
+/// read_table plus every nested preamble's agreement with the table.
+[[nodiscard]] Index read_table_checked(const TableFormat& fmt,
+                                       std::span<const std::byte> stream);
+
+}  // namespace detail
 
 }  // namespace mrc::pyramid

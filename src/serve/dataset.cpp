@@ -43,7 +43,7 @@ struct Dataset::Impl {
   Dataset::Kind kind{};
   double eb = 0.0;            ///< codec error bound from the container header
   std::vector<Level> levels;  ///< [0] = finest
-  progressive::Index gidx;    ///< progressive datasets only (support chain)
+  pyramid::Index lidx;        ///< MRCP/MRCR level table (MRCR's support chain)
   adaptive::Index aidx;       ///< adaptive datasets only (brick table)
 
   // -- shared serving resources ---------------------------------------------
@@ -94,16 +94,12 @@ struct Dataset::Impl {
     } else if (h.codec_magic == tiled::kTiledMagic) {
       kind = Dataset::Kind::tiled;
       add_tiled_level(stream, eb);  // no LOD: codec bound only
-    } else if (h.codec_magic == progressive::kProgressiveMagic) {
-      kind = Dataset::Kind::progressive;
-      gidx = progressive::read_index(stream);
-      for (std::size_t l = 0; l < gidx.levels.size(); ++l)
-        add_tiled_level(gidx.level_stream(stream, l), gidx.levels[l].approx_err);
     } else {
-      kind = Dataset::Kind::pyramid;
-      const pyramid::Index pidx = pyramid::read_index(stream);
-      for (std::size_t l = 0; l < pidx.levels.size(); ++l)
-        add_tiled_level(pidx.level_stream(stream, l), pidx.levels[l].approx_err);
+      const bool mrcr = h.codec_magic == progressive::kProgressiveMagic;
+      kind = mrcr ? Dataset::Kind::progressive : Dataset::Kind::pyramid;
+      lidx = mrcr ? progressive::read_index(stream) : pyramid::read_index(stream);
+      for (std::size_t l = 0; l < lidx.levels.size(); ++l)
+        add_tiled_level(lidx.level_stream(stream, l), lidx.levels[l].approx_err);
     }
   }
 
@@ -208,7 +204,7 @@ struct Dataset::Impl {
   std::vector<ProgressiveLayer> progressive_layers(int level, const tiled::Box& region) {
     MRC_REQUIRE(kind == Dataset::Kind::progressive,
                 "serve: not a progressive dataset");
-    const auto boxes = progressive::support_chain(gidx, level, region);
+    const auto boxes = progressive::support_chain(lidx, level, region);
     const int top = static_cast<int>(levels.size()) - 1;
     std::vector<ProgressiveLayer> layers;
     layers.reserve(static_cast<std::size_t>(top - level + 1));
