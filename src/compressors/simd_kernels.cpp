@@ -21,11 +21,6 @@ void sc_quantize_cubic(const float* orig, const float* a, const float* b,
                        AlignedVec<float>& outliers) {
   s_quantize_cubic(orig, a, b, c, d, n, eb, radius, codes, recon, outliers);
 }
-void sc_quantize_constant(const float* orig, const float* src, std::size_t n,
-                          double eb, std::uint32_t radius, std::uint32_t* codes,
-                          float* recon, AlignedVec<float>& outliers) {
-  s_quantize_constant(orig, src, n, eb, radius, codes, recon, outliers);
-}
 void sc_quantize_plane(const float* orig, std::size_t n, double m, double gx,
                        double ci, double aj, double ak, double eb,
                        std::uint32_t radius, std::uint32_t* codes, float* recon,
@@ -43,11 +38,6 @@ void sc_dequantize_cubic(const std::uint32_t* codes, const float* a, const float
                          std::span<const float> outliers, std::size_t& pos) {
   s_dequantize_cubic(codes, a, b, c, d, n, eb, radius, recon, outliers, pos);
 }
-void sc_dequantize_constant(const std::uint32_t* codes, const float* src, std::size_t n,
-                            double eb, std::uint32_t radius, float* recon,
-                            std::span<const float> outliers, std::size_t& pos) {
-  s_dequantize_constant(codes, src, n, eb, radius, recon, outliers, pos);
-}
 void sc_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, double gx,
                          double ci, double aj, double ak, double eb, std::uint32_t radius,
                          float* recon, std::span<const float> outliers, std::size_t& pos) {
@@ -55,9 +45,8 @@ void sc_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, do
 }
 
 constexpr KernelTable kScalarTable = {
-    sc_quantize_linear,   sc_quantize_cubic,   sc_quantize_constant,
-    sc_quantize_plane,    sc_dequantize_linear, sc_dequantize_cubic,
-    sc_dequantize_constant, sc_dequantize_plane,
+    sc_quantize_linear,   sc_quantize_cubic,   sc_quantize_plane,
+    sc_dequantize_linear, sc_dequantize_cubic, sc_dequantize_plane,
 };
 
 const KernelTable* table_for(Isa isa) {
@@ -139,11 +128,6 @@ void quantize_row_cubic(const float* orig, const float* a, const float* b,
                         AlignedVec<float>& outliers) {
   active()->quantize_cubic(orig, a, b, c, d, n, eb, radius, codes, recon, outliers);
 }
-void quantize_row_constant(const float* orig, const float* src, std::size_t n, double eb,
-                           std::uint32_t radius, std::uint32_t* codes, float* recon,
-                           AlignedVec<float>& outliers) {
-  active()->quantize_constant(orig, src, n, eb, radius, codes, recon, outliers);
-}
 void quantize_row_plane(const float* orig, std::size_t n, double m, double gx, double ci,
                         double aj, double ak, double eb, std::uint32_t radius,
                         std::uint32_t* codes, float* recon, AlignedVec<float>& outliers) {
@@ -161,11 +145,6 @@ void dequantize_row_cubic(const std::uint32_t* codes, const float* a, const floa
                           std::span<const float> outliers, std::size_t& outlier_pos) {
   active()->dequantize_cubic(codes, a, b, c, d, n, eb, radius, recon, outliers,
                              outlier_pos);
-}
-void dequantize_row_constant(const std::uint32_t* codes, const float* src, std::size_t n,
-                             double eb, std::uint32_t radius, float* recon,
-                             std::span<const float> outliers, std::size_t& outlier_pos) {
-  active()->dequantize_constant(codes, src, n, eb, radius, recon, outliers, outlier_pos);
 }
 void dequantize_row_plane(const std::uint32_t* codes, std::size_t n, double m, double gx,
                           double ci, double aj, double ak, double eb, std::uint32_t radius,

@@ -3,17 +3,17 @@
 // Runtime-dispatched SIMD kernels for the predictor+quantizer hot loops.
 //
 // The prediction-based codecs (interp, lorenzo) spend their time in rows of
-// the same four shapes: a row-uniform prediction (linear / cubic / constant
-// extrapolation along one axis, or a regression plane) followed by the
-// LinearQuantizer encode or decode of every element. These kernels run that
-// row 4 lanes at a time — predictions and the quantizer's double-precision
-// checks in vector registers, outliers collected from a lane mask and
-// patched after the store — and are required to be BIT-IDENTICAL to the
-// scalar code they replace: same operation order, same single roundings,
-// llround's round-half-away-from-zero emulated exactly (magic-number
-// round-to-even plus a sign-aware tie correction). The frozen-format goldens
-// pin this; tests/test_simd_kernels.cpp compares every ISA against scalar
-// lane by lane.
+// the same three shapes: a row-uniform prediction (linear or cubic
+// interpolation along one axis for interp, a regression plane for lorenzo)
+// followed by the LinearQuantizer encode or decode of every element. These
+// kernels run that row 4 lanes at a time — predictions and the quantizer's
+// double-precision checks in vector registers, outliers collected from a
+// lane mask and patched after the store — and are required to be
+// BIT-IDENTICAL to the scalar code they replace: same operation order, same
+// single roundings, llround's round-half-away-from-zero emulated exactly
+// (magic-number round-to-even plus a sign-aware tie correction). The
+// frozen-format goldens pin this; tests/test_simd_kernels.cpp compares every
+// ISA against scalar lane by lane.
 //
 // Three implementations are registered: scalar (portable reference, always
 // available), SSE2 (the x86-64 baseline, two 128-bit double vectors per
@@ -52,7 +52,6 @@ const char* isa_name(Isa isa);
 // `outliers` in ascending lane order (exactly the scalar push order).
 //   linear   pred_i = 0.5 * (float)(lo[i] + hi[i])
 //   cubic    pred_i = (-a[i] + 9*b[i] + 9*c[i] - d[i]) / 16   (doubles)
-//   constant pred_i = (double)src[i]
 //   plane    pred_i = ((m + gx*((double)i - ci)) + aj) + ak
 void quantize_row_linear(const float* orig, const float* lo, const float* hi,
                          std::size_t n, double eb, std::uint32_t radius,
@@ -62,9 +61,6 @@ void quantize_row_cubic(const float* orig, const float* a, const float* b,
                         const float* c, const float* d, std::size_t n, double eb,
                         std::uint32_t radius, std::uint32_t* codes, float* recon,
                         AlignedVec<float>& outliers);
-void quantize_row_constant(const float* orig, const float* src, std::size_t n,
-                           double eb, std::uint32_t radius, std::uint32_t* codes,
-                           float* recon, AlignedVec<float>& outliers);
 void quantize_row_plane(const float* orig, std::size_t n, double m, double gx,
                         double ci, double aj, double ak, double eb,
                         std::uint32_t radius, std::uint32_t* codes, float* recon,
@@ -82,10 +78,6 @@ void dequantize_row_cubic(const std::uint32_t* codes, const float* a,
                           std::size_t n, double eb, std::uint32_t radius,
                           float* recon, std::span<const float> outliers,
                           std::size_t& outlier_pos);
-void dequantize_row_constant(const std::uint32_t* codes, const float* src,
-                             std::size_t n, double eb, std::uint32_t radius,
-                             float* recon, std::span<const float> outliers,
-                             std::size_t& outlier_pos);
 void dequantize_row_plane(const std::uint32_t* codes, std::size_t n, double m,
                           double gx, double ci, double aj, double ak, double eb,
                           std::uint32_t radius, float* recon,
@@ -101,9 +93,6 @@ struct KernelTable {
   void (*quantize_cubic)(const float*, const float*, const float*, const float*,
                          const float*, std::size_t, double, std::uint32_t,
                          std::uint32_t*, float*, AlignedVec<float>&);
-  void (*quantize_constant)(const float*, const float*, std::size_t, double,
-                            std::uint32_t, std::uint32_t*, float*,
-                            AlignedVec<float>&);
   void (*quantize_plane)(const float*, std::size_t, double, double, double,
                          double, double, double, std::uint32_t, std::uint32_t*,
                          float*, AlignedVec<float>&);
@@ -114,9 +103,6 @@ struct KernelTable {
                            const float*, const float*, std::size_t, double,
                            std::uint32_t, float*, std::span<const float>,
                            std::size_t&);
-  void (*dequantize_constant)(const std::uint32_t*, const float*, std::size_t,
-                              double, std::uint32_t, float*,
-                              std::span<const float>, std::size_t&);
   void (*dequantize_plane)(const std::uint32_t*, std::size_t, double, double,
                            double, double, double, double, std::uint32_t, float*,
                            std::span<const float>, std::size_t&);

@@ -77,7 +77,6 @@ inline double pred_cubic(float a, float b, float c, float d) {
           9.0 * static_cast<double>(c) - static_cast<double>(d)) /
          16.0;
 }
-inline double pred_constant(float src) { return static_cast<double>(src); }
 inline double pred_plane(double m, double gx, double di, double aj, double ak) {
   return ((m + gx * di) + aj) + ak;
 }
@@ -101,15 +100,6 @@ inline void s_quantize_cubic(const float* orig, const float* a, const float* b,
   for (std::size_t i = i0; i < n; ++i)
     codes[i] =
         quantize_one(orig[i], pred_cubic(a[i], b[i], c[i], d[i]), p, recon[i], outliers);
-}
-
-inline void s_quantize_constant(const float* orig, const float* src, std::size_t n,
-                                double eb, std::uint32_t radius, std::uint32_t* codes,
-                                float* recon, AlignedVec<float>& outliers,
-                                std::size_t i0 = 0) {
-  const QP p = make_qp(eb, radius);
-  for (std::size_t i = i0; i < n; ++i)
-    codes[i] = quantize_one(orig[i], pred_constant(src[i]), p, recon[i], outliers);
 }
 
 inline void s_quantize_plane(const float* orig, std::size_t n, double m, double gx,
@@ -142,15 +132,6 @@ inline void s_dequantize_cubic(const std::uint32_t* codes, const float* a,
   for (std::size_t i = i0; i < n; ++i)
     recon[i] =
         dequantize_one(codes[i], pred_cubic(a[i], b[i], c[i], d[i]), p, outliers, pos);
-}
-
-inline void s_dequantize_constant(const std::uint32_t* codes, const float* src,
-                                  std::size_t n, double eb, std::uint32_t radius,
-                                  float* recon, std::span<const float> outliers,
-                                  std::size_t& pos, std::size_t i0 = 0) {
-  const QP p = make_qp(eb, radius);
-  for (std::size_t i = i0; i < n; ++i)
-    recon[i] = dequantize_one(codes[i], pred_constant(src[i]), p, outliers, pos);
 }
 
 inline void s_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m,

@@ -232,23 +232,6 @@ void k_quantize_cubic(const float* orig, const float* a, const float* b, const f
   sd::s_quantize_cubic(orig, a, b, c, d, n, eb, radius, codes, recon, outliers, i);
 }
 
-void k_quantize_constant(const float* orig, const float* src, std::size_t n, double eb,
-                         std::uint32_t radius, std::uint32_t* codes, float* recon,
-                         AlignedVec<float>& outliers) {
-  if (!vectorizable(radius, n)) {
-    sd::s_quantize_constant(orig, src, n, eb, radius, codes, recon, outliers);
-    return;
-  }
-  const QV qv = make_qv(sd::make_qp(eb, radius));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const vd pred = cvt_f(_mm_loadu_ps(src + i));
-    const int bad = quant4(_mm_loadu_ps(orig + i), pred, qv, codes + i, recon + i);
-    if (bad != 0) push_bad(orig + i, bad, outliers);
-  }
-  sd::s_quantize_constant(orig, src, n, eb, radius, codes, recon, outliers, i);
-}
-
 void k_quantize_plane(const float* orig, std::size_t n, double m, double gx, double ci,
                       double aj, double ak, double eb, std::uint32_t radius,
                       std::uint32_t* codes, float* recon, AlignedVec<float>& outliers) {
@@ -311,23 +294,6 @@ void k_dequantize_cubic(const std::uint32_t* codes, const float* a, const float*
   sd::s_dequantize_cubic(codes, a, b, c, d, n, eb, radius, recon, outliers, pos, i);
 }
 
-void k_dequantize_constant(const std::uint32_t* codes, const float* src, std::size_t n,
-                           double eb, std::uint32_t radius, float* recon,
-                           std::span<const float> outliers, std::size_t& pos) {
-  if (!vectorizable(radius, n)) {
-    sd::s_dequantize_constant(codes, src, n, eb, radius, recon, outliers, pos);
-    return;
-  }
-  const QV qv = make_qv(sd::make_qp(eb, radius));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const vd pred = cvt_f(_mm_loadu_ps(src + i));
-    const int z = dequant4(codes + i, pred, qv, recon + i);
-    if (z != 0) patch_outliers(recon + i, z, outliers, pos);
-  }
-  sd::s_dequantize_constant(codes, src, n, eb, radius, recon, outliers, pos, i);
-}
-
 void k_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, double gx,
                         double ci, double aj, double ak, double eb, std::uint32_t radius,
                         float* recon, std::span<const float> outliers, std::size_t& pos) {
@@ -349,8 +315,8 @@ void k_dequantize_plane(const std::uint32_t* codes, std::size_t n, double m, dou
 }
 
 inline constexpr mrc::simd::detail::KernelTable kTable = {
-    k_quantize_linear,   k_quantize_cubic,   k_quantize_constant,   k_quantize_plane,
-    k_dequantize_linear, k_dequantize_cubic, k_dequantize_constant, k_dequantize_plane,
+    k_quantize_linear,   k_quantize_cubic,   k_quantize_plane,
+    k_dequantize_linear, k_dequantize_cubic, k_dequantize_plane,
 };
 
 }  // namespace mrc::simd::MRC_SIMD_NS

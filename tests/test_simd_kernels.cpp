@@ -83,7 +83,7 @@ struct KernelOut {
   AlignedVec<float> outliers;
 };
 
-enum class Shape { linear, cubic, constant, plane };
+enum class Shape { linear, cubic, plane };
 
 KernelOut run_quantize(Shape shape, const RowData& r, double eb,
                        std::uint32_t radius) {
@@ -100,10 +100,6 @@ KernelOut run_quantize(Shape shape, const RowData& r, double eb,
       quantize_row_cubic(r.orig.data(), r.a.data(), r.b.data(), r.c.data(),
                          r.d.data(), n, eb, radius, out.codes.data(),
                          out.recon.data(), out.outliers);
-      break;
-    case Shape::constant:
-      quantize_row_constant(r.orig.data(), r.b.data(), n, eb, radius,
-                            out.codes.data(), out.recon.data(), out.outliers);
       break;
     case Shape::plane:
       quantize_row_plane(r.orig.data(), n, 3.25, 0.125, 1.5, -0.75, 2.5, eb,
@@ -128,10 +124,6 @@ std::vector<float> run_dequantize(Shape shape, const KernelOut& enc,
     case Shape::cubic:
       dequantize_row_cubic(enc.codes.data(), r.a.data(), r.b.data(), r.c.data(),
                            r.d.data(), n, eb, radius, recon.data(), osp, pos);
-      break;
-    case Shape::constant:
-      dequantize_row_constant(enc.codes.data(), r.b.data(), n, eb, radius,
-                              recon.data(), osp, pos);
       break;
     case Shape::plane:
       dequantize_row_plane(enc.codes.data(), n, 3.25, 0.125, 1.5, -0.75, 2.5, eb,
@@ -183,8 +175,7 @@ TEST(SimdKernels, EveryIsaBitIdenticalToScalar) {
   const std::size_t lengths[] = {1, 2, 3, 4, 5, 7, 8, 13, 31, 64, 257};
   const double ebs[] = {1e-3, 0.25};
   const std::uint32_t radii[] = {512u, 4u};
-  for (const auto shape :
-       {Shape::linear, Shape::cubic, Shape::constant, Shape::plane}) {
+  for (const auto shape : {Shape::linear, Shape::cubic, Shape::plane}) {
     for (const std::size_t n : lengths) {
       for (const double eb : ebs) {
         for (const std::uint32_t radius : radii) {
@@ -250,8 +241,8 @@ TEST(SimdKernels, DequantizeOutlierUnderrunThrows) {
     const IsaScope s(isa);
     std::vector<float> recon(n);
     std::size_t pos = 0;
-    EXPECT_THROW(dequantize_row_constant(codes.data(), src.data(), n, 1e-3, 512,
-                                         recon.data(), {}, pos),
+    EXPECT_THROW(dequantize_row_linear(codes.data(), src.data(), src.data(), n, 1e-3,
+                                       512, recon.data(), {}, pos),
                  CodecError)
         << isa_name(isa);
   }
