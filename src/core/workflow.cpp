@@ -8,15 +8,6 @@
 
 namespace mrc::workflow {
 
-CompressedAdaptive compress_uniform(const FieldF& uniform, double abs_eb,
-                                    const Config& cfg) {
-  CompressedAdaptive out;
-  out.adaptive = roi::extract_adaptive(uniform, cfg.roi_block, cfg.roi_fraction);
-  out.streams = sz3mr::compress_multires(out.adaptive, abs_eb, cfg.pipeline);
-  out.ratio = sz3mr::multires_ratio(out.adaptive, out.streams);
-  return out;
-}
-
 namespace {
 
 /// Snapshot preamble: shared container header (finest-grid dims + eb) under

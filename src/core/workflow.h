@@ -1,8 +1,10 @@
 #pragma once
 
-// End-to-end workflow driver (paper Fig. 3): uniform data → ROI-based
-// adaptive conversion → per-level SZ3MR compression → storage, with the
-// in-situ output-time instrumentation used by Table IV.
+// Storage step of the end-to-end workflow (paper Fig. 3): uniform data →
+// ROI-based adaptive conversion (roi/) → per-level SZ3MR compression
+// (core/sz3mr.h) → snapshot storage (here), with the in-situ output-time
+// instrumentation used by Table IV. api::compress_adaptive composes the
+// whole chain.
 
 #include <string>
 
@@ -16,21 +18,6 @@ namespace mrc::workflow {
 /// extents, eb = the bound all levels were encoded under), so peek_header
 /// identifies them without decompressing anything.
 inline constexpr std::uint32_t kSnapshotMagic = 0x5343'524d;  // "MRCS"
-
-struct Config {
-  index_t roi_block = 16;     ///< ROI partition b (2^n, n > 2)
-  double roi_fraction = 0.5;  ///< paper's x (top blocks kept at full res)
-  sz3mr::Config pipeline = sz3mr::ours_pad_eb();
-};
-
-/// Uniform field → adaptive multi-resolution → compressed streams.
-struct CompressedAdaptive {
-  sz3mr::MultiResStreams streams;
-  MultiResField adaptive;  ///< the (uncompressed) adaptive structure
-  double ratio = 0.0;      ///< stored samples vs compressed bytes
-};
-[[nodiscard]] CompressedAdaptive compress_uniform(const FieldF& uniform, double abs_eb,
-                                                  const Config& cfg);
 
 /// In-situ snapshot output with the paper's two-phase timing split:
 /// (1) pre-process — collect unit blocks into the compression buffer

@@ -17,6 +17,7 @@
 #include "metrics/ssim.h"
 #include "postproc/bezier.h"
 #include "postproc/sampler.h"
+#include "roi/roi_extract.h"
 #include "simdata/generators.h"
 #include "test_util.h"
 
@@ -117,26 +118,24 @@ class WorkflowSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WorkflowSweep, AdaptiveRoundTripWithinBoundOnRoi) {
   const FieldF f = make_dataset(GetParam());
-  workflow::Config cfg;
-  cfg.roi_fraction = 0.3;
   const double eb = f.value_range() * 1e-4;
-  const auto comp = workflow::compress_uniform(f, eb, cfg);
-  const auto dec = sz3mr::decompress_multires(comp.streams);
-  const auto& fine_in = comp.adaptive.levels[0];
+  const auto adaptive = roi::extract_adaptive(f, /*block_size=*/16, /*roi_fraction=*/0.3);
+  const auto streams = sz3mr::compress_multires(adaptive, eb, sz3mr::ours_pad_eb());
+  const auto dec = sz3mr::decompress_multires(streams);
+  const auto& fine_in = adaptive.levels[0];
   for (index_t i = 0; i < fine_in.data.size(); ++i)
     if (fine_in.mask[i]) {
       ASSERT_LE(std::abs(static_cast<double>(fine_in.data[i]) - dec.levels[0].data[i]),
                 eb * (1 + 1e-12));
     }
-  EXPECT_GT(comp.ratio, 1.0);
+  EXPECT_GT(sz3mr::multires_ratio(adaptive, streams), 1.0);
 }
 
 TEST_P(WorkflowSweep, ReconstructionSsimHighAtTightBound) {
   const FieldF f = make_dataset(GetParam());
-  workflow::Config cfg;
-  cfg.roi_fraction = 0.5;
-  const auto comp = workflow::compress_uniform(f, f.value_range() * 1e-5, cfg);
-  auto dec = sz3mr::decompress_multires(comp.streams);
+  const auto adaptive = roi::extract_adaptive(f, /*block_size=*/16, /*roi_fraction=*/0.5);
+  auto dec = sz3mr::decompress_multires(
+      sz3mr::compress_multires(adaptive, f.value_range() * 1e-5, sz3mr::ours_pad_eb()));
   dec.fine_dims = f.dims();
   // 0.8 floor: at these small test grids half the domain is stored 2x
   // coarser, so reconstruction SSIM is dominated by the downsampling, not

@@ -6,6 +6,7 @@
 #include "core/workflow.h"
 #include "metrics/psnr.h"
 #include "metrics/ssim.h"
+#include "roi/roi_extract.h"
 #include "simdata/generators.h"
 #include "simdata/mini_nyx.h"
 #include "test_util.h"
@@ -15,18 +16,16 @@ namespace {
 
 TEST(Workflow, UniformToAdaptiveEndToEnd) {
   const FieldF f = sim::nyx_density({64, 64, 64}, 17);
-  Config cfg;
-  cfg.roi_block = 16;
-  cfg.roi_fraction = 0.3;
   const double eb = f.value_range() * 1e-3;
-  const auto comp = compress_uniform(f, eb, cfg);
-  EXPECT_GT(comp.ratio, 1.0);
-  ASSERT_EQ(comp.adaptive.levels.size(), 2u);
+  const auto adaptive = roi::extract_adaptive(f, /*block_size=*/16, /*roi_fraction=*/0.3);
+  const auto streams = sz3mr::compress_multires(adaptive, eb, sz3mr::ours_pad_eb());
+  EXPECT_GT(sz3mr::multires_ratio(adaptive, streams), 1.0);
+  ASSERT_EQ(adaptive.levels.size(), 2u);
 
-  const auto mr = sz3mr::decompress_multires(comp.streams);
+  const auto mr = sz3mr::decompress_multires(streams);
   // Compose and compare against the adaptive representation (the storage
   // target): valid fine cells must obey the bound.
-  const auto& fine_in = comp.adaptive.levels[0];
+  const auto& fine_in = adaptive.levels[0];
   const auto& fine_out = mr.levels[0];
   for (index_t i = 0; i < fine_in.data.size(); ++i)
     if (fine_in.mask[i]) {
@@ -37,11 +36,10 @@ TEST(Workflow, UniformToAdaptiveEndToEnd) {
 
 TEST(Workflow, ReconstructionQualityReasonable) {
   const FieldF f = sim::nyx_density({64, 64, 64}, 23);
-  Config cfg;
-  cfg.roi_fraction = 0.5;
   const double eb = f.value_range() * 1e-4;
-  const auto comp = compress_uniform(f, eb, cfg);
-  const auto mr = sz3mr::decompress_multires(comp.streams);
+  const auto adaptive = roi::extract_adaptive(f, /*block_size=*/16, /*roi_fraction=*/0.5);
+  const auto mr = sz3mr::decompress_multires(
+      sz3mr::compress_multires(adaptive, eb, sz3mr::ours_pad_eb()));
   MultiResField full = mr;
   full.fine_dims = f.dims();
   const FieldF recon = full.reconstruct_uniform();
@@ -98,11 +96,8 @@ TEST(Workflow, InSituLoopMultipleSteps) {
 
 TEST(Workflow, HigherRoiFractionStoresMoreSamples) {
   const FieldF f = sim::nyx_density({64, 64, 64}, 29);
-  Config lo, hi;
-  lo.roi_fraction = 0.15;
-  hi.roi_fraction = 0.6;
-  const auto a = roi::extract_adaptive(f, 16, lo.roi_fraction);
-  const auto b = roi::extract_adaptive(f, 16, hi.roi_fraction);
+  const auto a = roi::extract_adaptive(f, 16, /*roi_fraction=*/0.15);
+  const auto b = roi::extract_adaptive(f, 16, /*roi_fraction=*/0.6);
   EXPECT_LT(a.stored_samples(), b.stored_samples());
 }
 
