@@ -350,23 +350,20 @@ Bytes compress(const FieldF& f, const Options& opt) {
   return codec->compress(f, opt.absolute_eb(f));
 }
 
-FieldF decompress(std::span<const std::byte> stream) {
+FieldF decompress(std::span<const std::byte> stream, int threads) {
   OBS_SPAN("api.decompress");
   const StreamHeader h = peek_header(stream);
   if (h.codec_magic == workflow::kSnapshotMagic) return restore(stream);
-  if (h.codec_magic == tiled::kTiledMagic)
-    // Single lane, like every other facade default — callers that want the
-    // parallel decode pass threads to tiled::decompress / api::read_region.
-    return tiled::decompress(stream, /*threads=*/1);
+  if (h.codec_magic == tiled::kTiledMagic) return tiled::decompress(stream, threads);
   if (h.codec_magic == pyramid::kPyramidMagic)
     // The uniform reconstruction of a pyramid is its finest level.
-    return pyramid::decompress_level(stream, /*level=*/0, /*threads=*/1);
+    return pyramid::decompress_level(stream, /*level=*/0, threads);
   if (h.codec_magic == adaptive::kAdaptiveMagic)
     // The seam-free blended finest grid of the adaptive container.
-    return adaptive::decompress(stream, /*threads=*/1);
+    return adaptive::decompress(stream, threads);
   if (h.codec_magic == progressive::kProgressiveMagic)
     // The uniform reconstruction of a residual pyramid is its finest level.
-    return progressive::decompress_level(stream, /*level=*/0, /*threads=*/1);
+    return progressive::decompress_level(stream, /*level=*/0, threads);
   if (h.codec_magic == sz3mr::kLevelMagic)
     // A bare level stream decodes to its level grid (zeros outside the mask).
     return sz3mr::decompress_level(stream).data;

@@ -63,7 +63,7 @@ enum class EbMode : std::uint8_t {
 };
 
 /// Unified configuration for the whole compression surface; subsumes
-/// sz3mr::Config and workflow::Config plus per-codec tuning.
+/// sz3mr::Config plus the ROI and per-codec tuning.
 struct Options {
   // Codec + error bound.
   std::string codec = "interp";  ///< any registry name
@@ -175,8 +175,11 @@ struct Options {
 
 /// Reconstructs a uniform field from any stream this facade produces: codec
 /// streams decode through the registry (magic-peek dispatch), snapshots are
-/// restored to the uniform grid. Throws CodecError on foreign data.
-[[nodiscard]] FieldF decompress(std::span<const std::byte> stream);
+/// restored to the uniform grid, containers (MRCT/MRCP/MRCA/MRCR) decode
+/// their finest grid on a pool of `threads` lanes (0 = hardware
+/// concurrency; the result is bit-identical for any width). Throws
+/// CodecError on foreign data.
+[[nodiscard]] FieldF decompress(std::span<const std::byte> stream, int threads = 1);
 
 /// The paper's full workflow: ROI-based adaptive conversion + per-level
 /// SZ3MR compression, returned as one self-describing snapshot stream. The

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/mrc_api.h"
+#include "obs/obs.h"
 #include "test_util.h"
 
 namespace mrc {
@@ -427,6 +432,38 @@ TEST(ApiFacade, PyramidInfoCarriesTheFullLevelTable) {
   }
   // Tiled/adaptive streams carry no level table.
   EXPECT_TRUE(api::info(api::compress_tiled(f, opt)).level_meta.empty());
+}
+
+TEST(ApiFacade, DecompressTakesAWidthForEveryContainer) {
+  const FieldF f = test::smooth_field({32, 32, 32});
+  const auto opt = api::Options::parse("tile=16,eb_mode=abs,eb=0.01");
+  const std::vector<std::pair<std::string, Bytes>> streams = {
+      {"MRCT", api::compress_tiled(f, opt)},
+      {"MRCP", api::build_pyramid(f, opt)},
+      {"MRCA", api::compress_adaptive_roi(f, opt)},
+      {"MRCR", api::build_progressive(f, opt)},
+      {"snapshot", api::compress_adaptive(f, opt)},
+      {"interp", api::compress(f, opt)},
+  };
+  for (const auto& [name, stream] : streams) {
+    const FieldF one = api::decompress(stream);
+    const FieldF four = api::decompress(stream, 4);
+    ASSERT_EQ(four.dims(), one.dims()) << name;
+    EXPECT_EQ(std::memcmp(four.data(), one.data(),
+                          static_cast<std::size_t>(one.size()) * sizeof(float)),
+              0)
+        << name << " decodes differently on 4 lanes";
+  }
+  // The width reaches MRCR's decoder: four lanes post pool tasks, one posts
+  // none.
+  const Bytes& mrcr = streams[3].second;
+  const obs::Counter& tasks = obs::Registry::global().counter("mrc.exec.tasks");
+  std::uint64_t before = tasks.value();
+  (void)api::decompress(mrcr);
+  EXPECT_EQ(tasks.value(), before);
+  before = tasks.value();
+  (void)api::decompress(mrcr, 4);
+  EXPECT_GT(tasks.value(), before);
 }
 
 TEST(ApiOptions, TuningReachesCodecFactory) {

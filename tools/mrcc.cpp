@@ -461,17 +461,7 @@ int run(int argc, char** argv) {
     const auto meta = api::info(stream);
     api::Options opt;
     apply_args(opt, tail_args(argv + 4, argv + argc), "threads");
-    // The brick-parallel containers honor threads=; everything else decodes
-    // through the facade's single-lane dispatch.
-    FieldF f;
-    if (meta.kind == api::StreamInfo::Kind::tiled)
-      f = tiled::decompress(stream, opt.threads);
-    else if (meta.kind == api::StreamInfo::Kind::pyramid)
-      f = pyramid::decompress_level(stream, /*level=*/0, opt.threads);
-    else if (meta.kind == api::StreamInfo::Kind::adaptive)
-      f = adaptive::decompress(stream, opt.threads);
-    else
-      f = api::decompress(stream);
+    const FieldF f = api::decompress(stream, opt.threads);
     write_raw_floats(f, argv[3]);
     std::printf("%s %s stream, %s -> %s\n", kind_str(meta.kind), meta.codec.c_str(),
                 f.dims().str().c_str(), argv[3]);
