@@ -35,6 +35,10 @@ struct PresetCase {
   const char* name;
 };
 
+// gtest_discover_tests puts the printed parameter into the ctest name; the
+// preset's name keeps that name the same from one build to the next.
+void PrintTo(const PresetCase& p, std::ostream* os) { *os << p.name; }
+
 class Sz3mrPresets : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(Sz3mrPresets, LevelRoundTripRespectsBound) {
@@ -51,10 +55,6 @@ TEST_P(Sz3mrPresets, LevelRoundTripRespectsBound) {
       << p.name;  // 1.5: post-process may add a*eb (a <= 0.5)
 }
 
-// gtest prints a parameter without a PrintTo overload as its raw bytes, and
-// gtest_discover_tests puts that text into the ctest name. Static storage
-// starts zeroed and the presets fill in fields only, so the padding inside
-// Config prints as zeros rather than as leftover stack bytes.
 const PresetCase kPresets[] = {
     {sz3mr::baseline_sz3(), "baseline"}, {sz3mr::amric_sz3(), "amric"},
     {sz3mr::tac_sz3(), "tac"},           {sz3mr::ours_pad(), "pad"},
