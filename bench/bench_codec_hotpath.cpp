@@ -14,10 +14,13 @@
 //     explicit N-lane pool (optimized); bytes asserted identical.
 //
 // Results land in BENCH_codec_hotpath.json
-// (stage, baseline_mb_s, optimized_mb_s, speedup); ci.sh runs this in its
+// (stage, baseline_mb_s, optimized_mb_s, speedup), with a top-level
+// usable_lanes: how many of a 4-lane pool's lanes the machine actually ran
+// at once while the sharded rows were measured. ci.sh runs this in its
 // bench-smoke step. The >= 3x canonical-Huffman decode target is gated here
-// with MRC_REQUIRE; ci.sh additionally gates quant_encode absolute MB/s and
-// the sharded-vs-monolithic decode speedup from the JSON.
+// with MRC_REQUIRE; ci.sh additionally gates quant_encode absolute MB/s and,
+// where usable_lanes shows four lanes can run, the sharded-vs-monolithic
+// decode speedup from the JSON.
 
 #include <algorithm>
 #include <cstdio>
@@ -64,6 +67,31 @@ double best_seconds(F&& fn) {
 }
 
 double mb(std::size_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0); }
+
+/// Serial time over ThreadPool(4) time for four identical CPU-bound tasks:
+/// ~4 on four free cores, ~1 when the scheduler runs every thread of the
+/// process on one CPU. `seed` comes from run-time data so the work cannot be
+/// folded away.
+double usable_lanes(std::uint64_t seed) {
+  const auto spin = [seed] {
+    std::uint64_t x = seed | 1;  // xorshift64: a dependent chain, never 0
+    for (int i = 0; i < (1 << 24); ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    return x;
+  };
+  std::uint64_t out[4] = {};
+  const double serial = best_seconds([&] {
+    for (std::uint64_t& o : out) o = spin();
+  });
+  exec::ThreadPool pool(4);
+  const double parallel = best_seconds(
+      [&] { pool.parallel_for(4, [&](index_t i) { out[i] = spin(); }); });
+  MRC_REQUIRE(out[0] != 0 && out[0] == out[3], "usable_lanes: spin results diverged");
+  return serial / parallel;
+}
 
 }  // namespace
 
@@ -253,6 +281,11 @@ int main() {
     pq_row("predict_quant_lorenzo", LorenzoCompressor{});
   }
 
+  // The sharded rows read the machine as much as the code when the
+  // scheduler does not give a 4-lane pool four CPUs; the smaller of the
+  // usable-lane readings taken just before and just after them says whether
+  // it did.
+  double lanes_usable = usable_lanes(syms.size());
   {  // sharded entropy decode: frozen monolithic layout vs the v7 sharded
     // layout decoded on explicit 1/2/4-lane pools. The baseline column is
     // the same monolithic single-thread figure for every row, so speedup
@@ -281,6 +314,8 @@ int main() {
       rows.push_back(r);
     }
   }
+  lanes_usable = std::min(lanes_usable, usable_lanes(syms.size()));
+  std::printf("usable lanes of a 4-lane pool: %.2f\n", lanes_usable);
 
   std::printf("\n%20s %16s %16s %9s\n", "stage", "baseline MB/s", "optimized MB/s",
               "speedup");
@@ -292,6 +327,7 @@ int main() {
   MRC_REQUIRE(json != nullptr, "cannot write BENCH_codec_hotpath.json");
   std::fprintf(json, "{\n  \"bench\": \"codec_hotpath\",\n");
   std::fprintf(json, "  \"hardware_threads\": %d,\n", exec::hardware_threads());
+  std::fprintf(json, "  \"usable_lanes\": %.2f,\n", lanes_usable);
   std::fprintf(json, "  \"symbols\": %zu,\n  \"radius\": %u,\n  \"results\": [\n",
                syms.size(), radius);
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -5,8 +5,10 @@ came from) and a non-empty "results" list of objects, and every row of one
 file must carry the same keys (a malformed row usually means a broken
 fprintf). Benches listed in ROW_SCHEMAS additionally have their row keys
 checked against the expected schema, so a renamed or dropped column fails
-the pipeline instead of silently rotting dashboards. ci.sh runs this after
-the bench smoke step.
+the pipeline instead of silently rotting dashboards, and benches listed in
+TOP_LEVEL_NUMBERS must carry those positive numbers (ci.sh's sharded-decode
+gate reads codec_hotpath's usable_lanes). ci.sh runs this after the bench
+smoke step.
 
 Usage: check_bench_json.py <file.json> [...]
 """
@@ -35,6 +37,9 @@ ROW_IDENTITY = {
         },
     ),
 }
+
+# Top-level numbers (> 0) a bench's file must carry besides hardware_threads.
+TOP_LEVEL_NUMBERS = {"codec_hotpath": ("usable_lanes",)}
 
 # Required row keys per bench name. Rows may not omit any of these; extra
 # keys are reported as errors too, so schema drift is always loud.
@@ -82,6 +87,10 @@ def check(path):
     threads = doc.get("hardware_threads")
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError("'hardware_threads' must be an integer >= 1")
+    for key in TOP_LEVEL_NUMBERS.get(doc["bench"], ()):
+        value = doc.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+            raise ValueError(f"'{key}' must be a number > 0")
     rows = doc["results"]
     if not isinstance(rows, list) or not rows:
         raise ValueError("'results' must be a non-empty list")
