@@ -126,9 +126,6 @@ namespace detail {
 
 namespace {
 
-/// Smallest possible level record: 5 single-byte varints + the f32s.
-std::size_t min_record(const TableFormat& fmt) { return fmt.residual ? 29 : 17; }
-
 CodecError table_error(const TableFormat& fmt, const std::string& what) {
   return CodecError(std::string(fmt.name) + ": " + what);
 }
@@ -181,7 +178,9 @@ Index read_table(const TableFormat& fmt, std::span<const std::byte> stream) {
   if (n_levels < 1 || n_levels > static_cast<std::uint64_t>(kMaxLevels))
     throw table_error(fmt, "bad level count");
   idx.payload_bytes = r.get_varint();
-  if (n_levels > r.remaining() / min_record(fmt))
+  // Smallest possible record: 5 single-byte varints + three or six f32s.
+  const std::size_t min_record = fmt.residual ? 29 : 17;
+  if (n_levels > r.remaining() / min_record)
     throw table_error(fmt, "level count exceeds stream size");
 
   idx.levels.resize(static_cast<std::size_t>(n_levels));
