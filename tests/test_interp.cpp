@@ -16,10 +16,12 @@ using test::step_field;
 // respect max|x - x̂| <= eb. This is the core invariant of the codec.
 // ---------------------------------------------------------------------------
 
+// 64-bit fields only: gtest prints the struct's raw bytes into the ctest
+// name, and padding would print whatever the stack held.
 struct InterpCase {
   Dim3 dims;
   double eb;
-  int dataset;  // 0 smooth, 1 noise, 2 step
+  index_t dataset;  // 0 smooth, 1 noise, 2 step
 };
 
 class InterpErrorBound : public ::testing::TestWithParam<InterpCase> {};
@@ -34,7 +36,7 @@ FieldF make_dataset(int id, Dim3 d) {
 
 TEST_P(InterpErrorBound, MaxErrorWithinBound) {
   const auto& p = GetParam();
-  const FieldF f = make_dataset(p.dataset, p.dims);
+  const FieldF f = make_dataset(static_cast<int>(p.dataset), p.dims);
   const InterpCompressor comp;
   const auto rt = round_trip(comp, f, p.eb);
   EXPECT_EQ(rt.reconstructed.dims(), p.dims);

@@ -12,11 +12,13 @@ using test::noise_field;
 using test::smooth_field;
 using test::step_field;
 
+// 64-bit fields only: gtest prints the struct's raw bytes into the ctest
+// name, and padding would print whatever the stack held.
 struct LorenzoCase {
   Dim3 dims;
   double eb;
   index_t block;
-  int chunks;
+  index_t chunks;
 };
 
 class LorenzoErrorBound : public ::testing::TestWithParam<LorenzoCase> {};
@@ -26,7 +28,7 @@ TEST_P(LorenzoErrorBound, MaxErrorWithinBound) {
   const FieldF f = smooth_field(p.dims);
   LorenzoConfig cfg;
   cfg.block_size = p.block;
-  cfg.chunks = p.chunks;
+  cfg.chunks = static_cast<int>(p.chunks);
   const LorenzoCompressor comp(cfg);
   const auto rt = round_trip(comp, f, p.eb);
   EXPECT_EQ(rt.reconstructed.dims(), p.dims);

@@ -66,10 +66,12 @@ TEST(ZfpxPerm, IsAPermutationInSequencyOrder) {
 // Accuracy-mode error bound sweep.
 // ---------------------------------------------------------------------------
 
+// 64-bit fields only: gtest prints the struct's raw bytes into the ctest
+// name, and padding would print whatever the stack held.
 struct ZfpxCase {
   Dim3 dims;
   double eb;
-  int dataset;
+  index_t dataset;
 };
 
 class ZfpxErrorBound : public ::testing::TestWithParam<ZfpxCase> {};
