@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -68,29 +69,36 @@ double best_seconds(F&& fn) {
 
 double mb(std::size_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0); }
 
-/// Serial time over ThreadPool(4) time for four identical CPU-bound tasks:
-/// ~4 on four free cores, ~1 when the scheduler runs every thread of the
-/// process on one CPU. `seed` comes from run-time data so the work cannot be
-/// folded away.
+/// 2^24 dependent xorshift64 steps from `x` (never 0). Kept out of line so
+/// the compiler can neither merge nor interleave the chains usable_lanes
+/// runs back to back.
+__attribute__((noinline)) std::uint64_t spin(std::uint64_t x) {
+  for (int i = 0; i < (1 << 24); ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+/// Serial time over ThreadPool(4) time for four equal CPU-bound tasks: ~4
+/// on four free cores, ~1 when the scheduler runs every thread of the
+/// process on one CPU. Each task starts from its own seed, taken from
+/// run-time data, so no two tasks compute the same value.
 double usable_lanes(std::uint64_t seed) {
-  const auto spin = [seed] {
-    std::uint64_t x = seed | 1;  // xorshift64: a dependent chain, never 0
-    for (int i = 0; i < (1 << 24); ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-    }
-    return x;
-  };
-  std::uint64_t out[4] = {};
-  const double serial = best_seconds([&] {
-    for (std::uint64_t& o : out) o = spin();
+  std::uint64_t serial[4] = {}, parallel[4] = {};
+  const double t_serial = best_seconds([&] {
+    for (std::uint64_t i = 0; i < 4; ++i) serial[i] = spin(seed + i);
   });
   exec::ThreadPool pool(4);
-  const double parallel = best_seconds(
-      [&] { pool.parallel_for(4, [&](index_t i) { out[i] = spin(); }); });
-  MRC_REQUIRE(out[0] != 0 && out[0] == out[3], "usable_lanes: spin results diverged");
-  return serial / parallel;
+  const double t_parallel = best_seconds([&] {
+    pool.parallel_for(4, [&](index_t i) {
+      parallel[i] = spin(seed + static_cast<std::uint64_t>(i));
+    });
+  });
+  MRC_REQUIRE(std::equal(std::begin(serial), std::end(serial), std::begin(parallel)),
+              "usable_lanes: pool and serial results differ");
+  return t_serial / t_parallel;
 }
 
 }  // namespace
