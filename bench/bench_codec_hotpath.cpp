@@ -15,8 +15,8 @@
 //
 // Results land in BENCH_codec_hotpath.json
 // (stage, baseline_mb_s, optimized_mb_s, speedup), with a top-level
-// usable_lanes: how many of a 4-lane pool's lanes the machine actually ran
-// at once while the sharded rows were measured. ci.sh runs this in its
+// usable_lanes: how many of a 4-lane pool's lanes the machine ran at once
+// just before and just after the sharded rows. ci.sh runs this in its
 // bench-smoke step. The >= 3x canonical-Huffman decode target is gated here
 // with MRC_REQUIRE; ci.sh additionally gates quant_encode absolute MB/s and,
 // where usable_lanes shows four lanes can run, the sharded-vs-monolithic
