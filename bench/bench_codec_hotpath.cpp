@@ -19,8 +19,8 @@
 // just before and just after the sharded rows. ci.sh runs this in its
 // bench-smoke step. The >= 3x canonical-Huffman decode target is gated here
 // with MRC_REQUIRE; ci.sh additionally gates quant_encode absolute MB/s and,
-// where usable_lanes shows four lanes can run, the sharded-vs-monolithic
-// decode speedup from the JSON.
+// where usable_lanes shows four lanes can run, the sharded decode's 4-lane
+// over 1-lane ratio (sharded_decode_t4 / sharded_decode_t1) from the JSON.
 
 #include <algorithm>
 #include <cstdio>

@@ -4,9 +4,10 @@
 // the uniform tiled container (MRCT — one answer, all bytes up front). All
 // three are built from the same mini-Nyx density field at the same absolute
 // error bound; MRCP/MRCT data goes through interp, and MRCR keeps interp
-// for its coarsest data level while its residual levels use the container's
-// default lorenzo path (interp's hierarchical predictor duplicates what the
-// prolongation already removed, so it buys residual streams nothing).
+// for its coarsest data level while its residual levels use the codec
+// api::build_progressive chooses per stream (quantize or lorenzo; see
+// progressive::Config::resid_codec), which the stream line and the JSON
+// record.
 //
 // Reported per container: total bytes at the fixed bound, bytes-to-first-
 // answer (header + level table + the coarsest stream; the whole stream for
@@ -65,8 +66,11 @@ int main() {
   const Bytes mrcr = api::build_progressive(f, opt);
   const Bytes mrcp = api::build_pyramid(f, opt);
   const Bytes mrct = api::compress_tiled(f, opt);
-  std::printf("streams (%s, abs_eb %.4g): mrcr %zu, mrcp %zu, tiled %zu bytes\n\n",
-              dims.str().c_str(), abs_eb, mrcr.size(), mrcp.size(), mrct.size());
+  const std::string resid_codec = progressive::read_geometry(mrcr).codec;
+  std::printf("streams (%s, abs_eb %.4g): mrcr %zu (residuals: %s), mrcp %zu, "
+              "tiled %zu bytes\n\n",
+              dims.str().c_str(), abs_eb, mrcr.size(), resid_codec.c_str(), mrcp.size(),
+              mrct.size());
 
   std::vector<Row> rows;
   std::printf("%6s %6s %14s %12s %9s\n", "stream", "level", "dims", "cum_bytes",
@@ -130,8 +134,9 @@ int main() {
                dims.str().c_str());
   std::fprintf(json, "  \"hardware_threads\": %d,\n", exec::hardware_threads());
   std::fprintf(json,
-               "  \"codec\": \"interp\",\n  \"resid_codec\": \"lorenzo\",\n"
-               "  \"rel_eb\": 1e-3,\n");
+               "  \"codec\": \"interp\",\n  \"resid_codec\": \"%s\",\n"
+               "  \"rel_eb\": 1e-3,\n",
+               resid_codec.c_str());
   std::fprintf(json, "  \"abs_eb\": %.6g,\n", abs_eb);
   std::fprintf(json, "  \"brick\": %lld,\n", static_cast<long long>(opt.tile));
   std::fprintf(json, "  \"mrcr_bytes\": %zu,\n", mrcr.size());

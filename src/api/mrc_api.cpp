@@ -300,6 +300,7 @@ pyramid::Config Options::pyramid_config() const {
 progressive::Config Options::progressive_config() const {
   progressive::Config c;
   c.codec = codec;
+  c.resid_codec = "auto";
   c.tuning = tuning();
   c.brick = tile;
   c.threads = threads;

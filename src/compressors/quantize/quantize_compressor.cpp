@@ -1,0 +1,145 @@
+#include "compressors/quantize/quantize_compressor.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "compressors/simd_kernels.h"
+#include "lossless/lzss.h"
+#include "lossless/quant_codec.h"
+#include "obs/obs.h"
+
+namespace mrc {
+
+namespace {
+
+/// Widest radius either side accepts: the entropy alphabet (2*radius + 1
+/// codes plus the run buckets) must fit a u32.
+constexpr std::uint64_t kMaxRadius = std::uint64_t{1} << 30;
+
+// The two passes live in their own non-inlined functions, free of any obs::
+// code, so the OBS_SPANs at their call sites cannot perturb the loops'
+// codegen (the placement rule next to OBS_SPAN in obs/obs.h). Both call the
+// plane kernels with m = gx = aj = ak = ci = 0: the prediction
+// ((0 + 0*i) + 0) + 0 is exactly +0.0 for every i >= 0.
+
+MRC_OBS_NOINLINE void quantize_pass(const float* x, std::size_t n, double eb,
+                                    std::uint32_t radius, std::uint32_t* codes,
+                                    AlignedVec<float>& outliers) {
+  // The encoder never reads its reconstruction back, so the kernel's recon
+  // output lands in one small reused row instead of a field-sized buffer.
+  constexpr std::size_t kRow = 4096;
+  alignas(64) float recon[kRow];
+  for (std::size_t i = 0; i < n; i += kRow) {
+    const std::size_t len = std::min(kRow, n - i);
+    simd::quantize_row_plane(x + i, len, 0.0, 0.0, 0.0, 0.0, 0.0, eb, radius, codes + i,
+                             recon, outliers);
+  }
+}
+
+MRC_OBS_NOINLINE void dequantize_pass(const std::uint32_t* codes, std::size_t n,
+                                      double eb, std::uint32_t radius, float* out,
+                                      std::span<const float> outliers) {
+  std::size_t pos = 0;  // the kernel throws CodecError when the outliers run out
+  simd::dequantize_row_plane(codes, n, 0.0, 0.0, 0.0, 0.0, 0.0, eb, radius, out, outliers,
+                             pos);
+  if (pos != outliers.size()) throw CodecError("quantize: leftover outliers");
+}
+
+}  // namespace
+
+QuantizeCompressor::QuantizeCompressor(QuantizeConfig cfg) : cfg_(cfg) {
+  MRC_REQUIRE(cfg_.quant_radius >= 2 && cfg_.quant_radius <= kMaxRadius,
+              "quant radius out of range");
+}
+
+std::string QuantizeCompressor::name() const { return "quantize"; }
+
+Bytes QuantizeCompressor::compress(const FieldF& f, double abs_eb) const {
+  MRC_REQUIRE(abs_eb > 0.0 && std::isfinite(abs_eb),
+              "error bound must be finite and > 0");
+  MRC_REQUIRE(!f.empty(), "empty field");
+  const auto n = static_cast<std::size_t>(f.size());
+  const auto radius = cfg_.quant_radius;
+
+  // Per-lane scratch, reused across the bricks a container compresses on
+  // one pool lane (see interp_compressor.cpp).
+  thread_local AlignedVec<std::uint32_t> codes;
+  thread_local AlignedVec<float> outliers;
+  const detail::ScratchGuard gc(codes);
+  const detail::ScratchGuard go(outliers);
+  codes.resize(n);
+  outliers.clear();
+
+  static obs::Counter& ns_pq =
+      obs::Registry::global().counter("mrc.codec.predict_quant.encode_ns");
+  static obs::Counter& ns_ent =
+      obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
+  static obs::Counter& ns_ll =
+      obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
+  {
+    OBS_SPAN("quantize.predict_quant", &ns_pq);
+    quantize_pass(f.data(), n, abs_eb, radius, codes.data(), outliers);
+  }
+
+  const std::uint32_t shards = lossless::negotiate_entropy_shards(n, cfg_.entropy_shards);
+  Bytes out;
+  ByteWriter w(out);
+  detail::write_header(w, kMagic, f.dims(), abs_eb, shards);
+  w.put_varint(radius);
+  {
+    OBS_SPAN("quantize.entropy", &ns_ent);
+    w.put_blob(lossless::encode_quant_codes_sharded(codes, radius, shards));
+  }
+  {
+    OBS_SPAN("quantize.lossless", &ns_ll);
+    w.put_blob(lossless::lzss_compress(std::as_bytes(std::span<const float>(outliers))));
+  }
+  return out;
+}
+
+FieldF QuantizeCompressor::decompress(std::span<const std::byte> stream) const {
+  ByteReader r(stream);
+  const auto h = detail::read_header(r, kMagic, "quantize");
+  const std::uint64_t radius64 = r.get_varint();
+  if (radius64 < 2 || radius64 > kMaxRadius) throw CodecError("quantize: bad radius");
+  const auto radius = static_cast<std::uint32_t>(radius64);
+  const auto code_blob = r.get_blob();
+  const auto outlier_blob = r.get_blob();
+  if (r.remaining() != 0) throw CodecError("quantize: trailing bytes");
+
+  thread_local AlignedVec<std::uint32_t> codes;
+  thread_local AlignedVec<float> outliers;
+  const detail::ScratchGuard gc(codes);
+  const detail::ScratchGuard go(outliers);
+  static obs::Counter& ns_ent =
+      obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
+  static obs::Counter& ns_ll =
+      obs::Registry::global().counter("mrc.codec.lossless.decode_ns");
+  static obs::Counter& ns_pq =
+      obs::Registry::global().counter("mrc.codec.predict_quant.decode_ns");
+  {
+    // Checks the stream's code count against the header extents before
+    // sizing `codes`.
+    OBS_SPAN("quantize.entropy", &ns_ent);
+    lossless::decode_quant_codes_into(code_blob, radius, codes,
+                                      static_cast<std::uint64_t>(h.dims.size()));
+  }
+  {
+    OBS_SPAN("quantize.lossless", &ns_ll);
+    const auto outlier_raw = lossless::lzss_decompress(outlier_blob);
+    if (outlier_raw.size() % sizeof(float) != 0)
+      throw CodecError("quantize: bad outlier blob");
+    outliers.resize(outlier_raw.size() / sizeof(float));
+    if (!outlier_raw.empty())  // memcpy from an empty vector's null data() is UB
+      std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
+  }
+
+  FieldF recon(h.dims);
+  OBS_SPAN("quantize.predict_recon", &ns_pq);
+  dequantize_pass(codes.data(), codes.size(), h.eb, radius, recon.data(),
+                  std::span<const float>(outliers.data(), outliers.size()));
+  return recon;
+}
+
+}  // namespace mrc

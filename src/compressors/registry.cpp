@@ -4,6 +4,7 @@
 
 #include "compressors/interp/interp_compressor.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
+#include "compressors/quantize/quantize_compressor.h"
 #include "compressors/zfpx/zfpx_compressor.h"
 
 namespace mrc {
@@ -111,6 +112,17 @@ CodecRegistry make_builtin_registry() {
                  c.chunks = t.threads;
                  c.entropy_shards = t.entropy_shards;
                  return std::make_unique<ZfpxCompressor>(c);
+               }});
+  reg.add({.name = "quantize",
+           .magic = QuantizeCompressor::kMagic,
+           .description = "zero predictor + quantizer (decorrelated residuals)",
+           .block_edge = 0,
+           .factory =
+               [](const CodecTuning& t) -> std::unique_ptr<Compressor> {
+                 QuantizeConfig c;
+                 c.quant_radius = t.quant_radius;
+                 c.entropy_shards = t.entropy_shards;
+                 return std::make_unique<QuantizeCompressor>(c);
                }});
   return reg;
 }

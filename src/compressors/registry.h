@@ -23,15 +23,16 @@ namespace mrc {
 /// Generic tuning knobs a codec factory may honour. Codecs ignore the knobs
 /// they do not understand, so one struct configures any registered backend.
 struct CodecTuning {
-  std::uint32_t quant_radius = 512;  ///< interp/lorenzo residual bins per side
+  std::uint32_t quant_radius = 512;  ///< interp/lorenzo/quantize bins per side
   bool adaptive_eb = false;          ///< interp per-level eb tightening
   double alpha = 2.25;               ///< adaptive-eb decay (paper §III-A)
   double beta = 8.0;                 ///< adaptive-eb decay cap
   index_t block_size = 0;            ///< lorenzo block edge; 0 = codec default
   bool use_regression = true;        ///< lorenzo per-block predictor choice
   int threads = 1;                   ///< independent chunks for parallel codecs
-  /// Requested entropy shards per Huffman code stream (interp/lorenzo; zfpx
-  /// folds it into its chunk count, whose streams are already independent).
+  /// Requested entropy shards per Huffman code stream (interp/lorenzo/
+  /// quantize; zfpx folds it into its chunk count, whose streams are already
+  /// independent).
   /// Negotiated down by stream size; > 1 writes the v7 sharded layout, the
   /// default 1 keeps every stream byte-identical to v6.
   std::uint32_t entropy_shards = 1;

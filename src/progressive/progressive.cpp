@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -218,6 +219,96 @@ MRC_OBS_NOINLINE float bin_entropy(const FieldF& f, double eb, const Range& rang
   return entropy_of(bins, f.size());
 }
 
+/// Zeroth-order entropy (bits/sample) of round_half_away((v - p) / 2eb),
+/// where p is the 7-point 3-D Lorenzo prediction of v from the unquantized
+/// field (out-of-domain neighbours read 0): SZ2's selection estimate, the
+/// Lorenzo counterpart of bin_entropy's no-prediction figure. `vmax` is
+/// max|v|.
+///
+/// One z-slabbed pass; the stencil only reads across slab edges, so the
+/// counts, and the sum taken over them in bin order, are the same on any
+/// lane count. |v - p| <= 8 * vmax bounds the bins, which dense per-slab
+/// histograms cover up to kMaxDenseBins; wider or non-finite bounds count
+/// into per-slab ordered maps instead. Non-finite differences, and any
+/// outside the histogram, share one escape bin.
+MRC_OBS_NOINLINE float lorenzo_entropy(const FieldF& f, double eb, float vmax,
+                                       exec::ThreadPool& pool) {
+  const Dim3 d = f.dims();
+  const double width = 2.0 * eb;
+  // One bin of slack on each side absorbs the rounding of the double sums.
+  const double reach = 8.0 * static_cast<double>(vmax) / width + 1.0;
+  const bool dense = std::isfinite(reach) && 2.0 * std::ceil(reach) + 1.0 <= kMaxDenseBins;
+  const long long b_max = dense ? static_cast<long long>(std::ceil(reach)) : 0;
+  const auto bins_n = static_cast<std::size_t>(2 * b_max + 1);
+
+  struct Counts {
+    std::vector<std::uint64_t> dense;     ///< bin + b_max
+    std::map<long long, std::uint64_t> sparse;
+    std::uint64_t escape = 0;
+  };
+  const std::vector<float> zero_row(static_cast<std::size_t>(d.nx), 0.0f);
+  std::vector<Counts> parts(static_cast<std::size_t>(slab_count(d.nz, pool)));
+  for_slabs(pool, d.nz, [&](index_t s, index_t z0, index_t z1) {
+    Counts& c = parts[static_cast<std::size_t>(s)];
+    if (dense) c.dense.assign(bins_n, 0);
+    std::uint64_t escape = 0;
+    const auto row = [&](index_t y, index_t z) {
+      return y < 0 || z < 0 ? zero_row.data() : &f.at(0, y, z);
+    };
+    for (index_t z = z0; z < z1; ++z)
+      for (index_t y = 0; y < d.ny; ++y) {
+        const float* v = row(y, z);
+        const float* vy = row(y - 1, z);
+        const float* vz = row(y, z - 1);
+        const float* vyz = row(y - 1, z - 1);
+        for (index_t x = 0; x < d.nx; ++x) {
+          const bool in = x > 0;
+          const double p = (in ? static_cast<double>(v[x - 1]) : 0.0) + vy[x] + vz[x] -
+                           (in ? static_cast<double>(vy[x - 1]) : 0.0) -
+                           (in ? static_cast<double>(vz[x - 1]) : 0.0) - vyz[x] +
+                           (in ? static_cast<double>(vyz[x - 1]) : 0.0);
+          const double q = (static_cast<double>(v[x]) - p) / width;
+          if (!(std::abs(q) < 0x1p62)) {
+            ++escape;
+            continue;
+          }
+          const long long b = round_half_away(q);
+          if (!dense)
+            ++c.sparse[b];
+          else if (b < -b_max || b > b_max)
+            ++escape;
+          else
+            ++c.dense[static_cast<std::size_t>(b + b_max)];
+        }
+      }
+    c.escape = escape;
+  });
+
+  std::vector<std::uint64_t> counts;
+  std::uint64_t escape = 0;
+  if (dense) {
+    counts.assign(bins_n, 0);
+    for (const Counts& c : parts)
+      for (std::size_t b = 0; b < bins_n; ++b) counts[b] += c.dense[b];
+  } else {
+    std::map<long long, std::uint64_t> all;
+    for (const Counts& c : parts)
+      for (const auto& [b, n] : c.sparse) all[b] += n;
+    for (const auto& [b, n] : all) counts.push_back(n);
+  }
+  for (const Counts& c : parts) escape += c.escape;
+  counts.push_back(escape);
+
+  const double n = static_cast<double>(f.size());
+  double h = 0.0;
+  for (const std::uint64_t k : counts) {
+    if (k == 0) continue;
+    const double p = static_cast<double>(k) / n;
+    h -= p * std::log2(p);
+  }
+  return static_cast<float>(h);
+}
+
 }  // namespace
 
 std::vector<tiled::Box> support_chain(const Index& idx, int level,
@@ -279,7 +370,7 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
   tc.brick = cfg.brick;
   tc.threads = cfg.threads;
   tiled::Config tc_resid = tc;
-  tc_resid.codec = cfg.resid_codec;
+  tc_resid.codec = cfg.resid_codec;  // "auto" resolves at the first residual level
 
   // Every full-grid pass below runs on z-slabs of this pool; brick
   // compression and decode fan out inside tiled::.
@@ -341,6 +432,15 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     {
       OBS_SPAN("progressive.bin_entropy");
       e.resid_entropy = bin_entropy(coded, abs_eb, ranges.resid, pool);
+    }
+    // The reader wants one codec for every residual level, so the choice is
+    // made once, on the coarsest residual, and holds for the finer ones.
+    if (!top && tc_resid.codec == "auto") {
+      OBS_SPAN("progressive.resid_codec_choice");
+      tc_resid.codec =
+          e.resid_entropy <= lorenzo_entropy(resid, abs_eb, e.resid_max, pool)
+              ? "quantize"
+              : "lorenzo";
     }
     Bytes& stream = streams[static_cast<std::size_t>(l)];
     stream = tiled::compress(coded, abs_eb, top ? tc : tc_resid);

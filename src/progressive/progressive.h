@@ -55,12 +55,19 @@ using pyramid::level_dims;
 
 struct Config {
   std::string codec = "interp";  ///< coarsest (data) level, any registry name
-  /// Codec of the residual levels. Residuals are near-zero, spiky and
-  /// spatially decorrelated; a hierarchical interpolation predictor re-learns
-  /// exactly what the prolongation already removed and gains nothing (interp
-  /// residual streams come out within 0.3% of the plain pyramid). Lorenzo's
-  /// local predictor plus the quantizer+Huffman stage is the robust fit —
-  /// measured ~7% under the pyramid at equal eb on mini-Nyx.
+  /// Codec of the residual levels: any registry name, or "auto". A
+  /// hierarchical interpolation predictor re-learns what the prolongation
+  /// already removed and gains nothing (interp residual streams come out
+  /// within 0.3% of the plain pyramid). Whether any predictor pays depends
+  /// on the field: on turbulent data (mini-Nyx) the residual is spatially
+  /// decorrelated and "quantize" (no predictor) is 3-24% smaller than
+  /// lorenzo, while on smooth fields (WarpX-like) it costs 1.4-3x lorenzo's
+  /// bytes. "auto" chooses once per stream, on the coarsest residual level:
+  /// "quantize" unless a 3-D Lorenzo prediction gives that level a lower
+  /// zeroth-order entropy than its resid_entropy (ties go to "quantize").
+  /// The choice holds for every finer level, since the reader wants one
+  /// residual codec. api::Options asks for "auto"; the default stays
+  /// lorenzo, which the frozen goldens pin.
   std::string resid_codec = "lorenzo";
   CodecTuning tuning;            ///< per-brick codec tuning
   index_t brick = tiled::kDefaultBrick;  ///< brick edge of every level

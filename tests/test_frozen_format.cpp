@@ -19,6 +19,9 @@
 // table stores approx_err from prolong_error). A prolongation kernel that
 // drifts by one ulp anywhere fails here.
 //
+// QuantizeContainer and ProgressiveContainerQuantizeResiduals pin the
+// quantize codec's bytes, bare and as MRCR's residual codec.
+//
 // WireReplyFrames pins what a Server sends back for those streams: the
 // region_ok frame, the multi-frame progressive_ok reply and the trace-id
 // stamping of both, so the reply encoders can be rewritten without a byte
@@ -32,6 +35,7 @@
 #include "common/rng.h"
 #include "compressors/interp/interp_compressor.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
+#include "compressors/quantize/quantize_compressor.h"
 #include "compressors/zfpx/zfpx_compressor.h"
 #include "grid/field_ops.h"
 #include "lossless/bitstream.h"
@@ -158,6 +162,12 @@ TEST(FrozenFormat, ZfpxContainer) {
   EXPECT_EQ(fnv1a(s), 0x319cbaada213c495ull);
 }
 
+TEST(FrozenFormat, QuantizeContainer) {
+  const auto s = QuantizeCompressor().compress(golden_field(), 1e-3);
+  EXPECT_EQ(s.size(), 8135u);
+  EXPECT_EQ(fnv1a(s), 0xc7bf42709db095c6ull);
+}
+
 TEST(FrozenFormat, TrilinearProlongation) {
   const FieldF f = golden_field();
   const FieldF p = prolong_trilinear(restrict_half(f), f.dims());
@@ -171,6 +181,16 @@ TEST(FrozenFormat, ProgressiveContainer) {
   const auto s = progressive::build(golden_field(), 1e-3, cfg);
   EXPECT_EQ(s.size(), 5913u);
   EXPECT_EQ(fnv1a(s), 0x0e2a7e4f757dfc14ull);
+}
+
+TEST(FrozenFormat, ProgressiveContainerQuantizeResiduals) {
+  progressive::Config cfg;
+  cfg.resid_codec = "quantize";
+  cfg.brick = 8;
+  cfg.levels = 3;
+  const auto s = progressive::build(golden_field(), 1e-3, cfg);
+  EXPECT_EQ(s.size(), 8778u);
+  EXPECT_EQ(fnv1a(s), 0x1055bb3be5ce2cefull);
 }
 
 TEST(FrozenFormat, PyramidContainer) {

@@ -23,6 +23,7 @@
 
 #include "api/mrc_api.h"
 #include "common/rng.h"
+#include "compressors/registry.h"
 #include "grid/field_ops.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
@@ -860,6 +861,139 @@ TEST(ProgressiveRobustness, EveryTableByteFlipFailsCleanlyOrDecodes) {
     } catch (const CodecError&) {
       // clean rejection
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Residual codecs: lorenzo, quantize and the per-stream "auto" choice.
+// ---------------------------------------------------------------------------
+
+bool same_window(const FieldF& full, const Box& box, const FieldF& w) {
+  const Dim3 e = box.extent();
+  if (!(w.dims() == e)) return false;
+  for (index_t z = 0; z < e.nz; ++z)
+    for (index_t y = 0; y < e.ny; ++y)
+      if (std::memcmp(&w.at(0, y, z), &full.at(box.lo.x, box.lo.y + y, box.lo.z + z),
+                      static_cast<std::size_t>(e.nx) * sizeof(float)) != 0)
+        return false;
+  return true;
+}
+
+TEST(ProgressiveProperty, ResidualCodecsMeetTheBoundOnEveryReadPath) {
+  // Seeded cases over residual codec x extents (prime and 1-wide) x brick x
+  // level count x bound x field. Every level decodes within the bound (plus
+  // the float rounding of the value itself); region reads and the serve
+  // layer's progressive fold reproduce decompress_level's window bit for
+  // bit; the build's bytes do not depend on its lane count.
+  Rng rng(2121);
+  constexpr std::array<index_t, 9> kPrimeOrUnit{1, 2, 3, 5, 7, 11, 13, 17, 23};
+  const std::array<std::string, 3> kResid{"lorenzo", "quantize", "auto"};
+  const auto names = registry().names();
+  auto extent = [&] {
+    return rng.uniform_index(3) == 0 ? 1 + static_cast<index_t>(rng.uniform_index(24))
+                                     : kPrimeOrUnit[rng.uniform_index(kPrimeOrUnit.size())];
+  };
+  auto pick = [&](index_t n) { return static_cast<index_t>(rng.uniform_index(n)); };
+  std::unordered_map<std::string, int> chosen;
+  for (int c = 0; c < 102; ++c) {
+    const Dim3 d{extent(), extent(), extent()};
+    progressive::Config cfg;
+    cfg.resid_codec = kResid[static_cast<std::size_t>(c) % kResid.size()];
+    cfg.codec = names[rng.uniform_index(names.size())];
+    cfg.brick = 4 + pick(13);
+    cfg.levels = 2 + static_cast<int>(rng.uniform_index(3));
+    cfg.threads = 1;
+    const int field = static_cast<int>(rng.uniform_index(3));
+    FieldF f = test::smooth_field(d, 50.0);
+    Rng noise(static_cast<std::uint64_t>(c) + 1);
+    for (index_t i = 0; i < f.size(); ++i) {
+      const double n = noise.normal(0.0, 20.0);
+      if (field == 1) f[i] = static_cast<float>(n);
+      if (field == 2 && i % 3 == 0) f[i] += static_cast<float>(n);
+    }
+    const double range = std::max(1e-3, static_cast<double>(f.value_range()));
+    const double eb = range * std::pow(10.0, -rng.uniform(1.0, 5.0));
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << " " << d.str() << " resid " << cfg.resid_codec
+                 << " data " << cfg.codec << " brick " << cfg.brick << " levels "
+                 << cfg.levels << " field " << field << " eb " << eb);
+
+    const Bytes stream = progressive::build(f, eb, cfg);
+    cfg.threads = 4;
+    ASSERT_EQ(progressive::build(f, eb, cfg), stream);
+    const auto idx = progressive::read_index(stream);
+    ASSERT_EQ(idx.levels.size(), static_cast<std::size_t>(cfg.levels));
+    if (cfg.resid_codec == "auto") {
+      ++chosen[idx.codec];
+    } else {
+      EXPECT_EQ(idx.codec, cfg.resid_codec);
+    }
+
+    serve::Dataset ds(stream, {.cache_bytes = 1u << 20, .threads = 1, .prefetch = false});
+    FieldF level_data = f;
+    for (int l = 0; l < cfg.levels; ++l) {
+      SCOPED_TRACE(::testing::Message() << "level " << l);
+      if (l > 0) level_data = restrict_half(level_data);
+      const FieldF full = progressive::decompress_level(stream, l, 1);
+      ASSERT_EQ(full.dims(), level_data.dims());
+      const auto [lo, hi] = level_data.min_max();
+      const double slack = std::numeric_limits<float>::epsilon() *
+                           std::max(std::abs(static_cast<double>(lo)),
+                                    std::abs(static_cast<double>(hi)));
+      EXPECT_LE(test::max_abs_err(level_data, full), eb + slack);
+
+      const Dim3 ld = full.dims();
+      const Coord3 a{pick(ld.nx), pick(ld.ny), pick(ld.nz)};
+      const Box box{a, {a.x + 1 + pick(ld.nx - a.x), a.y + 1 + pick(ld.ny - a.y),
+                        a.z + 1 + pick(ld.nz - a.z)}};
+      EXPECT_TRUE(same_window(full, box, progressive::read_region(stream, l, box, 1)));
+      const auto layers = ds.read_progressive(l, box);
+      ASSERT_EQ(layers.size(), static_cast<std::size_t>(cfg.levels - l));
+      FieldF window = layers.front().data;
+      for (std::size_t i = 1; i < layers.size(); ++i)
+        window = progressive::refine(window, layers[i - 1].box, layers[i - 1].level_dims,
+                                     layers[i].data, layers[i].box, layers[i].level_dims);
+      EXPECT_TRUE(same_window(full, box, window));
+    }
+  }
+  // The seeded fields reach both outcomes of the choice.
+  EXPECT_GT(chosen["lorenzo"], 0);
+  EXPECT_GT(chosen["quantize"], 0);
+}
+
+TEST(Progressive, AutoResidualCodecFollowsTheField) {
+  // api::Options asks for "auto": white noise has nothing for a predictor
+  // to find, a sine field is what Lorenzo predicts well, and a constant
+  // field's zero residual ties at zero bits, which goes to quantize.
+  const auto opt = api::Options::parse("codec=interp,tile=16,threads=2,eb=1e-3");
+  const Dim3 d{40, 40, 40};
+  EXPECT_EQ(api::info(api::build_progressive(test::noise_field(d, 5.0), opt)).codec,
+            "quantize");
+  EXPECT_EQ(api::info(api::build_progressive(test::smooth_field(d), opt)).codec, "lorenzo");
+  const auto abs_opt = api::Options::parse("codec=interp,tile=16,threads=2,eb=1e-3,eb_mode=abs");
+  EXPECT_EQ(api::info(api::build_progressive(FieldF(d, 7.5f), abs_opt)).codec, "quantize");
+}
+
+TEST(Progressive, AutoChoiceIsLaneInvariantWithNonFiniteSamples) {
+  // Non-finite residuals share the estimate's escape bin, and a residual
+  // range too wide for the dense histogram takes the map path: neither may
+  // make the choice, or the bytes, depend on the lane count.
+  FieldF f = test::noise_field({23, 17, 29}, 5.0, 3);
+  f[100] = std::numeric_limits<float>::quiet_NaN();
+  f[2000] = std::numeric_limits<float>::infinity();
+  f[5000] = -std::numeric_limits<float>::infinity();
+  FieldF wide = test::noise_field({23, 17, 29}, 5.0, 4);
+  wide[777] = 1e9f;
+  for (const FieldF* field : {&f, &wide}) {
+    progressive::Config cfg;
+    cfg.resid_codec = "auto";
+    cfg.brick = 8;
+    cfg.levels = 3;
+    cfg.threads = 1;
+    const Bytes one = progressive::build(*field, 1e-3, cfg);
+    cfg.threads = 4;
+    EXPECT_EQ(progressive::build(*field, 1e-3, cfg), one);
+    EXPECT_EQ(progressive::decompress_level(one, 0, 2).dims(), field->dims());
   }
 }
 

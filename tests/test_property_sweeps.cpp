@@ -89,12 +89,13 @@ TEST_P(CodecMonotonicity, MaxErrorTracksBound) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecMonotonicity, ::testing::Values(0, 1, 2),
+INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecMonotonicity, ::testing::Values(0, 1, 2, 3),
                          [](const auto& info) {
                            switch (info.param) {
                              case 0: return std::string("interp");
                              case 1: return std::string("lorenzo");
-                             default: return std::string("zfpx");
+                             case 2: return std::string("zfpx");
+                             default: return std::string("quantize");
                            }
                          });
 

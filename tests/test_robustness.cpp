@@ -100,11 +100,12 @@ std::string codec_case_name(const ::testing::TestParamInfo<int>& info) {
   switch (info.param) {
     case 0: return "interp";
     case 1: return "lorenzo";
-    default: return "zfpx";
+    case 2: return "zfpx";
+    default: return "quantize";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecRobustness, ::testing::Values(0, 1, 2),
+INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecRobustness, ::testing::Values(0, 1, 2, 3),
                          codec_case_name);
 
 TEST(Sz3mrRobustness, TruncatedLevelStreamContained) {

@@ -9,6 +9,7 @@
 #include "compressors/compressor.h"
 #include "compressors/interp/interp_compressor.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
+#include "compressors/quantize/quantize_compressor.h"
 #include "compressors/simd_kernels.h"
 #include "test_util.h"
 
@@ -286,6 +287,37 @@ TEST_P(SimdCodecBitIdentity, LorenzoStreamsMatchScalar) {
     EXPECT_EQ(codec.compress(f, eb), ref) << isa_name(isa) << " " << d.str();
     const FieldF back = codec.decompress(ref);
     EXPECT_LE(test::max_abs_err(f, back), eb);
+  }
+}
+
+TEST_P(SimdCodecBitIdentity, QuantizeStreamsMatchScalar) {
+  // The zero-plane rows of the quantize codec: radius 4 escapes most of the
+  // noise to the outlier list, 512 almost none of it.
+  const Dim3 d = GetParam();
+  const FieldF f = test::noise_field(d, 5.0, 42);
+  const double eb = 1e-2;
+  for (const std::uint32_t radius : {512u, 4u}) {
+    const QuantizeCompressor codec(QuantizeConfig{.quant_radius = radius});
+    Bytes ref;
+    {
+      const IsaScope s(Isa::scalar);
+      ref = codec.compress(f, eb);
+    }
+    FieldF ref_back;
+    {
+      const IsaScope s(Isa::scalar);
+      ref_back = codec.decompress(ref);
+    }
+    EXPECT_LE(test::max_abs_err(f, ref_back), eb);
+    for (const Isa isa : available_isas()) {
+      const IsaScope s(isa);
+      EXPECT_EQ(codec.compress(f, eb), ref) << isa_name(isa) << " " << d.str();
+      const FieldF back = codec.decompress(ref);
+      EXPECT_EQ(std::memcmp(back.data(), ref_back.data(),
+                            static_cast<std::size_t>(back.size()) * sizeof(float)),
+                0)
+          << isa_name(isa) << " " << d.str();
+    }
   }
 }
 

@@ -27,8 +27,9 @@
 # bench_codec_hotpath (entropy hot path; gates >= 3x Huffman decode over the
 # bit-at-a-time baseline, >= 2x the pre-SIMD quant_encode throughput, and —
 # where >= 4 hardware threads exist and the bench's usable_lanes shows a
-# 4-lane pool really ran >= 2 lanes at once — sharded entropy decode beating
-# the monolithic layout on a 4-lane pool), bench_server_load (multi-tenant Server under
+# 4-lane pool really ran >= 2 lanes at once — sharded entropy decode on a
+# 4-lane pool > 1.5x the same stream on one lane, in the same process),
+# bench_server_load (multi-tenant Server under
 # concurrent wire clients; gates viewport-walk out-hitting random and
 # monotone latency quantiles) and bench_progressive_stream (gates MRCR
 # total bytes < MRCP at equal eb), with every BENCH_*.json they and earlier runs
@@ -209,16 +210,21 @@ if [ "${MRC_SKIP_BENCH:-0}" != "1" ]; then
   #   * quant_encode must run at >= 2x the pre-SIMD baseline of 289.8 MB/s
   #     (the figure this machine produced before the vectorized predictor/
   #     quantizer landed). MRC_QUANT_ENCODE_MIN_MB_S overrides; 0 disables.
-  #   * sharded decode on a 4-lane pool must beat the monolithic layout —
-  #     but only where 4 hardware threads exist and the bench saw at least
-  #     2 of a 4-lane pool's lanes run at once (usable_lanes, measured just
-  #     before and after the sharded rows). Elsewhere the pool shares fewer
-  #     CPUs than it has lanes, the row reads the machine rather than the
-  #     code, and it is informational.
-  #     MRC_SHARDED_DECODE_MIN_SPEEDUP overrides the 1.0 bar; 0 disables.
+  #   * sharded decode on a 4-lane pool must run > 1.5x the same sharded
+  #     stream decoded on one lane (sharded_decode_t4 / sharded_decode_t1,
+  #     both timed in one process, so the ratio reads the pool, not the
+  #     placement) — but only where 4 hardware threads exist and the bench
+  #     saw at least 2 of a 4-lane pool's lanes run at once (usable_lanes,
+  #     measured just before and after the sharded rows). Elsewhere the pool
+  #     shares fewer CPUs than it has lanes, the row reads the machine rather
+  #     than the code, and it is informational. The monolithic layout is no
+  #     baseline here: one lane decodes the sharded layout about as fast, so
+  #     a decode that ignored its pool would still beat it.
+  #     MRC_SHARDED_DECODE_MIN_SPEEDUP overrides the 1.5 bar on t4/t1; 0
+  #     disables.
   python3 - "$BUILD_DIR/bench/BENCH_codec_hotpath.json" \
       "${MRC_QUANT_ENCODE_MIN_MB_S:-579.6}" \
-      "${MRC_SHARDED_DECODE_MIN_SPEEDUP:-1.0}" "$(nproc)" <<'PY'
+      "${MRC_SHARDED_DECODE_MIN_SPEEDUP:-1.5}" "$(nproc)" <<'PY'
 import json, sys
 
 doc = json.load(open(sys.argv[1]))
@@ -230,17 +236,18 @@ print(f"hotpath gate quant_encode: {qe:.1f} MB/s (min {quant_min:.1f})")
 if quant_min > 0 and qe < quant_min:
     sys.exit("hotpath gate: quant_encode below the SIMD acceptance floor")
 
-sd = rows["sharded_decode_t4"]["speedup"]
+sd = (rows["sharded_decode_t4"]["optimized_mb_s"] /
+      rows["sharded_decode_t1"]["optimized_mb_s"])
 lanes = doc["usable_lanes"]
 if cores < 4 or lanes < 2:
-    print(f"hotpath gate sharded_decode_t4: {sd:.2f}x (informational: "
+    print(f"hotpath gate sharded_decode_t4/t1: {sd:.2f}x (informational: "
           f"{cores} hardware threads, {lanes:.2f} usable lanes of a 4-lane pool; "
           f"the gate needs >= 4 and >= 2)")
 elif shard_min > 0 and sd <= shard_min:
-    sys.exit(f"hotpath gate: sharded decode at 4 lanes ({sd:.2f}x) "
-             f"did not beat the monolithic layout")
+    sys.exit(f"hotpath gate: sharded decode on 4 lanes ran {sd:.2f}x its 1-lane "
+             f"speed (needs > {shard_min:.2f}x)")
 else:
-    print(f"hotpath gate sharded_decode_t4: {sd:.2f}x (min > {shard_min:.2f}; "
+    print(f"hotpath gate sharded_decode_t4/t1: {sd:.2f}x (min > {shard_min:.2f}; "
           f"{cores} hardware threads, {lanes:.2f} usable lanes)")
 PY
   # Validate the freshly produced JSON plus every committed/earlier one.
