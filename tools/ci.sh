@@ -8,6 +8,7 @@
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
 # shared mutable state — plus every suite that reaches an exec::parallel_for
 # loop: the uq crossing-probability kernels, the chunked lorenzo/zfpx codecs,
+# the quantize codec's sharded entropy decode,
 # the field generators and their FFT, MiniNyx/MiniWarpX, SSIM, the Bézier
 # post-process, the filters and the volume renderer) under ThreadSanitizer
 # (third preset, <build-dir>-tsan), then an
@@ -84,7 +85,7 @@ if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   # Only the suites that reach the exec pool: the serial suites add nothing
   # under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*'
+      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*:Sweep/QuantizeErrorBound.*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
