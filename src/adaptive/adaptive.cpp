@@ -213,8 +213,7 @@ Bytes compress(const FieldF& f, double abs_eb, const LevelMap& levels,
   std::vector<Bytes> streams(static_cast<std::size_t>(n_bricks));
   std::vector<BrickEntry> entries(static_cast<std::size_t>(n_bricks));
 
-  exec::ThreadPool pool(cfg.threads);
-  pool.parallel_for(n_bricks, [&](index_t t) {
+  exec::parallel_for(n_bricks, [&](index_t t) {
     static obs::Counter& bricks =
         obs::Registry::global().counter("mrc.adaptive.bricks_compressed");
     bricks.add(1);
@@ -246,7 +245,7 @@ Bytes compress(const FieldF& f, double abs_eb, const LevelMap& levels,
           prolong_error_slab(b, extract_region(f, o, sf), 0, sf.nz) + abs_eb);
     }
     streams[static_cast<std::size_t>(t)] = codec->compress(b, abs_eb);
-  });
+  }, cfg.threads);
 
   std::uint64_t payload_bytes = 0;
   for (index_t t = 0; t < n_bricks; ++t) {
@@ -528,12 +527,11 @@ tiled::RegionRead read_region(std::span<const std::byte> stream, const tiled::Bo
   std::unordered_map<index_t, std::size_t> slot;
   slot.reserve(need.size());
   for (std::size_t i = 0; i < need.size(); ++i) slot.emplace(need[i], i);
-  exec::ThreadPool pool(threads);
-  pool.parallel_for(static_cast<index_t>(need.size()), [&](index_t i) {
+  exec::parallel_for(static_cast<index_t>(need.size()), [&](index_t i) {
     const auto t = static_cast<std::size_t>(need[static_cast<std::size_t>(i)]);
     recon[static_cast<std::size_t>(i)] =
         reconstruct_brick(idx, t, decode_brick(idx, *codec, stream, t));
-  });
+  }, threads);
 
   detail::assemble_region(
       idx, region, [&](index_t t) -> const FieldF& { return recon[slot.at(t)]; },

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -42,6 +43,19 @@ index_t parse_index(const std::string& key, const std::string& v, index_t min_va
   if (static_cast<double>(i) != d || i < min_value)
     throw ContractError("options: bad integer for '" + key + "': " + v);
   return i;
+}
+
+/// parse_index for a field of type T: a value above `max_value` (T's own
+/// maximum unless the key has a tighter one) is rejected before the cast,
+/// so it can never wrap into range.
+template <typename T>
+T parse_int(const std::string& key, const std::string& v, T min_value,
+            T max_value = std::numeric_limits<T>::max()) {
+  const index_t i = parse_index(key, v, static_cast<index_t>(min_value));
+  if (i > static_cast<index_t>(max_value))
+    throw ContractError("options: " + key + " must be <= " + std::to_string(max_value) +
+                        ", got " + v);
+  return static_cast<T>(i);
 }
 
 std::string fmt_double(double v) {
@@ -135,7 +149,7 @@ void Options::set(const std::string& key, const std::string& value) {
     beta = parse_double(key, value);
     if (!(beta > 0.0)) throw ContractError("options: beta must be > 0, got " + value);
   } else if (key == "quant_radius") {
-    quant_radius = static_cast<std::uint32_t>(parse_index(key, value, 1));
+    quant_radius = parse_int<std::uint32_t>(key, value, 1, lossless::kMaxQuantRadius);
   } else if (key == "postprocess") {
     postprocess = parse_bool(key, value);
   } else if (key == "roi_block") {
@@ -150,19 +164,13 @@ void Options::set(const std::string& key, const std::string& value) {
   } else if (key == "use_regression") {
     use_regression = parse_bool(key, value);
   } else if (key == "threads") {
-    threads = static_cast<int>(parse_index(key, value, 0));  // 0 = hardware
+    threads = parse_int<int>(key, value, 0);  // 0 = hardware
   } else if (key == "entropy_shards") {
-    entropy_shards = static_cast<std::uint32_t>(parse_index(key, value, 1));
-    if (entropy_shards > lossless::kMaxEntropyShards)
-      throw ContractError("options: entropy_shards must be <= " +
-                          std::to_string(lossless::kMaxEntropyShards) + ", got " + value);
+    entropy_shards = parse_int<std::uint32_t>(key, value, 1, lossless::kMaxEntropyShards);
   } else if (key == "tile") {
     tile = parse_index(key, value, 1);
   } else if (key == "levels") {
-    levels = static_cast<int>(parse_index(key, value, 0));  // 0 = auto
-    if (levels > pyramid::kMaxLevels)
-      throw ContractError("options: levels must be <= " +
-                          std::to_string(pyramid::kMaxLevels) + ", got " + value);
+    levels = parse_int<int>(key, value, 0, pyramid::kMaxLevels);  // 0 = auto
   } else if (key == "cache_mb") {
     cache_mb = parse_double(key, value);
     if (!(cache_mb > 0.0))
@@ -179,10 +187,7 @@ void Options::set(const std::string& key, const std::string& value) {
   } else if (key == "roi") {
     roi = parse_box(key, value);
   } else if (key == "coarse_level") {
-    coarse_level = static_cast<int>(parse_index(key, value, 0));
-    if (coarse_level >= adaptive::kMaxLevels)
-      throw ContractError("options: coarse_level must be < " +
-                          std::to_string(adaptive::kMaxLevels) + ", got " + value);
+    coarse_level = parse_int<int>(key, value, 0, adaptive::kMaxLevels - 1);
   } else if (key == "halo_threshold") {
     halo_threshold = parse_double(key, value);
     if (!(halo_threshold >= 0.0))
@@ -258,7 +263,7 @@ CodecTuning Options::tuning() const {
   t.block_size = block_size;
   t.use_regression = use_regression;
   // Codec chunk counts need a concrete width; 0 resolves to the hardware.
-  t.threads = threads == 0 ? exec::hardware_threads() : threads;
+  t.threads = exec::lanes_for(threads);
   t.entropy_shards = entropy_shards;
   return t;
 }

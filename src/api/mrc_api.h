@@ -137,9 +137,6 @@ struct Options {
   /// round-trips, so CLIs can echo the effective options of any run.
   [[nodiscard]] std::string to_string() const;
 
-  /// Shorthand alias of to_string().
-  [[nodiscard]] std::string str() const { return to_string(); }
-
   /// The knobs a codec factory understands.
   [[nodiscard]] CodecTuning tuning() const;
 

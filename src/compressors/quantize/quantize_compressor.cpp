@@ -13,10 +13,6 @@ namespace mrc {
 
 namespace {
 
-/// Widest radius either side accepts: the entropy alphabet (2*radius + 1
-/// codes plus the run buckets) must fit a u32.
-constexpr std::uint64_t kMaxRadius = std::uint64_t{1} << 30;
-
 // The two passes live in their own non-inlined functions, free of any obs::
 // code, so the OBS_SPANs at their call sites cannot perturb the loops'
 // codegen (the placement rule next to OBS_SPAN in obs/obs.h). Both call the
@@ -49,7 +45,7 @@ MRC_OBS_NOINLINE void dequantize_pass(const std::uint32_t* codes, std::size_t n,
 }  // namespace
 
 QuantizeCompressor::QuantizeCompressor(QuantizeConfig cfg) : cfg_(cfg) {
-  MRC_REQUIRE(cfg_.quant_radius >= 2 && cfg_.quant_radius <= kMaxRadius,
+  MRC_REQUIRE(cfg_.quant_radius >= 2 && cfg_.quant_radius <= lossless::kMaxQuantRadius,
               "quant radius out of range");
 }
 
@@ -102,7 +98,8 @@ FieldF QuantizeCompressor::decompress(std::span<const std::byte> stream) const {
   ByteReader r(stream);
   const auto h = detail::read_header(r, kMagic, "quantize");
   const std::uint64_t radius64 = r.get_varint();
-  if (radius64 < 2 || radius64 > kMaxRadius) throw CodecError("quantize: bad radius");
+  if (radius64 < 2 || radius64 > lossless::kMaxQuantRadius)
+    throw CodecError("quantize: bad radius");
   const auto radius = static_cast<std::uint32_t>(radius64);
   const auto code_blob = r.get_blob();
   const auto outlier_blob = r.get_blob();

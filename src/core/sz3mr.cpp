@@ -253,16 +253,15 @@ MultiResStreams compress_multires(const MultiResField& mr, double abs_eb,
                                   const Config& cfg) {
   MultiResStreams out;
   out.level_streams.resize(mr.levels.size());
-  // Levels are independent streams, so they compress concurrently on the
-  // pool; results land at their level index, keeping the output identical
-  // to a serial run.
-  exec::ThreadPool pool(cfg.threads);
-  pool.parallel_for(static_cast<index_t>(mr.levels.size()), [&](index_t l) {
+  // Levels are independent streams, so they compress concurrently on
+  // cfg.threads lanes; results land at their level index, keeping the output
+  // identical to a serial run.
+  exec::parallel_for(static_cast<index_t>(mr.levels.size()), [&](index_t l) {
     const auto& level = mr.levels[static_cast<std::size_t>(l)];
     const index_t unit = std::max<index_t>(mr.block_size / level.ratio, 1);
     out.level_streams[static_cast<std::size_t>(l)] =
         compress_level(level, unit, abs_eb, cfg);
-  });
+  }, cfg.threads);
   return out;
 }
 

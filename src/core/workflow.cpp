@@ -49,21 +49,20 @@ OutputTiming write_snapshot(const MultiResField& mr, double abs_eb,
   // Open (and so validate) the output path before any encoding work.
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   MRC_REQUIRE(f.good(), "cannot open snapshot file: " + path);
-  exec::ThreadPool pool(cfg.threads);
+  const bool concurrent = exec::lanes_for(cfg.threads) > 1;
   std::vector<Bytes> encoded(prepared.size());
-  if (pool.size() > 1)
-    pool.parallel_for(static_cast<index_t>(prepared.size()), [&](index_t l) {
+  if (concurrent)
+    exec::parallel_for(static_cast<index_t>(prepared.size()), [&](index_t l) {
       encoded[static_cast<std::size_t>(l)] =
           sz3mr::encode_prepared(prepared[static_cast<std::size_t>(l)], abs_eb);
-    });
+    }, cfg.threads);
   const Bytes head = snapshot_header(mr, abs_eb);
   f.write(reinterpret_cast<const char*>(head.data()),
           static_cast<std::streamsize>(head.size()));
   t.bytes_written += head.size();
   for (std::size_t l = 0; l < prepared.size(); ++l) {
-    const Bytes stream = pool.size() > 1
-                             ? std::move(encoded[l])
-                             : sz3mr::encode_prepared(prepared[l], abs_eb);
+    const Bytes stream =
+        concurrent ? std::move(encoded[l]) : sz3mr::encode_prepared(prepared[l], abs_eb);
     Bytes len;  // varint length prefix only; the payload is written directly
     ByteWriter w(len);
     w.put_varint(stream.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <utility>
 
 #include "common/require.h"
@@ -28,6 +29,14 @@ struct LaneScope {
   LaneScope(const LaneScope&) = delete;
   LaneScope& operator=(const LaneScope&) = delete;
 };
+
+/// A loop on one lane: the calling thread, marked as a lane so nested loops
+/// run inline and serial runs stay visible in the trace timeline.
+void run_serial(index_t n, const std::function<void(index_t)>& body) {
+  const LaneScope lane_scope;
+  OBS_SPAN("exec.lane");
+  for (index_t i = 0; i < n; ++i) body(i);
+}
 
 }  // namespace
 
@@ -205,11 +214,7 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& bod
   if (n <= 0) return;
   const int lanes = static_cast<int>(std::min<index_t>(size(), n));
   if (lanes <= 1) {
-    // Still a pool lane conceptually (the calling thread), so serial
-    // parallel_for runs stay visible in the trace timeline.
-    const LaneScope lane_scope;
-    OBS_SPAN("exec.lane");
-    for (index_t i = 0; i < n; ++i) body(i);
+    run_serial(n, body);
     return;
   }
 
@@ -260,14 +265,38 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& bod
   if (error) std::rethrow_exception(error);
 }
 
-void parallel_for(index_t n, const std::function<void(index_t)>& body) {
+int lanes_for(int width) {
+  MRC_REQUIRE(width >= 0, "negative loop width");
+  return width == 0 ? hardware_threads() : width;
+}
+
+namespace {
+
+/// The long-lived pool with `lanes` lanes, built on first use. Leaked like
+/// obs::FlightRecorder::global(): its lanes never join, and a loop that
+/// runs during static destruction still finds it.
+ThreadPool& pool_of(int lanes) {
+  static auto* mu = new std::mutex();
+  static auto* pools = new std::map<int, ThreadPool>();  // guarded by mu
+  const std::lock_guard lock(*mu);
+  return pools->try_emplace(lanes, lanes).first->second;
+}
+
+}  // namespace
+
+void parallel_for(index_t n, const std::function<void(index_t)>& body, int width) {
+  MRC_REQUIRE(width >= 0, "negative loop width");
   if (n <= 0) return;
   if (on_pool_lane()) {
     for (index_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool(static_cast<int>(std::min<index_t>(n, hardware_threads())))
-      .parallel_for(n, body);
+  const int lanes = lanes_for(width);
+  if (lanes == 1 || n == 1) {
+    run_serial(n, body);
+    return;
+  }
+  pool_of(lanes).parallel_for(n, body);
 }
 
 }  // namespace mrc::exec

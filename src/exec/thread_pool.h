@@ -15,13 +15,15 @@
 // A pool of size N owns N-1 worker threads; the calling thread is the N-th
 // lane, so ThreadPool(1) spawns nothing and runs everything inline — serial
 // call sites pay zero overhead. Construction with threads=0 sizes the pool
-// to the hardware. Call sites whose width comes from a config — the tiled
-// container, per-level snapshot encoding, the serve layer — construct one
-// locally instead of sharing global mutable state. That is not free: on a
-// 4-vCPU x86 VM, ThreadPool(4) plus an empty 4-index parallel_for takes
-// 63-71 us idle (p25-p75) against 13-15 us on a live pool, and ~4 ms when
-// every core is busy, because the new threads wait for a time slice. Every
-// other loop goes through the free exec::parallel_for below.
+// to the hardware.
+//
+// Library loops do not build pools. The free exec::parallel_for(n, body,
+// width) runs on a long-lived pool with that many lanes: one per lane count,
+// built on first use and never torn down, so a loop starts no thread after
+// the first call of its width and two callers of one width share its lanes.
+// Only callers that need a pool's own queue — the serve layer's priority
+// classes and prefetch, or a caller that passes in a pool of its own —
+// construct a ThreadPool.
 //
 // parallel_for returns when its work is done. The caller is a lane too, and
 // it waits only for indices that other lanes have claimed and not yet
@@ -136,12 +138,16 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// The library's one way to spread a loop across the machine when no
-/// configured width applies: runs body(i) for i in [0, n) on a pool of
-/// min(n, hardware_threads()) lanes built for the call. On a pool lane it
-/// runs serially on the caller instead — the outer loop already owns the
-/// machine, and a nested pool would only oversubscribe it. Rethrows the
-/// first exception like ThreadPool::parallel_for.
-void parallel_for(index_t n, const std::function<void(index_t)>& body);
+/// Lanes a loop of width `width` runs on: `width`, or hardware_threads()
+/// for 0.
+[[nodiscard]] int lanes_for(int width);
+
+/// The library's one way to spread a loop: runs body(i) for i in [0, n) on
+/// min(n, lanes_for(width)) lanes of the long-lived pool with that lane
+/// count. Width 1 runs serially on the caller, as a lane of its own. So does
+/// a call on a pool lane: the outer loop already owns the machine, and a
+/// nested loop would only oversubscribe it. Rethrows the first exception
+/// like ThreadPool::parallel_for.
+void parallel_for(index_t n, const std::function<void(index_t)>& body, int width = 0);
 
 }  // namespace mrc::exec

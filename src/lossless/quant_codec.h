@@ -49,6 +49,10 @@ class ThreadPool;
 
 namespace mrc::lossless {
 
+/// Widest quantization radius a code stream takes: the entropy alphabet
+/// (2*radius + 1 codes plus the run buckets) must fit a u32.
+inline constexpr std::uint32_t kMaxQuantRadius = std::uint32_t{1} << 30;
+
 /// Hard cap on shards per entropy stream: enough to feed any plausible pool
 /// from one brick while keeping the shard table trivially small; also the
 /// bound the container-header and shard-table validators enforce.

@@ -12,8 +12,9 @@
 //
 //   * record()      — one relaxed fetch_add to pick a stripe, one stripe
 //     mutex (uncontended at 8 stripes unless >8 threads complete requests
-//     in the same instant) and a 96-byte struct copy. O(1), no allocation
-//     after the rings fill, independent of obs::enabled().
+//     in the same instant) and a copy of FlightRecord (112 bytes on
+//     x86-64). O(1), no allocation after the rings fill, independent of
+//     obs::enabled().
 //   * slow capture  — only for requests ending in an error frame or slower
 //     than the threshold: those additionally snapshot their span tree
 //     (empty when obs is disabled — the record itself still lands).

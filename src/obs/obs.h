@@ -153,9 +153,6 @@ class Histogram {
     return lower_bound(kBuckets - 1);
   }
 
-  /// serve-layer compatibility spelling (that tier records microseconds).
-  [[nodiscard]] std::uint64_t quantile_us(double q) const { return quantile(q); }
-
   /// Snapshot of the raw per-bucket counters (index = internal bucket id;
   /// see bucket_upper for each bucket's value range). Feeds the Prometheus
   /// cumulative `_bucket{le=...}` exposition and tests.

@@ -25,16 +25,18 @@ inline constexpr pyramid::detail::TableFormat kTable{kProgressiveMagic, "progres
 inline constexpr long long kMaxDenseBins = 1 << 16;
 
 /// Every full-grid pass below splits the nz planes of its field into
-/// min(nz, lanes) contiguous z-slabs, slab s covering [s*nz/n, (s+1)*nz/n),
-/// so per-slab results merged in slab order are merged in sample order.
-index_t slab_count(index_t nz, const exec::ThreadPool& pool) {
-  return std::min<index_t>(nz, pool.size());
+/// min(nz, lanes) contiguous z-slabs for a loop `threads` lanes wide (0 =
+/// hardware), slab s covering [s*nz/n, (s+1)*nz/n), so per-slab results
+/// merged in slab order are merged in sample order.
+index_t slab_count(index_t nz, int threads) {
+  return std::min<index_t>(nz, exec::lanes_for(threads));
 }
 
 template <class Body>
-void for_slabs(exec::ThreadPool& pool, index_t nz, Body&& body) {
-  const index_t n = slab_count(nz, pool);
-  pool.parallel_for(n, [&](index_t s) { body(s, s * nz / n, (s + 1) * nz / n); });
+void for_slabs(int threads, index_t nz, Body&& body) {
+  const index_t n = slab_count(nz, threads);
+  exec::parallel_for(n, [&](index_t s) { body(s, s * nz / n, (s + 1) * nz / n); },
+                     threads);
 }
 
 /// Value range of a run of samples as std::minmax_element reports it: the
@@ -71,10 +73,10 @@ std::pair<float, float> min_max(const FieldF& f, const Range& r) {
 // or slab: a Range in a vector element may alias the float samples read or
 // written beside it, which would keep it out of registers.
 
-MRC_OBS_NOINLINE Range range_pass(const FieldF& f, exec::ThreadPool& pool) {
+MRC_OBS_NOINLINE Range range_pass(const FieldF& f, int threads) {
   const index_t plane = f.dims().nx * f.dims().ny;
-  std::vector<Range> parts(static_cast<std::size_t>(slab_count(f.dims().nz, pool)));
-  for_slabs(pool, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<Range> parts(static_cast<std::size_t>(slab_count(f.dims().nz, threads)));
+  for_slabs(threads, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
     Range r;
     for (index_t i = z0 * plane; i < z1 * plane; ++i) r.add(f[i]);
     parts[static_cast<std::size_t>(s)] = r;
@@ -91,10 +93,10 @@ struct ResidualRanges {
   Range data, resid;
 };
 MRC_OBS_NOINLINE ResidualRanges residual_pass(const FieldF& data, const FieldF& recon,
-                                              FieldF& resid, exec::ThreadPool& pool) {
+                                              FieldF& resid, int threads) {
   const Dim3 d = data.dims();
-  std::vector<ResidualRanges> parts(static_cast<std::size_t>(slab_count(d.nz, pool)));
-  for_slabs(pool, d.nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<ResidualRanges> parts(static_cast<std::size_t>(slab_count(d.nz, threads)));
+  for_slabs(threads, d.nz, [&](index_t s, index_t z0, index_t z1) {
     ResidualRanges& part = parts[static_cast<std::size_t>(s)];
     prolong_trilinear_rows(recon, d, z0, z1, [&](index_t y, index_t z, const float* v) {
       const float* in = &data.at(0, y, z);
@@ -120,10 +122,9 @@ MRC_OBS_NOINLINE ResidualRanges residual_pass(const FieldF& data, const FieldF& 
 
 /// recon = prolong(coarse) + decoded per sample, written over `decoded`:
 /// refine's expression, so the fold needs no prolonged field of its own.
-MRC_OBS_NOINLINE void fold(const FieldF& coarse, FieldF& decoded,
-                           exec::ThreadPool& pool) {
+MRC_OBS_NOINLINE void fold(const FieldF& coarse, FieldF& decoded, int threads) {
   const Dim3 d = decoded.dims();
-  for_slabs(pool, d.nz, [&](index_t, index_t z0, index_t z1) {
+  for_slabs(threads, d.nz, [&](index_t, index_t z0, index_t z1) {
     prolong_trilinear_rows(coarse, d, z0, z1, [&](index_t y, index_t z, const float* v) {
       float* r = &decoded.at(0, y, z);
       for (index_t x = 0; x < d.nx; ++x)
@@ -171,7 +172,7 @@ float entropy_of(const BinMap& bins, index_t samples) {
 /// reproduces the stored bytes, which is what the frozen format asks for.
 /// NaN, non-finite or too-wide ranges take the map path itself.
 MRC_OBS_NOINLINE float bin_entropy(const FieldF& f, double eb, const Range& range,
-                                   exec::ThreadPool& pool) {
+                                   int threads) {
   const double width = 2.0 * eb;
   const auto map_path = [&] {
     BinMap bins;
@@ -194,8 +195,8 @@ MRC_OBS_NOINLINE float bin_entropy(const FieldF& f, double eb, const Range& rang
   };
   const auto bins_n = static_cast<std::size_t>(n_bins);
   const index_t plane = f.dims().nx * f.dims().ny;
-  std::vector<Hist> hists(static_cast<std::size_t>(slab_count(f.dims().nz, pool)));
-  for_slabs(pool, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<Hist> hists(static_cast<std::size_t>(slab_count(f.dims().nz, threads)));
+  for_slabs(threads, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
     Hist& h = hists[static_cast<std::size_t>(s)];
     h.count.assign(bins_n, 0);
     // A local, so the rare push_back call does not force a reload per sample.
@@ -232,7 +233,7 @@ MRC_OBS_NOINLINE float bin_entropy(const FieldF& f, double eb, const Range& rang
 /// into per-slab ordered maps instead. Non-finite differences, and any
 /// outside the histogram, share one escape bin.
 MRC_OBS_NOINLINE float lorenzo_entropy(const FieldF& f, double eb, float vmax,
-                                       exec::ThreadPool& pool) {
+                                       int threads) {
   const Dim3 d = f.dims();
   const double width = 2.0 * eb;
   // One bin of slack on each side absorbs the rounding of the double sums.
@@ -247,8 +248,8 @@ MRC_OBS_NOINLINE float lorenzo_entropy(const FieldF& f, double eb, float vmax,
     std::uint64_t escape = 0;
   };
   const std::vector<float> zero_row(static_cast<std::size_t>(d.nx), 0.0f);
-  std::vector<Counts> parts(static_cast<std::size_t>(slab_count(d.nz, pool)));
-  for_slabs(pool, d.nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<Counts> parts(static_cast<std::size_t>(slab_count(d.nz, threads)));
+  for_slabs(threads, d.nz, [&](index_t s, index_t z0, index_t z1) {
     Counts& c = parts[static_cast<std::size_t>(s)];
     if (dense) c.dense.assign(bins_n, 0);
     std::uint64_t escape = 0;
@@ -372,10 +373,9 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
   tiled::Config tc_resid = tc;
   tc_resid.codec = cfg.resid_codec;  // "auto" resolves at the first residual level
 
-  // Every full-grid pass below runs on z-slabs of this pool; brick
-  // compression and decode fan out inside tiled::.
-  exec::ThreadPool pool(cfg.threads);
-
+  // Every full-grid pass below runs on z-slabs across cfg.threads lanes;
+  // brick compression and decode fan out inside tiled::.
+  //
   // The restrict_half chain: chain[l] holds level l >= 1, level 0 reads
   // straight from f.
   std::vector<FieldF> chain(static_cast<std::size_t>(n_levels));
@@ -385,7 +385,7 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
       const FieldF& fine = l == 1 ? f : chain[static_cast<std::size_t>(l - 1)];
       FieldF& coarse = chain[static_cast<std::size_t>(l)];
       coarse = FieldF(blocks_for(fine.dims(), 2));
-      for_slabs(pool, coarse.dims().nz, [&](index_t, index_t z0, index_t z1) {
+      for_slabs(cfg.threads, coarse.dims().nz, [&](index_t, index_t z0, index_t z1) {
         restrict_half_slab(fine, coarse, z0, z1);
       });
     }
@@ -410,7 +410,8 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     e.cum_err = static_cast<float>(abs_eb * (n_levels - l));
     e.approx_err = static_cast<float>(
         l == 0 ? static_cast<double>(e.cum_err)
-               : pyramid::prolong_error(data, f, pool) + static_cast<double>(e.cum_err));
+               : pyramid::prolong_error(data, f, cfg.threads) +
+                     static_cast<double>(e.cum_err));
 
     // The coarsest level is stored verbatim, so its "residual" statistics
     // describe the data.
@@ -419,10 +420,10 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     {
       OBS_SPAN("progressive.residual");
       if (top) {
-        ranges.data = ranges.resid = range_pass(data, pool);
+        ranges.data = ranges.resid = range_pass(data, cfg.threads);
       } else {
         resid = FieldF(data.dims());
-        ranges = residual_pass(data, recon, resid, pool);
+        ranges = residual_pass(data, recon, resid, cfg.threads);
       }
     }
     const FieldF& coded = top ? data : resid;
@@ -431,14 +432,14 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     e.resid_max = std::max(std::abs(lo), std::abs(hi));
     {
       OBS_SPAN("progressive.bin_entropy");
-      e.resid_entropy = bin_entropy(coded, abs_eb, ranges.resid, pool);
+      e.resid_entropy = bin_entropy(coded, abs_eb, ranges.resid, cfg.threads);
     }
     // The reader wants one codec for every residual level, so the choice is
     // made once, on the coarsest residual, and holds for the finer ones.
     if (!top && tc_resid.codec == "auto") {
       OBS_SPAN("progressive.resid_codec_choice");
       tc_resid.codec =
-          e.resid_entropy <= lorenzo_entropy(resid, abs_eb, e.resid_max, pool)
+          e.resid_entropy <= lorenzo_entropy(resid, abs_eb, e.resid_max, cfg.threads)
               ? "quantize"
               : "lorenzo";
     }
@@ -448,7 +449,7 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     FieldF decoded = tiled::decompress(stream, cfg.threads);
     if (!top) {
       OBS_SPAN("progressive.fold");
-      fold(recon, decoded, pool);
+      fold(recon, decoded, cfg.threads);
     }
     recon = std::move(decoded);
   }
@@ -470,7 +471,6 @@ FieldF decompress_level(std::span<const std::byte> stream, int level, int thread
               "progressive: level out of range");
   const int top = static_cast<int>(idx.levels.size()) - 1;
   OBS_SPAN("progressive.level_decode");
-  exec::ThreadPool pool(threads);  // the folds; bricks decode inside tiled::
   FieldF recon =
       tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(top)),
                         threads);
@@ -479,7 +479,7 @@ FieldF decompress_level(std::span<const std::byte> stream, int level, int thread
         tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(l)), threads);
     {
       OBS_SPAN("progressive.fold");
-      fold(recon, decoded, pool);
+      fold(recon, decoded, threads);
     }
     recon = std::move(decoded);
   }

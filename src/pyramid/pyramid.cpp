@@ -16,14 +16,14 @@ inline constexpr detail::TableFormat kTable{kPyramidMagic, "pyramid", false};
 
 }  // namespace
 
-double prolong_error(const FieldF& coarse, const FieldF& fine, exec::ThreadPool& pool) {
+double prolong_error(const FieldF& coarse, const FieldF& fine, int width) {
   const index_t nz = fine.dims().nz;
-  const index_t slabs = std::min<index_t>(nz, 4 * pool.size());
+  const index_t slabs = std::min<index_t>(nz, 4 * exec::lanes_for(width));
   std::vector<double> errs(static_cast<std::size_t>(slabs), 0.0);
-  pool.parallel_for(slabs, [&](index_t s) {
+  exec::parallel_for(slabs, [&](index_t s) {
     errs[static_cast<std::size_t>(s)] = prolong_error_slab(
         coarse, fine, s * nz / slabs, (s + 1) * nz / slabs);
-  });
+  }, width);
   return *std::max_element(errs.begin(), errs.end());
 }
 
@@ -70,10 +70,9 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
   // restrict_half chain; every level's bricks compress in parallel on the
   // exec pool inside tiled::compress (level 0 holds 8/7 of the total work,
   // so within-level parallelism is the right axis), and the per-level error
-  // measurement slabs across a pool of the same width.
+  // measurement slabs across a loop of the same width.
   std::vector<Bytes> streams(static_cast<std::size_t>(n_levels));
   std::vector<LevelEntry> entries(static_cast<std::size_t>(n_levels));
-  exec::ThreadPool pool(cfg.threads);
   FieldF coarse;  // level l's data for l >= 1
   for (int l = 0; l < n_levels; ++l) {
     OBS_SPAN("pyramid.level_compress");
@@ -89,7 +88,7 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     // this level can sit from the finest grid. Downsampling error is
     // measured against the pre-compression data; the codec adds at most eb.
     e.approx_err = static_cast<float>(
-        l == 0 ? abs_eb : prolong_error(level, f, pool) + abs_eb);
+        l == 0 ? abs_eb : prolong_error(level, f, cfg.threads) + abs_eb);
     streams[static_cast<std::size_t>(l)] = tiled::compress(level, abs_eb, tc);
   }
 

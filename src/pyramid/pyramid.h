@@ -39,10 +39,6 @@
 
 #include "tiled/tiled.h"
 
-namespace mrc::exec {
-class ThreadPool;
-}
-
 namespace mrc::pyramid {
 
 /// Container-header stream id of a pyramid stream.
@@ -102,12 +98,11 @@ struct Index {
 /// (always >= 1, capped at kMaxLevels).
 [[nodiscard]] int auto_levels(Dim3 fine, index_t brick);
 
-/// Max |prolong_trilinear(coarse, fine.dims()) - fine|, z-slabbed across the
-/// pool. The LOD-error measurement shared by the pyramid and progressive
-/// builders — a full finest-resolution pass per level, so it gets the same
-/// parallelism as the compression itself.
-[[nodiscard]] double prolong_error(const FieldF& coarse, const FieldF& fine,
-                                   exec::ThreadPool& pool);
+/// Max |prolong_trilinear(coarse, fine.dims()) - fine|, z-slabbed across
+/// `width` lanes (0 = hardware). The LOD-error measurement shared by the
+/// pyramid and progressive builders — a full finest-resolution pass per
+/// level, so it gets the same parallelism as the compression itself.
+[[nodiscard]] double prolong_error(const FieldF& coarse, const FieldF& fine, int width);
 
 /// Builds the pyramid: restrict_half chain from `f`, every level brick-tiled
 /// and compressed in parallel on the exec pool under the same absolute error

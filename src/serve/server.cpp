@@ -97,8 +97,8 @@ struct Server::Impl {
     s.active = active.load(std::memory_order_relaxed);
     s.requests = requests.load(std::memory_order_relaxed);
     s.rejected = rejected.load(std::memory_order_relaxed);
-    s.p50_us = latency.quantile_us(0.50);
-    s.p99_us = latency.quantile_us(0.99);
+    s.p50_us = latency.quantile(0.50);
+    s.p99_us = latency.quantile(0.99);
     return s;
   }
 };

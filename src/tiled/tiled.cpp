@@ -108,8 +108,7 @@ Bytes compress(const FieldF& f, double abs_eb, const Config& cfg) {
   std::vector<Bytes> streams(static_cast<std::size_t>(n_tiles));
   std::vector<TileEntry> entries(static_cast<std::size_t>(n_tiles));
 
-  exec::ThreadPool pool(cfg.threads);
-  pool.parallel_for(n_tiles, [&](index_t t) {
+  exec::parallel_for(n_tiles, [&](index_t t) {
     static obs::Counter& bricks =
         obs::Registry::global().counter("mrc.tiled.bricks_compressed");
     bricks.add(1);
@@ -136,7 +135,7 @@ Bytes compress(const FieldF& f, double abs_eb, const Config& cfg) {
     e.vmax = hi;
     streams[static_cast<std::size_t>(t)] = codec->compress(b, abs_eb);
     brick_scratch = b.release();
-  });
+  }, cfg.threads);
 
   std::uint64_t payload_bytes = 0;
   for (index_t t = 0; t < n_tiles; ++t) {
@@ -262,12 +261,11 @@ RegionRead read_region(std::span<const std::byte> stream, const Box& region, int
   out.tiles_decoded = hit.size();
 
   const auto codec = registry().make_for_magic(idx.codec_magic);
-  exec::ThreadPool pool(threads);
-  pool.parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
+  exec::parallel_for(static_cast<index_t>(hit.size()), [&](index_t i) {
     const auto t = static_cast<std::size_t>(hit[static_cast<std::size_t>(i)]);
     copy_core(decode_tile(idx, *codec, stream, t), idx.tiles[t].origin,
               idx.core_extent(t), region, out.data);
-  });
+  }, threads);
   return out;
 }
 

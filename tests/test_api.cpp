@@ -257,13 +257,12 @@ TEST(ApiOptions, StrRoundTrips) {
   a.prefetch = false;
   const auto b = api::Options::parse(a.to_string());
   EXPECT_EQ(a.to_string(), b.to_string());
-  EXPECT_EQ(a.str(), a.to_string());  // str() is the short alias
 }
 
 TEST(ApiOptions, DefaultStrRoundTrips) {
   const api::Options a;
-  EXPECT_EQ(api::Options::parse(a.str()).str(), a.str());
-  EXPECT_EQ(api::Options::parse("").str(), a.str());  // empty spec = defaults
+  EXPECT_EQ(api::Options::parse(a.to_string()).to_string(), a.to_string());
+  EXPECT_EQ(api::Options::parse("").to_string(), a.to_string());  // empty spec = defaults
 }
 
 TEST(ApiOptions, BadInputRejected) {
@@ -284,6 +283,17 @@ TEST(ApiOptions, BadInputRejected) {
   EXPECT_THROW(o.set("cache_mb", "-4"), ContractError);
   EXPECT_THROW(o.set("prefetch", "maybe"), ContractError);
   EXPECT_THROW((void)api::Options::parse("justakey"), ContractError);
+}
+
+TEST(ApiOptions, NarrowKeysRejectValuesTheirFieldCannotHold) {
+  // 2^31 wraps a 32-bit int negative and 2^32 + 2 wraps any 32-bit field to
+  // 2: both must be refused, not narrowed into a small legal value.
+  for (const char* key :
+       {"threads", "levels", "coarse_level", "quant_radius", "entropy_shards"})
+    for (const char* value : {"2147483648", "4294967298"}) {
+      api::Options o;
+      EXPECT_THROW(o.set(key, value), ContractError) << key << "=" << value;
+    }
 }
 
 TEST(ApiFacade, NonFiniteErrorBoundRejectedByEveryWriter) {

@@ -1,15 +1,19 @@
 // exec::ThreadPool — the library's scheduling primitive: sizing, task
 // futures, parallel_for coverage/determinism, and exception propagation —
-// and the free exec::parallel_for built on it.
+// and the free exec::parallel_for on its long-lived per-width pools.
 
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -317,7 +321,7 @@ TEST(ThreadPool, NestedPoolsDoNotDeadlock) {
   EXPECT_EQ(sum.load(), 27 * 26 / 2);
 }
 
-// exec::parallel_for — the free loop that sizes its own pool by the work.
+// exec::parallel_for — the free loop on the long-lived pool of its width.
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   const index_t wide = 4 * exec::hardware_threads() + 3;
@@ -370,6 +374,82 @@ TEST(ParallelFor, ZeroAndNegativeCountsAreNoOps) {
   exec::parallel_for(0, [&](index_t) { ++calls; });
   exec::parallel_for(-3, [&](index_t) { ++calls; });
   EXPECT_EQ(calls, 0);
+}
+
+/// The kernel's id of the calling thread.
+long os_tid() { return static_cast<long>(::syscall(SYS_gettid)); }
+
+/// Ids of every thread this process has right now.
+std::set<long> live_tids() {
+  std::set<long> tids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task"))
+    tids.insert(std::stol(entry.path().filename().string()));
+  return tids;
+}
+
+/// Keeps the calling lane busy for `us` microseconds, so that every lane of
+/// a loop gets to claim indices.
+void spin_us(int us) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(ParallelFor, ASecondCallOfAWidthStartsNoThread) {
+  exec::parallel_for(8, [](index_t) { spin_us(100); }, 4);
+  const std::set<long> before = live_tids();
+  std::mutex mu;
+  std::set<long> lanes;
+  exec::parallel_for(64, [&](index_t) {
+    spin_us(100);
+    const std::lock_guard lock(mu);
+    lanes.insert(os_tid());
+  }, 4);
+  for (const long tid : lanes)
+    EXPECT_EQ(before.count(tid), 1u) << "lane " << tid << " started after the first call";
+}
+
+TEST(ParallelFor, TwoCallersOfOneWidthEachSeeEveryIndexOnce) {
+  constexpr index_t n = 500;
+  const auto caller = [&](std::vector<std::atomic<int>>& hits) {
+    for (int rep = 0; rep < 20; ++rep)
+      exec::parallel_for(n, [&](index_t i) { hits[static_cast<std::size_t>(i)]++; }, 4);
+  };
+  std::vector<std::atomic<int>> a(static_cast<std::size_t>(n));
+  std::vector<std::atomic<int>> b(static_cast<std::size_t>(n));
+  std::thread other([&] { caller(b); });
+  caller(a);
+  other.join();
+  for (index_t i = 0; i < n; ++i) {
+    ASSERT_EQ(a[static_cast<std::size_t>(i)].load(), 20) << i;
+    ASSERT_EQ(b[static_cast<std::size_t>(i)].load(), 20) << i;
+  }
+}
+
+TEST(ParallelFor, AWidthWLoopRunsOnAtMostWThreads) {
+  for (const int width : {1, 2, 3, 4}) {
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    exec::parallel_for(32, [&](index_t) {
+      spin_us(50);
+      const std::lock_guard lock(mu);
+      threads.insert(std::this_thread::get_id());
+    }, width);
+    EXPECT_LE(threads.size(), static_cast<std::size_t>(width)) << "width " << width;
+  }
+}
+
+TEST(ParallelFor, WidthOneRunsOnTheCallerAndPostsNoTask) {
+  const obs::Counter& tasks = obs::Registry::global().counter("mrc.exec.tasks");
+  const std::uint64_t before = tasks.value();
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> foreign{0};
+  exec::parallel_for(64, [&](index_t) {
+    if (std::this_thread::get_id() != caller) foreign++;
+  }, 1);
+  EXPECT_EQ(tasks.value(), before);
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_THROW(exec::parallel_for(4, [](index_t) {}, -1), ContractError);
 }
 
 }  // namespace

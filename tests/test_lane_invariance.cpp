@@ -7,21 +7,27 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "api/mrc_api.h"
 #include "common/rng.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
 #include "compressors/zfpx/zfpx_compressor.h"
+#include "core/workflow.h"
 #include "exec/thread_pool.h"
+#include "io/raw_io.h"
 #include "metrics/fft.h"
 #include "metrics/ssim.h"
 #include "postproc/bezier.h"
 #include "postproc/filters.h"
 #include "render/volume_renderer.h"
+#include "roi/roi_extract.h"
 #include "simdata/generators.h"
 #include "simdata/mini_warpx.h"
 #include "uncertainty/error_model.h"
@@ -135,6 +141,36 @@ TEST(LaneInvariance, PortedLoopsMatchTheirOneLaneRun) {
     const render::TransferFunction tf = render::auto_transfer(f);
     expect_lane_invariant(tag + "volume_render", [&] { return render::volume_render(f, tf); });
   }
+}
+
+// The multi-resolution snapshot writers take their width from the config:
+// per-level streams encode on that many lanes and must not depend on it.
+
+TEST(LaneInvariance, AdaptiveSnapshotIsTheSameOnFourLanes) {
+  const FieldF f = sim::nyx_density({64, 64, 64}, 31);
+  api::Options opt = api::Options::parse("roi_fraction=0.3,threads=1");
+  const Bytes one = api::compress_adaptive(f, opt);
+  opt.threads = 4;
+  EXPECT_EQ(api::compress_adaptive(f, opt), one);
+}
+
+TEST(LaneInvariance, SnapshotFileIsTheSameOnFourLanes) {
+  const FieldF f = sim::nyx_density({64, 64, 64}, 37);
+  const MultiResField mr = roi::extract_adaptive(f, /*block_size=*/16, /*roi_fraction=*/0.3);
+  const double eb = f.value_range() * 1e-3;
+  const auto dir = std::filesystem::temp_directory_path();
+  std::vector<Bytes> files;
+  for (const int threads : {1, 4}) {
+    sz3mr::Config cfg = sz3mr::ours_pad_eb();
+    cfg.threads = threads;
+    const std::string path =
+        (dir / ("mrc_lanes_" + std::to_string(threads) + ".snap")).string();
+    (void)workflow::write_snapshot(mr, eb, cfg, path);
+    files.push_back(io::read_bytes(path));
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_EQ(files[1], files[0]);
 }
 
 }  // namespace

@@ -105,7 +105,6 @@ TEST(ObsHistogram, QuantilesClampAndStayMonotone) {
     EXPECT_GE(h.quantile(q), prev);
     prev = h.quantile(q);
   }
-  EXPECT_LE(h.quantile_us(0.5), h.quantile_us(0.99));  // serve-layer spelling
 }
 
 // ---------------------------------------------------------------------------

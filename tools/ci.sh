@@ -24,7 +24,9 @@
 # <build-dir>-obsoff must stay within MRC_OBS_GATE_PCT, default 3%, on the
 # geomean of the compress/decompress/serve-read ratios), and
 # finally a bench
-# smoke step: bench_adaptive_ratio on a tiny grid (MRC_SCALE=13 -> 32^3) plus
+# smoke step: bench_adaptive_ratio on a tiny grid (MRC_SCALE=13 -> 32^3) and
+# bench_tiled_scaling at the same scale (64^3; its JSON is validated, its
+# lane scaling is not gated) plus
 # bench_codec_hotpath (entropy hot path; gates >= 3x Huffman decode over the
 # bit-at-a-time baseline, >= 2x the pre-SIMD quant_encode throughput, and —
 # where >= 4 hardware threads exist and the bench's usable_lanes shows a
@@ -194,8 +196,12 @@ if [ "${MRC_SKIP_BENCH:-0}" != "1" ]; then
   echo
   echo "== bench smoke (tiny grid) + BENCH_*.json validation =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_adaptive_ratio \
-      bench_codec_hotpath bench_server_load bench_progressive_stream > /dev/null
+      bench_tiled_scaling bench_codec_hotpath bench_server_load \
+      bench_progressive_stream > /dev/null
   (cd "$BUILD_DIR/bench" && MRC_SCALE=13 ./bench_adaptive_ratio > /dev/null)
+  # Tiled thread/brick sweep: only its JSON is checked (below). No scaling
+  # bar: where the VM places the process decides the 4-lane row.
+  (cd "$BUILD_DIR/bench" && MRC_SCALE=13 ./bench_tiled_scaling > /dev/null)
   # Progressive streaming: gates MRCR total bytes < MRCP at equal eb. 64^3
   # (scale 25), not 32^3: below that the field is smooth enough that the
   # coarse data level dominates and the residual advantage is in the noise.
