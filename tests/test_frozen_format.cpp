@@ -26,6 +26,10 @@
 // region_ok frame, the multi-frame progressive_ok reply and the trace-id
 // stamping of both, so the reply encoders can be rewritten without a byte
 // moving on the wire.
+//
+// SnapshotContainer pins an in-situ snapshot (MRCS with its MRL1 level
+// streams) at one lane and at four, and the uniform grid api::restore
+// rebuilds from it.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +37,7 @@
 #include <span>
 
 #include "common/rng.h"
+#include "api/mrc_api.h"
 #include "compressors/interp/interp_compressor.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
 #include "compressors/quantize/quantize_compressor.h"
@@ -255,6 +260,43 @@ TEST(FrozenFormat, WireReplyFrames) {
     const Bytes reply = srv.handle_frame(request(c.type, c.id, c.trace));
     EXPECT_EQ(reply.size(), c.size) << c.what;
     EXPECT_EQ(fnv1a(reply), c.hash) << c.what;
+  }
+}
+
+/// 96^3 keeps the snapshot's level 0 large enough for every multi-lane
+/// path at four lanes: 108 of its 216 16^3 blocks stay at full resolution,
+/// so the padded merge is 17 x 17 x 1728 samples. Its stride-1 and
+/// stride-2 z sweeps hold 249,696 and 34,992 targets (a sweep splits into
+/// chunks from 16 Ki targets up), its 499,392 codes are one Huffman stream past the 256 Ki
+/// symbols at which the encode splits into slices, and its decode scatters
+/// 108 blocks.
+FieldF snapshot_field() {
+  const Dim3 d{96, 96, 96};
+  FieldF f(d);
+  Rng rng(23);
+  for (index_t z = 0; z < d.nz; ++z)
+    for (index_t y = 0; y < d.ny; ++y)
+      for (index_t x = 0; x < d.nx; ++x)
+        f.at(x, y, z) = static_cast<float>(
+            std::sin(0.13 * x) * std::cos(0.09 * y) * (1.0 + 0.02 * z) +
+            0.5 * std::exp(-0.002 * ((x - 60.0) * (x - 60.0) + (y - 30.0) * (y - 30.0) +
+                                     (z - 50.0) * (z - 50.0))) +
+            0.02 * rng.uniform());
+  return f;
+}
+
+TEST(FrozenFormat, SnapshotContainer) {
+  const FieldF f = snapshot_field();
+  for (const int threads : {1, 4}) {
+    api::Options opt;
+    opt.eb = 1e-3;
+    opt.threads = threads;
+    const Bytes s = api::compress_adaptive(f, opt);
+    EXPECT_EQ(s.size(), 291762u) << threads << " lanes";
+    EXPECT_EQ(fnv1a(s), 0xea27f657414d8aaeull) << threads << " lanes";
+    const FieldF back = api::restore(s);
+    EXPECT_EQ(fnv1a(std::as_bytes(back.span())), 0xa677e898591654aeull)
+        << threads << " lanes";
   }
 }
 
