@@ -359,7 +359,7 @@ Bytes compress(const FieldF& f, const Options& opt) {
 FieldF decompress(std::span<const std::byte> stream, int threads) {
   OBS_SPAN("api.decompress");
   const StreamHeader h = peek_header(stream);
-  if (h.codec_magic == workflow::kSnapshotMagic) return restore(stream);
+  if (h.codec_magic == workflow::kSnapshotMagic) return restore(stream, threads);
   if (h.codec_magic == tiled::kTiledMagic) return tiled::decompress(stream, threads);
   if (h.codec_magic == pyramid::kPyramidMagic)
     // The uniform reconstruction of a pyramid is its finest level.
@@ -372,8 +372,10 @@ FieldF decompress(std::span<const std::byte> stream, int threads) {
     return progressive::decompress_level(stream, /*level=*/0, threads);
   if (h.codec_magic == sz3mr::kLevelMagic)
     // A bare level stream decodes to its level grid (zeros outside the mask).
-    return sz3mr::decompress_level(stream).data;
-  return registry().make_for_magic(h.codec_magic)->decompress(stream);
+    return sz3mr::decompress_level(stream, threads).data;
+  CodecTuning tuning;
+  tuning.threads = exec::lanes_for(threads);
+  return registry().make_for_magic(h.codec_magic, tuning)->decompress(stream);
 }
 
 Bytes compress_adaptive(const FieldF& uniform, const Options& opt) {
@@ -386,12 +388,12 @@ Bytes compress_adaptive(const FieldF& uniform, const Options& opt) {
   return workflow::encode_snapshot(adaptive, opt.absolute_eb(uniform), opt.pipeline());
 }
 
-MultiResField restore_adaptive(std::span<const std::byte> snapshot) {
-  return workflow::decode_snapshot(snapshot);
+MultiResField restore_adaptive(std::span<const std::byte> snapshot, int threads) {
+  return workflow::decode_snapshot(snapshot, threads);
 }
 
-FieldF restore(std::span<const std::byte> snapshot) {
-  return workflow::decode_snapshot(snapshot).reconstruct_uniform();
+FieldF restore(std::span<const std::byte> snapshot, int threads) {
+  return workflow::decode_snapshot(snapshot, threads).reconstruct_uniform();
 }
 
 Bytes compress_tiled(const FieldF& f, const Options& opt) {

@@ -91,9 +91,11 @@ struct Options {
   // Codec-specific tuning.
   index_t block_size = 0;  ///< lorenzo block edge; 0 = codec default
   bool use_regression = true;
-  /// Exec-pool lanes: brick compression in compress_tiled, per-level stream
-  /// compression in compress_adaptive, chunk count of the chunked codecs.
-  /// 0 = hardware concurrency.
+  /// Exec-pool lanes: brick compression in compress_tiled and the other
+  /// brick containers, the chunk count of the chunked codecs (lorenzo,
+  /// zfpx), and one interp stream's sweeps and entropy encode — which is how
+  /// compress_adaptive spreads each snapshot level, levels one after
+  /// another. Interp bytes do not depend on it. 0 = hardware concurrency.
   int threads = 1;
   /// Requested entropy shards per Huffman code stream (negotiated down by
   /// stream size). > 1 writes the v7 sharded layout so one large brick's
@@ -173,9 +175,9 @@ struct Options {
 /// Reconstructs a uniform field from any stream this facade produces: codec
 /// streams decode through the registry (magic-peek dispatch), snapshots are
 /// restored to the uniform grid, containers (MRCT/MRCP/MRCA/MRCR) decode
-/// their finest grid on a pool of `threads` lanes (0 = hardware
-/// concurrency; the result is bit-identical for any width). Throws
-/// CodecError on foreign data.
+/// their finest grid. All of them decode on `threads` exec-pool lanes
+/// (0 = hardware concurrency; the result is bit-identical for any width).
+/// Throws CodecError on foreign data.
 [[nodiscard]] FieldF decompress(std::span<const std::byte> stream, int threads = 1);
 
 /// The paper's full workflow: ROI-based adaptive conversion + per-level
@@ -184,11 +186,14 @@ struct Options {
 /// ContractError rather than silently ignored.
 [[nodiscard]] Bytes compress_adaptive(const FieldF& uniform, const Options& opt = {});
 
-/// Decodes a snapshot back to its multi-resolution form.
-[[nodiscard]] MultiResField restore_adaptive(std::span<const std::byte> snapshot);
+/// Decodes a snapshot back to its multi-resolution form, on `threads`
+/// exec-pool lanes (0 = hardware; bit-identical for any width).
+[[nodiscard]] MultiResField restore_adaptive(std::span<const std::byte> snapshot,
+                                             int threads = 0);
 
-/// Decodes a snapshot and reconstructs the uniform fine-resolution grid.
-[[nodiscard]] FieldF restore(std::span<const std::byte> snapshot);
+/// Decodes a snapshot and reconstructs the uniform fine-resolution grid, on
+/// `threads` exec-pool lanes (0 = hardware; bit-identical for any width).
+[[nodiscard]] FieldF restore(std::span<const std::byte> snapshot, int threads = 0);
 
 /// Compresses `f` into the brick-tiled container: `opt.tile`-edge bricks
 /// (+1-sample overlap), each compressed independently with `opt.codec` on a

@@ -1,10 +1,12 @@
 #include "compressors/interp/interp_compressor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 #include "compressors/simd_kernels.h"
+#include "exec/thread_pool.h"
 #include "lossless/lzss.h"
 #include "lossless/quant_codec.h"
 #include "obs/obs.h"
@@ -98,147 +100,147 @@ double corner_prediction(const FieldF& recon, const Corner& c) {
 /// is one run with slab sources at z±1 / z±3. Targets always have a right
 /// neighbour at s==1 (target_set stops at n-2), so constant extrapolation
 /// never appears in these runs — the kinds are exactly linear and cubic.
-/// traverse() hands these to its row handler (the SIMD kernel hook);
+/// visit_units() hands these to its row handler (the SIMD kernel hook);
 /// everything else (corners, x-sweep, s>1 levels) stays per-point.
 enum class RowKind : std::uint8_t { linear, cubic };
 
 struct RowCtx {
   index_t row = 0;  ///< linear index of the first element
   index_t n = 0;    ///< contiguous element count
-  int lev = 1;
   RowKind kind = RowKind::linear;
   index_t a = 0, b = 0, c = 0, d = 0;  ///< source-run starts: b/c = ∓s, a/d = ∓3s
 };
 
-/// Visits every grid point exactly once in the fixed compressor order.
-/// handler(linear_index, prediction, level, extrapolated) where level = 1 is
-/// the finest stride and corners report the coarsest level; row-uniform runs
-/// go to rows(RowCtx) instead (same traversal positions, same order).
-template <typename Handler, typename RowHandler>
-void traverse(const Dim3& d, FieldF& recon, bool cubic, Handler&& handler,
-              RowHandler&& rows) {
-  const int levels = std::max(ceil_log2(d.max_extent()), 1);
+/// One sweep of the traversal: every target of one level along one axis, in
+/// code order. Its targets fall into `units()` units of `per_unit` targets
+/// each — unit (outer[u / |inner|], inner[u % |inner|]) is a (z, y) pair
+/// naming a line along x (x-sweep), a line or row along x (y-sweep) or a
+/// line along x of one z target (z-sweep at s > 1); at s == 1 the z-sweep's
+/// unit is a whole z-slab. So a chunk of units knows its first code index
+/// before it runs, and no target reads another target of its own sweep.
+struct Sweep {
+  int lev = 1;   ///< 1 = finest stride
+  int axis = 0;  ///< 0 = x, 1 = y, 2 = z
+  index_t s = 1;
+  bool rows = false;            ///< s == 1 y/z sweep: units are RowCtx runs
+  std::vector<index_t> outer;   ///< z of each unit group
+  std::vector<index_t> inner;   ///< y within a group
+  std::vector<index_t> along;   ///< x of each point in a unit (per-point sweeps)
+  index_t per_unit = 0;
 
-  for (const Corner& c : corner_list(d)) {
-    const double pred = corner_prediction(recon, c);
-    handler(d.index(c.x, c.y, c.z), pred, levels, false);
+  [[nodiscard]] index_t units() const {
+    return static_cast<index_t>(outer.size() * inner.size());
   }
+  [[nodiscard]] index_t targets() const { return units() * per_unit; }
+};
 
-  float* base = recon.data();
-  const index_t sx = 1, sy = d.nx, sz = d.nx * d.ny;
-
+/// Every sweep of the fixed compressor order: levels from the coarsest
+/// stride down, x then y then z within a level. The corners come first and
+/// are not part of any sweep.
+std::vector<Sweep> sweep_plan(const Dim3& d) {
+  const int levels = std::max(ceil_log2(d.max_extent()), 1);
+  std::vector<Sweep> plan;
   for (int lev = levels; lev >= 1; --lev) {
     const index_t s = index_t{1} << (lev - 1);
+    Sweep sw;
+    sw.lev = lev;
+    sw.s = s;
+    // Along x: y and z on the coarse grid.
+    if (auto tx = target_set(d.nx, s); !tx.empty()) {
+      Sweep x = sw;
+      x.axis = 0;
+      x.outer = coarse_set(d.nz, s);
+      x.inner = coarse_set(d.ny, s);
+      x.per_unit = static_cast<index_t>(tx.size());
+      x.along = std::move(tx);
+      plan.push_back(std::move(x));
+    }
+    // Along y: x already refined this level, z still coarse. At s == 1
+    // fine_set(nx, 1) is every x in order: one contiguous row per (y, z).
+    if (auto ty = target_set(d.ny, s); !ty.empty()) {
+      Sweep y = sw;
+      y.axis = 1;
+      y.outer = coarse_set(d.nz, s);
+      y.inner = std::move(ty);
+      y.rows = s == 1;
+      if (!y.rows) y.along = fine_set(d.nx, s);
+      y.per_unit = y.rows ? d.nx : static_cast<index_t>(y.along.size());
+      plan.push_back(std::move(y));
+    }
+    // Along z: x and y refined this level. At s == 1 both in-slab axes are
+    // fully fine, so each target z is one contiguous nx*ny run.
+    if (auto tz = target_set(d.nz, s); !tz.empty()) {
+      Sweep z = sw;
+      z.axis = 2;
+      z.outer = std::move(tz);
+      z.rows = s == 1;
+      z.inner = z.rows ? std::vector<index_t>{0} : fine_set(d.ny, s);
+      if (!z.rows) z.along = fine_set(d.nx, s);
+      z.per_unit = z.rows ? d.nx * d.ny : static_cast<index_t>(z.along.size());
+      plan.push_back(std::move(z));
+    }
+  }
+  return plan;
+}
 
-    // Sweep along x: y and z on the coarse grid.
-    {
-      const auto tx = target_set(d.nx, s);
-      if (!tx.empty()) {
-        const auto cy = coarse_set(d.ny, s);
-        const auto cz = coarse_set(d.nz, s);
-        for (index_t z : cz)
-          for (index_t y : cy) {
-            const float* line = base + d.index(0, y, z);
-            for (index_t x : tx) {
-              const auto p = predict(line, sx, x, d.nx, s, cubic);
-              handler(d.index(x, y, z), p.value, lev, p.extrapolated);
-            }
-          }
+/// Visits the targets of units [u0, u1) of `sw` in code order:
+/// point(linear_index, prediction, extrapolated) per point, rows(RowCtx)
+/// per row-uniform run.
+template <typename Point, typename Rows>
+void visit_units(const Dim3& d, const float* base, bool cubic, const Sweep& sw,
+                 index_t u0, index_t u1, Point&& point, Rows&& rows) {
+  const auto n_inner = static_cast<index_t>(sw.inner.size());
+  const index_t s = sw.s;
+  for (index_t u = u0; u < u1; ++u) {
+    const index_t z = sw.outer[static_cast<std::size_t>(u / n_inner)];
+    const index_t y = sw.inner[static_cast<std::size_t>(u % n_inner)];
+    if (sw.rows) {
+      // y-sweep: one x-row at (y, z), sources at y∓1 (∓3); z-sweep: the
+      // whole slab z, sources at the z∓1 (∓3) slabs.
+      const bool along_y = sw.axis == 1;
+      const index_t pos = along_y ? y : z;
+      const index_t n = along_y ? d.ny : d.nz;
+      auto at = [&](index_t k) { return along_y ? d.index(0, k, z) : d.index(0, 0, k); };
+      RowCtx rc;
+      rc.row = at(pos);
+      rc.n = sw.per_unit;
+      rc.b = at(pos - 1);
+      rc.c = at(pos + 1);
+      if (cubic && pos - 3 >= 0 && pos + 3 <= n - 1) {
+        rc.kind = RowKind::cubic;
+        rc.a = at(pos - 3);
+        rc.d = at(pos + 3);
       }
+      rows(rc);
+      continue;
     }
-    // Sweep along y: x already refined this level, z still coarse.
-    {
-      const auto ty = target_set(d.ny, s);
-      if (!ty.empty()) {
-        const auto cz = coarse_set(d.nz, s);
-        if (s == 1) {
-          // fine_set(nx, 1) is every x in order: one contiguous row per (y, z).
-          for (index_t z : cz)
-            for (index_t y : ty) {
-              RowCtx rc;
-              rc.row = d.index(0, y, z);
-              rc.n = d.nx;
-              rc.lev = lev;
-              rc.b = d.index(0, y - 1, z);
-              rc.c = d.index(0, y + 1, z);
-              if (cubic && y - 3 >= 0 && y + 3 <= d.ny - 1) {
-                rc.kind = RowKind::cubic;
-                rc.a = d.index(0, y - 3, z);
-                rc.d = d.index(0, y + 3, z);
-              }
-              rows(rc);
-            }
-        } else {
-          const auto fx = fine_set(d.nx, s);
-          for (index_t z : cz)
-            for (index_t y : ty)
-              for (index_t x : fx) {
-                const float* line = base + d.index(x, 0, z);
-                const auto p = predict(line, sy, y, d.ny, s, cubic);
-                handler(d.index(x, y, z), p.value, lev, p.extrapolated);
-              }
-        }
+    for (const index_t x : sw.along) {
+      Prediction p{};
+      switch (sw.axis) {
+        case 0: p = predict(base + d.index(0, y, z), 1, x, d.nx, s, cubic); break;
+        case 1: p = predict(base + d.index(x, 0, z), d.nx, y, d.ny, s, cubic); break;
+        default: p = predict(base + d.index(x, y, 0), d.nx * d.ny, z, d.nz, s, cubic);
       }
-    }
-    // Sweep along z: x and y refined this level.
-    {
-      const auto tz = target_set(d.nz, s);
-      if (!tz.empty()) {
-        if (s == 1) {
-          // Both in-slab axes fully fine: each target z is one contiguous
-          // nx*ny run predicted from the z∓1 (and z∓3) slabs.
-          for (index_t z : tz) {
-            RowCtx rc;
-            rc.row = d.index(0, 0, z);
-            rc.n = d.nx * d.ny;
-            rc.lev = lev;
-            rc.b = d.index(0, 0, z - 1);
-            rc.c = d.index(0, 0, z + 1);
-            if (cubic && z - 3 >= 0 && z + 3 <= d.nz - 1) {
-              rc.kind = RowKind::cubic;
-              rc.a = d.index(0, 0, z - 3);
-              rc.d = d.index(0, 0, z + 3);
-            }
-            rows(rc);
-          }
-        } else {
-          const auto fx = fine_set(d.nx, s);
-          const auto fy = fine_set(d.ny, s);
-          for (index_t z : tz)
-            for (index_t y : fy)
-              for (index_t x : fx) {
-                const float* line = base + d.index(x, y, 0);
-                const auto p = predict(line, sz, z, d.nz, s, cubic);
-                handler(d.index(x, y, z), p.value, lev, p.extrapolated);
-              }
-        }
-      }
+      point(d.index(x, y, z), p.value, p.extrapolated);
     }
   }
 }
 
-/// Per-point traverse: row-uniform runs are replayed element-wise through
-/// `handler` with exactly the predictions predict() would produce.
-template <typename Handler>
-void traverse(const Dim3& d, FieldF& recon, bool cubic, Handler&& handler) {
-  const float* base = recon.data();
-  traverse(d, recon, cubic, handler, [&](const RowCtx& rc) {
-    const float* b = base + rc.b;
-    const float* c = base + rc.c;
-    if (rc.kind == RowKind::cubic) {
-      const float* a = base + rc.a;
-      const float* dd = base + rc.d;
-      for (index_t i = 0; i < rc.n; ++i) {
-        const double pred = (-static_cast<double>(a[i]) + 9.0 * b[i] + 9.0 * c[i] -
-                             static_cast<double>(dd[i])) /
-                            16.0;
-        handler(rc.row + i, pred, rc.lev, false);
-      }
-    } else {
-      for (index_t i = 0; i < rc.n; ++i)
-        handler(rc.row + i, 0.5 * (b[i] + c[i]), rc.lev, false);
-    }
-  });
+/// Targets below which a sweep runs inline as one chunk: the pool round
+/// trip and the per-chunk outlier bookkeeping would cost more than it buys.
+constexpr index_t kMinChunkTargets = index_t{16} << 10;
+/// Chunks per lane of a split sweep, so lanes balance outlier-heavy chunks.
+constexpr index_t kChunksPerLane = 4;
+
+/// Chunks a sweep runs as on `lanes` lanes; 1 = inline on the caller.
+index_t chunk_count(const Sweep& sw, int lanes) {
+  if (lanes <= 1 || sw.targets() < kMinChunkTargets) return 1;
+  return std::min<index_t>(sw.units(), kChunksPerLane * lanes);
+}
+
+/// First unit of chunk c of `chunks` (chunk_begin(chunks) = units()).
+index_t chunk_begin(const Sweep& sw, index_t chunks, index_t c) {
+  return sw.units() * c / chunks;
 }
 
 /// Per-level error bound (QoZ-style; level 1 = finest keeps the full bound).
@@ -248,103 +250,189 @@ double level_eb(double eb, int level, const InterpConfig& cfg) {
   return eb / factor;
 }
 
-// The two traverse passes live in their own non-inlined functions, free of
-// any obs:: code, so the OBS_SPANs at their call sites cannot perturb the
-// hot loop's codegen (see the placement rule next to OBS_SPAN in obs/obs.h).
+/// Quantizes one point against its prediction; code 0 sends x to the
+/// outlier list.
+std::uint32_t quantize_point(float x, double pred, double eb, std::uint32_t radius,
+                             float& rec, AlignedVec<float>& outliers) {
+  const double diff = static_cast<double>(x) - pred;
+  if (std::abs(diff) < 2.0 * eb * radius) {
+    const auto q = std::llround(diff / (2.0 * eb));
+    if (std::llabs(q) < radius) {
+      const auto cand = static_cast<float>(pred + 2.0 * eb * static_cast<double>(q));
+      if (std::abs(static_cast<double>(cand) - static_cast<double>(x)) <= eb) {
+        rec = cand;
+        return static_cast<std::uint32_t>(q + radius);
+      }
+    }
+  }
+  outliers.push_back(x);
+  rec = x;
+  return 0;
+}
+
+// The two passes live in their own non-inlined functions, free of any obs::
+// code, so the OBS_SPANs at their call sites cannot perturb the hot loop's
+// codegen (see the placement rule next to OBS_SPAN in obs/obs.h).
 
 MRC_OBS_NOINLINE std::size_t predict_quant_pass(const FieldF& f, double abs_eb,
-                                                const InterpConfig& cfg,
+                                                const InterpConfig& cfg, int lanes,
                                                 FieldF& recon,
                                                 AlignedVec<std::uint32_t>& codes,
                                                 AlignedVec<float>& outliers) {
+  const Dim3 d = f.dims();
   const auto radius = cfg.quant_radius;
   const float* orig = f.data();
   float* rec = recon.data();
   std::size_t emitted = 0;
-  traverse(
-      f.dims(), recon, cfg.cubic,
-      [&](index_t idx, double pred, int level, bool /*extrap*/) {
-        const double eb = level_eb(abs_eb, level, cfg);
-        const float x = orig[idx];
-        const double diff = static_cast<double>(x) - pred;
-        std::uint32_t code = 0;
-        if (std::abs(diff) < 2.0 * eb * radius) {
-          const auto q = std::llround(diff / (2.0 * eb));
-          if (std::llabs(q) < radius) {
-            const auto cand =
-                static_cast<float>(pred + 2.0 * eb * static_cast<double>(q));
-            if (std::abs(static_cast<double>(cand) - static_cast<double>(x)) <= eb) {
-              code = static_cast<std::uint32_t>(q + radius);
-              rec[idx] = cand;
-            }
-          }
-        }
-        if (code == 0) {
-          outliers.push_back(x);
-          rec[idx] = x;
-        }
-        codes[emitted++] = code;
-      },
-      [&](const RowCtx& rc) {
-        const double eb = level_eb(abs_eb, rc.lev, cfg);
-        const auto n = static_cast<std::size_t>(rc.n);
-        const float* op = orig + rc.row;
-        std::uint32_t* cp = codes.data() + emitted;
-        float* rp = rec + rc.row;
-        if (rc.kind == RowKind::cubic)
-          simd::quantize_row_cubic(op, rec + rc.a, rec + rc.b, rec + rc.c, rec + rc.d,
-                                   n, eb, radius, cp, rp, outliers);
-        else
-          simd::quantize_row_linear(op, rec + rc.b, rec + rc.c, n, eb, radius, cp, rp,
-                                    outliers);
-        emitted += n;
-      });
+
+  const int levels = std::max(ceil_log2(d.max_extent()), 1);
+  const double corner_eb = level_eb(abs_eb, levels, cfg);
+  for (const Corner& c : corner_list(d)) {
+    const index_t idx = d.index(c.x, c.y, c.z);
+    codes[emitted++] = quantize_point(orig[idx], corner_prediction(recon, c), corner_eb,
+                                      radius, rec[idx], outliers);
+  }
+
+  std::vector<AlignedVec<float>> chunk_outliers;
+  for (const Sweep& sw : sweep_plan(d)) {
+    const double eb = level_eb(abs_eb, sw.lev, cfg);
+    const std::size_t first_code = emitted;
+    auto quantize_units = [&](index_t u0, index_t u1, AlignedVec<float>& out) {
+      std::size_t ci = first_code + static_cast<std::size_t>(u0 * sw.per_unit);
+      visit_units(
+          d, rec, cfg.cubic, sw, u0, u1,
+          [&](index_t idx, double pred, bool /*extrap*/) {
+            codes[ci++] = quantize_point(orig[idx], pred, eb, radius, rec[idx], out);
+          },
+          [&](const RowCtx& rc) {
+            const auto n = static_cast<std::size_t>(rc.n);
+            const float* op = orig + rc.row;
+            std::uint32_t* cp = codes.data() + ci;
+            float* rp = rec + rc.row;
+            if (rc.kind == RowKind::cubic)
+              simd::quantize_row_cubic(op, rec + rc.a, rec + rc.b, rec + rc.c, rec + rc.d,
+                                       n, eb, radius, cp, rp, out);
+            else
+              simd::quantize_row_linear(op, rec + rc.b, rec + rc.c, n, eb, radius, cp, rp,
+                                        out);
+            ci += n;
+          });
+    };
+    const index_t chunks = chunk_count(sw, lanes);
+    if (chunks == 1) {
+      quantize_units(0, sw.units(), outliers);
+    } else {
+      // Each chunk collects its own outliers; appending them in chunk order
+      // reproduces the serial order exactly. A chunk fills a list of its own
+      // and only then moves it into the shared array, whose neighbouring
+      // entries share cache lines.
+      chunk_outliers.assign(static_cast<std::size_t>(chunks), {});
+      exec::parallel_for(chunks, [&](index_t c) {
+        AlignedVec<float> out;
+        quantize_units(chunk_begin(sw, chunks, c), chunk_begin(sw, chunks, c + 1), out);
+        chunk_outliers[static_cast<std::size_t>(c)] = std::move(out);
+      }, lanes);
+      for (index_t c = 0; c < chunks; ++c) {
+        const auto& out = chunk_outliers[static_cast<std::size_t>(c)];
+        outliers.insert(outliers.end(), out.begin(), out.end());
+      }
+    }
+    emitted += static_cast<std::size_t>(sw.targets());
+  }
   return emitted;
 }
 
-MRC_OBS_NOINLINE void predict_recon_pass(const Dim3& dims, double stream_eb,
-                                         const InterpConfig& cfg, FieldF& recon,
+MRC_OBS_NOINLINE void predict_recon_pass(const Dim3& d, double stream_eb,
+                                         const InterpConfig& cfg, int lanes,
+                                         FieldF& recon,
                                          const AlignedVec<std::uint32_t>& codes,
                                          const AlignedVec<float>& outliers) {
-  std::size_t ci = 0;
-  std::size_t oi = 0;
   const auto radius = cfg.quant_radius;
   float* rec = recon.data();
   const std::span<const float> ospan(outliers.data(), outliers.size());
-  traverse(
-      dims, recon, cfg.cubic,
-      [&](index_t idx, double pred, int level, bool /*extrap*/) {
-        const double eb = level_eb(stream_eb, level, cfg);
-        const std::uint32_t code = codes[ci++];
-        if (code == 0) {
-          if (oi >= outliers.size()) throw CodecError("interp: outlier underrun");
-          rec[idx] = outliers[oi++];
-        } else {
-          const auto q = static_cast<std::int64_t>(code) - radius;
-          rec[idx] = static_cast<float>(pred + 2.0 * eb * static_cast<double>(q));
-        }
-      },
-      [&](const RowCtx& rc) {
-        const double eb = level_eb(stream_eb, rc.lev, cfg);
-        const auto n = static_cast<std::size_t>(rc.n);
-        const std::uint32_t* cp = codes.data() + ci;
-        float* rp = rec + rc.row;
-        if (rc.kind == RowKind::cubic)
-          simd::dequantize_row_cubic(cp, rec + rc.a, rec + rc.b, rec + rc.c,
-                                     rec + rc.d, n, eb, radius, rp, ospan, oi);
-        else
-          simd::dequantize_row_linear(cp, rec + rc.b, rec + rc.c, n, eb, radius, rp,
-                                      ospan, oi);
-        ci += n;
-      });
+  auto dequantize_point = [&](std::uint32_t code, double pred, double eb,
+                              std::size_t& oi) {
+    if (code == 0) {
+      if (oi >= ospan.size()) throw CodecError("interp: outlier underrun");
+      return ospan[oi++];
+    }
+    const auto q = static_cast<std::int64_t>(code) - radius;
+    return static_cast<float>(pred + 2.0 * eb * static_cast<double>(q));
+  };
+
+  std::size_t consumed = 0;
+  std::size_t oi = 0;
+  const int levels = std::max(ceil_log2(d.max_extent()), 1);
+  const double corner_eb = level_eb(stream_eb, levels, cfg);
+  for (const Corner& c : corner_list(d)) {
+    const index_t idx = d.index(c.x, c.y, c.z);
+    rec[idx] = dequantize_point(codes[consumed++], corner_prediction(recon, c), corner_eb, oi);
+  }
+
+  std::vector<std::size_t> first_outlier;
+  for (const Sweep& sw : sweep_plan(d)) {
+    const double eb = level_eb(stream_eb, sw.lev, cfg);
+    const std::size_t first_code = consumed;
+    auto unit_codes = [&](index_t u) {
+      return first_code + static_cast<std::size_t>(u * sw.per_unit);
+    };
+    // Reconstructs units [u0, u1), whose first code-0 takes outlier `o`;
+    // returns the outlier index after them.
+    auto reconstruct_units = [&](index_t u0, index_t u1, std::size_t o) {
+      std::size_t ci = unit_codes(u0);
+      visit_units(
+          d, rec, cfg.cubic, sw, u0, u1,
+          [&](index_t idx, double pred, bool /*extrap*/) {
+            rec[idx] = dequantize_point(codes[ci++], pred, eb, o);
+          },
+          [&](const RowCtx& rc) {
+            const auto n = static_cast<std::size_t>(rc.n);
+            const std::uint32_t* cp = codes.data() + ci;
+            float* rp = rec + rc.row;
+            if (rc.kind == RowKind::cubic)
+              simd::dequantize_row_cubic(cp, rec + rc.a, rec + rc.b, rec + rc.c,
+                                         rec + rc.d, n, eb, radius, rp, ospan, o);
+            else
+              simd::dequantize_row_linear(cp, rec + rc.b, rec + rc.c, n, eb, radius, rp,
+                                          ospan, o);
+            ci += n;
+          });
+      return o;
+    };
+    const index_t chunks = chunk_count(sw, lanes);
+    if (chunks == 1) {
+      oi = reconstruct_units(0, sw.units(), oi);
+    } else {
+      // A chunk's first outlier is the serial one: the code-0 count of the
+      // chunks before it, prefix-summed from this sweep's first outlier.
+      first_outlier.assign(static_cast<std::size_t>(chunks) + 1, 0);
+      exec::parallel_for(chunks, [&](index_t c) {
+        const std::uint32_t* b = codes.data() + unit_codes(chunk_begin(sw, chunks, c));
+        const std::uint32_t* e = codes.data() + unit_codes(chunk_begin(sw, chunks, c + 1));
+        first_outlier[static_cast<std::size_t>(c) + 1] =
+            static_cast<std::size_t>(std::count(b, e, 0u));
+      }, lanes);
+      first_outlier[0] = oi;
+      for (std::size_t c = 1; c < first_outlier.size(); ++c)
+        first_outlier[c] += first_outlier[c - 1];
+      exec::parallel_for(chunks, [&](index_t c) {
+        (void)reconstruct_units(chunk_begin(sw, chunks, c), chunk_begin(sw, chunks, c + 1),
+                                first_outlier[static_cast<std::size_t>(c)]);
+      }, lanes);
+      oi = first_outlier.back();
+    }
+    consumed += static_cast<std::size_t>(sw.targets());
+  }
   if (oi != outliers.size()) throw CodecError("interp: outlier overrun");
 }
 
 }  // namespace
 
 InterpCompressor::InterpCompressor(InterpConfig cfg) : cfg_(cfg) {
-  MRC_REQUIRE(cfg_.quant_radius >= 2, "quant radius too small");
+  MRC_REQUIRE(cfg_.quant_radius >= 2 && cfg_.quant_radius <= lossless::kMaxQuantRadius,
+              "quant radius out of range");
   MRC_REQUIRE(cfg_.alpha > 1.0 && cfg_.beta >= 1.0, "bad adaptive-eb parameters");
+  MRC_REQUIRE(cfg_.threads >= 0, "negative lane count");
 }
 
 std::string InterpCompressor::name() const {
@@ -380,9 +468,10 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
   static obs::Counter& ns_ll =
       obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
 
+  const int lanes = exec::lanes_here(cfg_.threads);
   {
     OBS_SPAN("interp.predict_quant", &ns_pq);
-    emitted = predict_quant_pass(f, abs_eb, cfg_, recon, codes, outliers);
+    emitted = predict_quant_pass(f, abs_eb, cfg_, lanes, recon, codes, outliers);
   }
   MRC_REQUIRE(emitted == codes.size(), "traversal did not cover the grid");
 
@@ -402,7 +491,7 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
 
   {
     OBS_SPAN("interp.entropy", &ns_ent);
-    w.put_blob(lossless::encode_quant_codes_sharded(codes, radius, shards));
+    w.put_blob(lossless::encode_quant_codes_sharded(codes, radius, shards, lanes));
   }
   {
     OBS_SPAN("interp.lossless", &ns_ll);
@@ -421,7 +510,10 @@ FieldF InterpCompressor::decompress(std::span<const std::byte> stream) const {
   cfg.cubic = r.get<std::uint8_t>() != 0;
   cfg.alpha = r.get<double>();
   cfg.beta = r.get<double>();
-  cfg.quant_radius = static_cast<std::uint32_t>(r.get_varint());
+  const std::uint64_t radius = r.get_varint();
+  if (radius < 2 || radius > lossless::kMaxQuantRadius)
+    throw CodecError("interp: bad radius");
+  cfg.quant_radius = static_cast<std::uint32_t>(radius);
 
   // Per-lane scratch (see compress); decode_quant_codes_into validates the
   // stream's count against the header dims before sizing the buffer, then
@@ -453,15 +545,21 @@ FieldF InterpCompressor::decompress(std::span<const std::byte> stream) const {
 
   FieldF recon(h.dims);
   OBS_SPAN("interp.predict_recon", &ns_pq);
-  predict_recon_pass(h.dims, h.eb, cfg, recon, codes, outliers);
+  predict_recon_pass(h.dims, h.eb, cfg, exec::lanes_here(cfg_.threads), recon, codes,
+                     outliers);
   return recon;
 }
 
 index_t InterpCompressor::count_extrapolated_points(Dim3 dims) {
-  FieldF scratch(dims, 0.0f);
+  // Corners and row-uniform runs never extrapolate; only per-point sweeps
+  // can reach past the grid.
+  const FieldF scratch(dims, 0.0f);
   index_t count = 0;
-  traverse(dims, scratch, /*cubic=*/true,
-           [&](index_t, double, int, bool extrap) { count += extrap ? 1 : 0; });
+  for (const Sweep& sw : sweep_plan(dims))
+    visit_units(
+        dims, scratch.data(), /*cubic=*/true, sw, 0, sw.units(),
+        [&](index_t, double, bool extrap) { count += extrap ? 1 : 0; },
+        [](const RowCtx&) {});
   return count;
 }
 

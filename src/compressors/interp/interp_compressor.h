@@ -16,6 +16,16 @@
 // adopts for multi-resolution data:
 //     eb(level) = eb / min(alpha^(level-1), beta),   level 1 = finest
 // with the paper's fixed alpha = 2.25, beta = 8.
+//
+// One stream can run on several exec-pool lanes (InterpConfig::threads)
+// without moving a byte. A sweep along one axis at stride s reads only
+// positions x ± s and x ± 3s, which are multiples of 2s or the n-1 anchor,
+// never another target of the same sweep; so a sweep of 16 Ki targets or
+// more splits into chunks of whole lines, rows or z-slabs, each starting at
+// a code index known in advance. The monolithic Huffman encode splits the
+// same way (lossless/quant_codec.h). Called on a pool lane — a brick of a
+// tiled, pyramid, progressive or adaptive container — the codec runs on
+// that one lane.
 
 #include "compressors/compressor.h"
 
@@ -30,6 +40,10 @@ struct InterpConfig {
   /// Requested entropy shards per stream (negotiated down by grid size; > 1
   /// writes the v7 sharded layout, 1 keeps the frozen v6 bytes).
   std::uint32_t entropy_shards = 1;
+  /// Exec-pool lanes for one stream's prediction sweeps and entropy encode
+  /// (0 = hardware); used only off a pool lane. Output bytes are identical
+  /// for any value, so the stream does not record it.
+  int threads = 1;
 };
 
 class InterpCompressor final : public Compressor {

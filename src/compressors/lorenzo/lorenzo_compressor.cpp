@@ -110,7 +110,8 @@ struct CoeffQuant {
 
 LorenzoCompressor::LorenzoCompressor(LorenzoConfig cfg) : cfg_(cfg) {
   MRC_REQUIRE(cfg_.block_size >= 2, "block size too small");
-  MRC_REQUIRE(cfg_.quant_radius >= 2, "quant radius too small");
+  MRC_REQUIRE(cfg_.quant_radius >= 2 && cfg_.quant_radius <= lossless::kMaxQuantRadius,
+              "quant radius out of range");
   MRC_REQUIRE(cfg_.chunks >= 1, "bad chunk count");
 }
 
@@ -285,7 +286,10 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
   ByteReader r(stream);
   const auto h = detail::read_header(r, kMagic, "lorenzo");
   const auto bs = static_cast<index_t>(r.get_varint());
-  const auto radius = static_cast<std::uint32_t>(r.get_varint());
+  const std::uint64_t radius64 = r.get_varint();
+  if (radius64 < 2 || radius64 > lossless::kMaxQuantRadius)
+    throw CodecError("lorenzo: bad radius");
+  const auto radius = static_cast<std::uint32_t>(radius64);
   (void)r.get<std::uint8_t>();  // use_regression flag (informational)
   const auto n_chunks = static_cast<int>(r.get_varint());
   const Dim3 d = h.dims;

@@ -86,6 +86,7 @@ CodecRegistry make_builtin_registry() {
                  c.alpha = t.alpha;
                  c.beta = t.beta;
                  c.entropy_shards = t.entropy_shards;
+                 c.threads = t.threads;
                  return std::make_unique<InterpCompressor>(c);
                }});
   reg.add({.name = "lorenzo",

@@ -29,7 +29,9 @@ struct CodecTuning {
   double beta = 8.0;                 ///< adaptive-eb decay cap
   index_t block_size = 0;            ///< lorenzo block edge; 0 = codec default
   bool use_regression = true;        ///< lorenzo per-block predictor choice
-  int threads = 1;                   ///< independent chunks for parallel codecs
+  /// Lanes of the parallel codecs: lorenzo/zfpx chunk counts, interp's
+  /// exec-pool width for one stream (which changes no byte).
+  int threads = 1;
   /// Requested entropy shards per Huffman code stream (interp/lorenzo/
   /// quantize; zfpx folds it into its chunk count, whose streams are already
   /// independent).

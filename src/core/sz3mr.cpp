@@ -15,6 +15,7 @@ std::unique_ptr<Compressor> make_interp(const Config& cfg) {
   t.adaptive_eb = cfg.adaptive_eb;
   t.alpha = cfg.alpha;
   t.beta = cfg.beta;
+  t.threads = exec::lanes_for(cfg.threads);
   return registry().make("interp", t);
 }
 
@@ -79,7 +80,7 @@ PreparedLevel prepare_level(const LevelData& level, index_t unit, const Config& 
   switch (cfg.merge) {
     case MergeKind::linear:
       prep.padded = should_pad(cfg, unit);
-      prep.merged = gather_linear(level, prep.set, prep.padded, cfg.pad_kind);
+      prep.merged = gather_linear(level, prep.set, prep.padded, cfg.pad_kind, cfg.threads);
       break;
     case MergeKind::stack:
       prep.merged = gather_stack(level, prep.set);
@@ -164,7 +165,7 @@ Bytes compress_level(const LevelData& level, index_t unit, double abs_eb,
   return encode_prepared(prepare_level(level, unit, cfg), abs_eb);
 }
 
-LevelData decompress_level(std::span<const std::byte> stream) {
+LevelData decompress_level(std::span<const std::byte> stream, int threads) {
   ByteReader r(stream);
   const auto header = detail::read_header(r, kLevelMagic, "sz3mr");
   const Dim3 ld = header.dims;
@@ -207,8 +208,11 @@ LevelData decompress_level(std::span<const std::byte> stream) {
   }
   if (n_blocks == 0) return level;
 
-  // Codec config is decoded from the nested payload itself.
-  const auto interp = registry().make("interp");
+  // Codec config is decoded from the nested payload itself; only the lane
+  // count comes from here.
+  CodecTuning tuning;
+  tuning.threads = exec::lanes_for(threads);
+  const auto interp = registry().make("interp", tuning);
 
   if (merge == MergeKind::tac) {
     const auto n_boxes = r.get_varint();
@@ -228,15 +232,23 @@ LevelData decompress_level(std::span<const std::byte> stream) {
     unmerge_tac(boxes, set);
   } else {
     FieldF merged = interp->decompress(r.get_blob());
-    if (padded) merged = strip_pad_xy(merged);
-    if (has_post && (ax > 0.0 || ay > 0.0 || az > 0.0)) {
+    const bool post = has_post && (ax > 0.0 || ay > 0.0 || az > 0.0);
+    // The Bézier pass and the stack unmerge need the unpadded array; a
+    // linear merge's scatter reads past the pad layer instead.
+    bool pad_left = padded;
+    if (padded && (post || merge != MergeKind::linear)) {
+      merged = strip_pad_xy(merged);
+      pad_left = false;
+    }
+    if (post) {
       postproc::BezierParams p{unit, eb, ax, ay, az};
       merged = postproc::bezier_postprocess(merged, p);
     }
-    if (merge == MergeKind::linear)
-      unmerge_linear(merged, set);
-    else
-      unmerge_stack(merged, set);
+    if (merge == MergeKind::linear) {
+      scatter_linear(merged, pad_left, set, level, threads);
+      return level;
+    }
+    unmerge_stack(merged, set);
   }
 
   scatter_unit_blocks(set, level);
@@ -251,17 +263,14 @@ std::size_t MultiResStreams::total_bytes() const {
 
 MultiResStreams compress_multires(const MultiResField& mr, double abs_eb,
                                   const Config& cfg) {
+  // Levels run one after another, each on all cfg.threads lanes: level 0
+  // holds most of the samples, and a level per lane would leave its sweeps
+  // on one.
   MultiResStreams out;
-  out.level_streams.resize(mr.levels.size());
-  // Levels are independent streams, so they compress concurrently on
-  // cfg.threads lanes; results land at their level index, keeping the output
-  // identical to a serial run.
-  exec::parallel_for(static_cast<index_t>(mr.levels.size()), [&](index_t l) {
-    const auto& level = mr.levels[static_cast<std::size_t>(l)];
+  for (const auto& level : mr.levels) {
     const index_t unit = std::max<index_t>(mr.block_size / level.ratio, 1);
-    out.level_streams[static_cast<std::size_t>(l)] =
-        compress_level(level, unit, abs_eb, cfg);
-  }, cfg.threads);
+    out.level_streams.push_back(compress_level(level, unit, abs_eb, cfg));
+  }
   return out;
 }
 

@@ -42,9 +42,10 @@ struct Config {
   double beta = 8.0;
   std::uint32_t quant_radius = 512;
   bool postprocess = false;  ///< tune + embed Bézier intensities in the stream
-  /// Exec-pool lanes used to compress/decompress hierarchy levels
-  /// concurrently (compress_multires / encode_snapshot); streams are
-  /// byte-identical for any value. 0 = hardware.
+  /// Exec-pool lanes of each level's block gather, interp sweeps and
+  /// entropy encode. Levels are coded one after another, each at this full
+  /// width (compress_multires / encode_snapshot / write_snapshot); streams
+  /// are byte-identical for any value. 0 = hardware.
   int threads = 1;
 };
 
@@ -76,7 +77,10 @@ struct PreparedLevel {
                                    const Config& cfg);
 
 /// Full inverse; reconstructs the level's data + mask (zeros elsewhere).
-[[nodiscard]] LevelData decompress_level(std::span<const std::byte> stream);
+/// The interp decode and a linear merge's block scatter run on `threads`
+/// exec-pool lanes (0 = hardware); the result is identical for any width.
+[[nodiscard]] LevelData decompress_level(std::span<const std::byte> stream,
+                                         int threads = 1);
 
 /// Hierarchy-level driver. Unit block size per level = block_size / ratio.
 struct MultiResStreams {

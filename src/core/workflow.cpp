@@ -3,7 +3,6 @@
 #include <fstream>
 
 #include "obs/obs.h"
-#include "exec/thread_pool.h"
 #include "io/raw_io.h"
 
 namespace mrc::workflow {
@@ -41,28 +40,19 @@ OutputTiming write_snapshot(const MultiResField& mr, double abs_eb,
   }
   t.preprocess_s = timer.seconds();
 
-  // Phase 2: compression + writing to the file system, in level order. With
-  // one lane, each level is encoded and written before the next is touched
-  // (peak memory = one compressed level); with more, levels encode
-  // concurrently and buffer until the ordered write.
+  // Phase 2: compression + writing to the file system, in level order. Each
+  // level is encoded on all cfg.threads lanes and written before the next
+  // is touched, so peak memory holds one compressed level.
   timer.restart("workflow.compress_write");
   // Open (and so validate) the output path before any encoding work.
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   MRC_REQUIRE(f.good(), "cannot open snapshot file: " + path);
-  const bool concurrent = exec::lanes_for(cfg.threads) > 1;
-  std::vector<Bytes> encoded(prepared.size());
-  if (concurrent)
-    exec::parallel_for(static_cast<index_t>(prepared.size()), [&](index_t l) {
-      encoded[static_cast<std::size_t>(l)] =
-          sz3mr::encode_prepared(prepared[static_cast<std::size_t>(l)], abs_eb);
-    }, cfg.threads);
   const Bytes head = snapshot_header(mr, abs_eb);
   f.write(reinterpret_cast<const char*>(head.data()),
           static_cast<std::streamsize>(head.size()));
   t.bytes_written += head.size();
-  for (std::size_t l = 0; l < prepared.size(); ++l) {
-    const Bytes stream =
-        concurrent ? std::move(encoded[l]) : sz3mr::encode_prepared(prepared[l], abs_eb);
+  for (const sz3mr::PreparedLevel& level : prepared) {
+    const Bytes stream = sz3mr::encode_prepared(level, abs_eb);
     Bytes len;  // varint length prefix only; the payload is written directly
     ByteWriter w(len);
     w.put_varint(stream.size());
@@ -80,7 +70,7 @@ OutputTiming write_snapshot(const MultiResField& mr, double abs_eb,
 
 Bytes encode_snapshot(const MultiResField& mr, double abs_eb,
                       const sz3mr::Config& cfg) {
-  // Per-level SZ3MR streams compress concurrently (cfg.threads lanes); the
+  // Levels encode one after another, each on cfg.threads lanes; the
   // snapshot bytes are identical for any thread count.
   const sz3mr::MultiResStreams streams = sz3mr::compress_multires(mr, abs_eb, cfg);
   Bytes out = snapshot_header(mr, abs_eb);
@@ -89,7 +79,7 @@ Bytes encode_snapshot(const MultiResField& mr, double abs_eb,
   return out;
 }
 
-MultiResField decode_snapshot(std::span<const std::byte> snapshot) {
+MultiResField decode_snapshot(std::span<const std::byte> snapshot, int threads) {
   ByteReader r(snapshot);
   const auto header = detail::read_header(r, kSnapshotMagic, "snapshot");
   MultiResField mr;
@@ -99,12 +89,12 @@ MultiResField decode_snapshot(std::span<const std::byte> snapshot) {
   if (mr.block_size <= 0 || n_levels == 0 || n_levels > 64)
     throw CodecError("snapshot: bad block size / level count");
   for (std::uint64_t l = 0; l < n_levels; ++l)
-    mr.levels.push_back(sz3mr::decompress_level(r.get_blob()));
+    mr.levels.push_back(sz3mr::decompress_level(r.get_blob(), threads));
   return mr;
 }
 
-MultiResField read_snapshot(const std::string& path) {
-  return decode_snapshot(io::read_bytes(path));
+MultiResField read_snapshot(const std::string& path, int threads) {
+  return decode_snapshot(io::read_bytes(path), threads);
 }
 
 }  // namespace mrc::workflow

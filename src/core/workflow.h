@@ -30,6 +30,8 @@ struct OutputTiming {
   [[nodiscard]] double total_s() const { return preprocess_s + compress_write_s; }
 };
 
+/// Encodes and writes one level at a time, each on all cfg.threads lanes,
+/// so peak memory holds one compressed level whatever the width.
 [[nodiscard]] OutputTiming write_snapshot(const MultiResField& mr, double abs_eb,
                                           const sz3mr::Config& cfg,
                                           const std::string& path);
@@ -41,9 +43,13 @@ struct OutputTiming {
                                     const sz3mr::Config& cfg);
 
 /// Full inverse of encode_snapshot / the bytes of a write_snapshot file.
-[[nodiscard]] MultiResField decode_snapshot(std::span<const std::byte> snapshot);
+/// Levels decode one after another, each on `threads` exec-pool lanes
+/// (0 = hardware); the result is identical for any width.
+[[nodiscard]] MultiResField decode_snapshot(std::span<const std::byte> snapshot,
+                                            int threads = 0);
 
-/// Reads back a snapshot written by write_snapshot.
-[[nodiscard]] MultiResField read_snapshot(const std::string& path);
+/// Reads back a snapshot written by write_snapshot (decode_snapshot's
+/// `threads`).
+[[nodiscard]] MultiResField read_snapshot(const std::string& path, int threads = 0);
 
 }  // namespace mrc::workflow

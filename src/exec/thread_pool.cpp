@@ -270,6 +270,11 @@ int lanes_for(int width) {
   return width == 0 ? hardware_threads() : width;
 }
 
+int lanes_here(int width) {
+  const int lanes = lanes_for(width);
+  return on_pool_lane() ? 1 : lanes;
+}
+
 namespace {
 
 /// The long-lived pool with `lanes` lanes, built on first use. Leaked like

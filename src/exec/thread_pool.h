@@ -142,6 +142,12 @@ class ThreadPool {
 /// for 0.
 [[nodiscard]] int lanes_for(int width);
 
+/// Lanes a loop of width `width` started by this thread would get: 1 on a
+/// pool lane, where parallel_for runs nested loops inline, else
+/// lanes_for(width). Codecs ask this before splitting one stream's work, so
+/// a brick coded on a pool lane pays nothing for the split.
+[[nodiscard]] int lanes_here(int width);
+
 /// The library's one way to spread a loop: runs body(i) for i in [0, n) on
 /// min(n, lanes_for(width)) lanes of the long-lived pool with that lane
 /// count. Width 1 runs serially on the caller, as a lane of its own. So does

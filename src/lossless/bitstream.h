@@ -28,6 +28,20 @@ namespace detail {
   return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
+/// The 8 bytes at p as a little-endian word.
+[[nodiscard]] inline std::uint64_t load_le64(const std::byte* p) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::uint64_t w;
+  std::memcpy(&w, p, 8);
+  return w;
+#else
+  std::uint64_t w = 0;
+  for (int i = 0; i < 8; ++i)
+    w |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+  return w;
+#endif
+}
+
 }  // namespace detail
 
 class BitWriter {
@@ -52,6 +66,35 @@ class BitWriter {
       nacc_ = total;
     }
     bit_count_ += static_cast<std::uint64_t>(n);
+  }
+
+  /// Appends the first `nbits` bits of another LSB-first stream (such as a
+  /// second writer's take()), exactly as if they had been written here one
+  /// by one. LSB-first packing makes this a shift-or per 64-bit word, which
+  /// is how separately encoded slices of one stream are spliced.
+  void append_bits(std::span<const std::byte> bits, std::uint64_t nbits) {
+    MRC_REQUIRE(nbits <= static_cast<std::uint64_t>(bits.size()) * 8,
+                "append_bits: fewer bytes than bits");
+    if (flushed_) unflush();
+    const auto words = static_cast<std::size_t>(nbits / 64);
+    const std::byte* p = bits.data();
+    if (words > 0) {
+      // write_bits(w, 64) per word, with the buffer grown once.
+      const std::size_t s = out_.size();
+      out_.resize(s + 8 * words);
+      std::byte* dst = out_.data() + s;
+      for (std::size_t i = 0; i < words; ++i, p += 8, dst += 8) {
+        const std::uint64_t w = detail::load_le64(p);
+        store_le64(dst, acc_ | (w << nacc_));
+        acc_ = nacc_ == 0 ? 0 : w >> (64 - nacc_);
+      }
+      bit_count_ += 64 * static_cast<std::uint64_t>(words);
+      nbits -= 64 * static_cast<std::uint64_t>(words);
+    }
+    std::uint64_t tail = 0;
+    for (std::uint64_t k = 0; 8 * k < nbits; ++k)
+      tail |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[k])) << (8 * k);
+    write_bits(tail, static_cast<int>(nbits));
   }
 
   /// Grows the buffer up front (hint only; the stream is unaffected).
@@ -79,7 +122,10 @@ class BitWriter {
   void append_word(std::uint64_t w) {
     const std::size_t s = out_.size();
     out_.resize(s + 8);
-    std::byte* p = out_.data() + s;
+    store_le64(out_.data() + s, w);
+  }
+
+  static void store_le64(std::byte* p, std::uint64_t w) {
     for (int i = 0; i < 8; ++i) p[i] = static_cast<std::byte>((w >> (8 * i)) & 0xff);
   }
 
@@ -178,7 +224,7 @@ class BitReader {
     if (byte_pos_ + 8 <= in_.size()) {
       // One unaligned load; advance only past the bytes that fit, so the
       // overlap is re-read by the next refill.
-      acc_ |= load_le64(in_.data() + byte_pos_) << navail_;
+      acc_ |= detail::load_le64(in_.data() + byte_pos_) << navail_;
       byte_pos_ += static_cast<std::size_t>((63 - navail_) >> 3);
       navail_ |= 56;
       return;
@@ -210,19 +256,6 @@ class BitReader {
       got += take;
     }
     return v;
-  }
-
-  static std::uint64_t load_le64(const std::byte* p) {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    std::uint64_t w;
-    std::memcpy(&w, p, 8);
-    return w;
-#else
-    std::uint64_t w = 0;
-    for (int i = 0; i < 8; ++i)
-      w |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-    return w;
-#endif
   }
 
   std::span<const std::byte> in_;

@@ -216,8 +216,10 @@ std::uint32_t HuffmanCodebook::decode_long(BitReader& br, std::uint64_t window) 
 }
 
 void HuffmanCodebook::serialize(BitWriter& bw) const {
-  bw.write_bits(lengths_.size(), 24);
-  bw.write_bits(sorted_symbols_.size(), 24);
+  MRC_REQUIRE(lengths_.size() < (std::size_t{1} << kAlphabetBits),
+              "huffman alphabet too large for the codebook header");
+  bw.write_bits(lengths_.size(), kAlphabetBits);
+  bw.write_bits(sorted_symbols_.size(), kAlphabetBits);
   // Symbols in ascending order with gamma-coded deltas + 6-bit lengths.
   std::vector<std::uint32_t> asc;
   for (std::uint32_t s = 0; s < lengths_.size(); ++s)
@@ -232,8 +234,8 @@ void HuffmanCodebook::serialize(BitWriter& bw) const {
 
 HuffmanCodebook HuffmanCodebook::deserialize(BitReader& br) {
   HuffmanCodebook cb;
-  const auto alphabet = static_cast<std::size_t>(br.read_bits(24));
-  const auto n_used = static_cast<std::size_t>(br.read_bits(24));
+  const auto alphabet = static_cast<std::size_t>(br.read_bits(kAlphabetBits));
+  const auto n_used = static_cast<std::size_t>(br.read_bits(kAlphabetBits));
   cb.lengths_.assign(alphabet, 0);
   std::uint32_t prev = 0;
   for (std::size_t i = 0; i < n_used; ++i) {

@@ -37,11 +37,16 @@ class HuffmanCodebook {
   /// per-length scan.
   static constexpr int kDecodeTableBits = 12;
 
+  /// Width of a serialized codebook's alphabet-size and used-symbol fields:
+  /// serialize() takes alphabets below 2^kAlphabetBits only.
+  static constexpr int kAlphabetBits = 24;
+
   /// Builds length-limited (<= 56 bits) canonical codes from frequencies.
   /// Symbols with zero frequency get no code.
   static HuffmanCodebook from_frequencies(std::span<const std::uint64_t> freqs);
 
   /// Writes the code-length table (only used symbols) to the stream.
+  /// Throws ContractError for an alphabet of 2^kAlphabetBits or more.
   void serialize(BitWriter& bw) const;
 
   /// Reads a code-length table produced by serialize().

@@ -35,6 +35,13 @@
 //     boundaries) and is byte-aligned. The shard table is fully validated —
 //     contiguous offsets covering the payload exactly, counts >= 1 summing
 //     to the total — before any output allocation.
+//
+// A monolithic stream of 256 Ki symbols or more can be encoded on several
+// exec-pool lanes with the same bytes: each lane scans one slice of the
+// codes (histogram, inner zero runs, and the runs at its edges, which the
+// in-order merge joins across slices), then emits the tokens of one
+// token-aligned slice into its own bit buffer; the buffers are spliced at
+// prefix-summed bit offsets. Decoding a monolithic stream stays serial.
 
 #include <cstdint>
 #include <span>
@@ -42,6 +49,7 @@
 
 #include "common/aligned.h"
 #include "common/bytes.h"
+#include "lossless/huffman.h"
 
 namespace mrc::exec {
 class ThreadPool;
@@ -49,9 +57,18 @@ class ThreadPool;
 
 namespace mrc::lossless {
 
-/// Widest quantization radius a code stream takes: the entropy alphabet
-/// (2*radius + 1 codes plus the run buckets) must fit a u32.
-inline constexpr std::uint32_t kMaxQuantRadius = std::uint32_t{1} << 30;
+/// Run-length symbols after the 2*radius + 1 codes of every alphabet:
+/// bucket b stands for a zero-bin run in [2^b, 2^{b+1}).
+inline constexpr int kRunBuckets = 48;
+
+/// Widest quantization radius a code stream takes: its alphabet,
+/// 2*radius + 1 codes plus the kRunBuckets run symbols, must stay below
+/// 2^24, the width of the codebook's alphabet field.
+inline constexpr std::uint32_t kMaxQuantRadius =
+    ((std::uint32_t{1} << HuffmanCodebook::kAlphabetBits) - 2 - kRunBuckets) / 2;
+static_assert(kMaxQuantRadius == 8'388'583);
+static_assert(2 * std::uint64_t{kMaxQuantRadius} + 1 + kRunBuckets <
+              (std::uint64_t{1} << HuffmanCodebook::kAlphabetBits));
 
 /// Hard cap on shards per entropy stream: enough to feed any plausible pool
 /// from one brick while keeping the shard table trivially small; also the
@@ -70,20 +87,23 @@ inline constexpr std::uint64_t kMinShardSymbols = 4096;
 [[nodiscard]] std::uint32_t negotiate_entropy_shards(std::uint64_t n,
                                                      std::uint32_t requested);
 
-/// Encodes `codes` (each in [0, 2*radius]) in the frozen monolithic layout.
+/// Encodes `codes` (each in [0, 2*radius]) in the frozen monolithic layout,
+/// on up to `lanes` exec-pool lanes (0 = hardware; one lane on a pool lane
+/// or below 256 Ki symbols). The bytes do not depend on `lanes`.
 [[nodiscard]] Bytes encode_quant_codes(std::span<const std::uint32_t> codes,
-                                       std::uint32_t radius);
+                                       std::uint32_t radius, int lanes = 1);
 
 /// Encodes in the sharded layout with (up to) `shards` chunks. The count is
 /// negotiated down — clamped to kMaxEntropyShards and to one shard per
 /// kMinShardSymbols symbols — and when it collapses to 1 the frozen
 /// monolithic layout is emitted instead, so small inputs never pay the
 /// shard-table overhead and a shards<=1 request is exactly
-/// encode_quant_codes(). Output bytes depend only on (codes, radius,
-/// shards), never on thread counts.
+/// encode_quant_codes(codes, radius, lanes); `lanes` reaches only that
+/// monolithic case. Output bytes depend only on (codes, radius, shards),
+/// never on thread counts.
 [[nodiscard]] Bytes encode_quant_codes_sharded(std::span<const std::uint32_t> codes,
                                                std::uint32_t radius,
-                                               std::uint32_t shards);
+                                               std::uint32_t shards, int lanes = 1);
 
 /// True iff `in` begins with the sharded-layout marker.
 [[nodiscard]] bool is_sharded_quant_stream(std::span<const std::byte> in);

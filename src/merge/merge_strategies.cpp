@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "exec/thread_pool.h"
+
 namespace mrc {
 
 namespace {
@@ -72,14 +74,6 @@ FieldF merge_linear(const UnitBlockSet& set) {
   return merged;
 }
 
-void unmerge_linear(const FieldF& merged, UnitBlockSet& set) {
-  const index_t u = set.unit;
-  MRC_REQUIRE(merged.dims() == Dim3(u, u, u * set.block_count()), "merged shape mismatch");
-  set.data.assign(static_cast<std::size_t>(set.block_count() * set.values_per_block()), 0.0f);
-  for (index_t b = 0; b < set.block_count(); ++b)
-    copy_block_from(set, b, merged, {0, 0, b * u});
-}
-
 FieldF merge_stack(const UnitBlockSet& set) {
   MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
   const index_t u = set.unit;
@@ -136,7 +130,7 @@ UnitBlockSet scan_unit_blocks(const LevelData& level, index_t unit) {
 }
 
 FieldF gather_linear(const LevelData& level, const UnitBlockSet& set, bool pad,
-                     PadKind kind) {
+                     PadKind kind, int threads) {
   MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
   const index_t u = set.unit;
   const index_t n = set.block_count();
@@ -153,7 +147,8 @@ FieldF gather_linear(const LevelData& level, const UnitBlockSet& set, bool pad,
     return a;
   };
 
-  for (index_t b = 0; b < n; ++b) {
+  // Block b owns merged planes [b·u, (b+1)·u), so blocks gather in parallel.
+  exec::parallel_for(n, [&](index_t b) {
     const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(b)]);
     for (index_t k = 0; k < u; ++k) {
       const index_t mz = b * u + k;
@@ -175,8 +170,28 @@ FieldF gather_linear(const LevelData& level, const UnitBlockSet& set, bool pad,
         }
       }
     }
-  }
+  }, threads);
   return merged;
+}
+
+void scatter_linear(const FieldF& merged, bool padded, const UnitBlockSet& set,
+                    LevelData& level, int threads) {
+  MRC_REQUIRE(level.data.dims() == set.level_dims, "level dims mismatch");
+  MRC_REQUIRE(level.mask.dims() == set.level_dims, "mask dims mismatch");
+  const index_t u = set.unit;
+  const index_t pitch = padded ? u + 1 : u;
+  MRC_REQUIRE(merged.dims() == Dim3(pitch, pitch, u * set.block_count()),
+              "merged shape mismatch");
+  exec::parallel_for(set.block_count(), [&](index_t b) {
+    const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(b)]);
+    for (index_t k = 0; k < u; ++k)
+      for (index_t j = 0; j < u; ++j) {
+        const float* src = &merged.at(0, j, b * u + k);
+        const index_t dst = set.level_dims.index(c.x * u, c.y * u + j, c.z * u + k);
+        std::copy(src, src + u, level.data.data() + dst);
+        std::fill_n(level.mask.data() + dst, u, std::uint8_t{1});
+      }
+  }, threads);
 }
 
 FieldF gather_stack(const LevelData& level, const UnitBlockSet& set) {

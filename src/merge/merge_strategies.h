@@ -27,8 +27,6 @@ enum class MergeKind : std::uint8_t { linear = 0, stack = 1, tac = 2 };
 
 /// u × u × (u·n) concatenation along z, in block_ids order.
 [[nodiscard]] FieldF merge_linear(const UnitBlockSet& set);
-/// Inverse: splits the merged array back into `set.data` (ids must be set).
-void unmerge_linear(const FieldF& merged, UnitBlockSet& set);
 
 /// Near-cubic stacking in Morton order; empty tail slots replicate the last
 /// block so the tail stays smooth.
@@ -42,8 +40,19 @@ void unmerge_stack(const FieldF& merged, UnitBlockSet& set);
 ///
 /// gather_linear optionally fuses the +x/+y padding layer into the same
 /// pass; the result is bit-identical to pad_xy(merge_linear(set), kind).
+/// Blocks are gathered on `threads` exec-pool lanes (0 = hardware).
 [[nodiscard]] FieldF gather_linear(const LevelData& level, const UnitBlockSet& set,
-                                   bool pad, PadKind kind);
+                                   bool pad, PadKind kind, int threads = 1);
+
+/// Inverse of gather_linear, straight into the level grid: block b of
+/// `merged` is its z-range [b·u, (b+1)·u), with row pitch u+1 and u+1 rows
+/// per plane when `padded` (the pad layer is skipped, never copied). Each
+/// block's rows land in `level.data` and set `level.mask`, blocks on
+/// `threads` lanes. Same result as stripping the pad, splitting the array
+/// into blocks and scatter_unit_blocks, in one pass. `level` must be
+/// pre-sized to set.level_dims.
+void scatter_linear(const FieldF& merged, bool padded, const UnitBlockSet& set,
+                    LevelData& level, int threads = 1);
 /// Morton-ordered stacked gather (AMRIC's arrangement) in one pass —
 /// inherently scattered writes plus the ordering pass.
 [[nodiscard]] FieldF gather_stack(const LevelData& level, const UnitBlockSet& set);

@@ -4,6 +4,7 @@
 
 #include "merge/merge_strategies.h"
 #include "merge/padding.h"
+#include "merge_reference.h"
 #include "roi/roi_extract.h"
 #include "test_util.h"
 
@@ -12,6 +13,7 @@ namespace {
 
 using test::noise_field;
 using test::smooth_field;
+using test::unmerge_linear;
 
 /// Builds a 2-level hierarchy and returns the requested level.
 LevelData make_level(Dim3 fine_dims, index_t block, double fine_frac, int level) {

@@ -189,7 +189,8 @@ TEST(Quantize, RejectsRadiusBelowTwo) {
 }
 
 TEST(Quantize, RejectsRadiusPastTheAlphabet) {
-  // 2 * radius + 1 codes plus the run buckets must fit a u32 alphabet.
+  // 2 * radius + 1 codes plus the run buckets must stay below 2^24, the
+  // codebook's alphabet field (lossless::kMaxQuantRadius).
   Parts p;
   p.radius = (std::uint64_t{1} << 30) + 1;
   expect_rejected(craft(p), "bad radius");

@@ -8,7 +8,10 @@
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
 # shared mutable state — plus every suite that reaches an exec::parallel_for
 # loop: the uq crossing-probability kernels, the chunked lorenzo/zfpx codecs,
-# the quantize codec's sharded entropy decode,
+# the quantize codec's sharded entropy decode, the interp sweeps, monolithic
+# Huffman encode and snapshot level loops that split one stream across the
+# pool (InterpProperty/QuantCodecProperty/Sz3mrProperty and the
+# SnapshotContainer golden at four lanes),
 # the field generators and their FFT, MiniNyx/MiniWarpX, SSIM, the Bézier
 # post-process, the filters and the volume renderer) under ThreadSanitizer
 # (third preset, <build-dir>-tsan), then an
@@ -79,7 +82,7 @@ fi
 
 if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   echo
-  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / uq / codecs / simdata / metrics / postproc / render) =="
+  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / uq / codecs / snapshot / simdata / metrics / postproc / render) =="
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DMRC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       > /dev/null
@@ -87,7 +90,7 @@ if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   # Only the suites that reach the exec pool: the serial suites add nothing
   # under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*:Sweep/QuantizeErrorBound.*'
+      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*:Sweep/QuantizeErrorBound.*:InterpProperty.*:QuantCodecProperty.*:Sz3mrProperty.*:FrozenFormat.Snapshot*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
