@@ -266,13 +266,12 @@ void emit_tokens(BitWriter& bw, const HuffmanCodebook& cb,
                  std::uint32_t radius, std::span<const ZeroRun> runs) {
   const std::uint32_t run_base = 2 * radius + 1;
   const std::uint32_t* p = codes.data();
-  const std::size_t n = end;
   std::size_t i = begin;
   std::size_t r = 0;
-  while (i < n) {
-    const std::size_t stop = r < runs.size() ? static_cast<std::size_t>(runs[r].start) : n;
+  while (i < end) {
+    const std::size_t stop = r < runs.size() ? static_cast<std::size_t>(runs[r].start) : end;
     for (; i < stop; ++i) cb.encode(bw, p[i]);
-    if (i >= n) break;
+    if (i >= end) break;
     const std::uint64_t run = runs[r].len;
     const int b = bucket_of(run);
     cb.encode(bw, run_base + static_cast<std::uint32_t>(b));
