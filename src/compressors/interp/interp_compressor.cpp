@@ -448,17 +448,22 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
   const Dim3 d = f.dims();
   const auto radius = cfg_.quant_radius;
 
-  FieldF recon(d);
   // Per-lane scratch: tiled/pyramid/adaptive containers run one compress per
   // brick on an exec-pool lane, so these buffers are reused across bricks
   // instead of reallocated for each one. 64-byte aligned so the SIMD row
-  // kernels' stores start on cache-line boundaries.
+  // kernels' stores start on cache-line boundaries. The reconstruction is
+  // scratch too, lent to a FieldF: the traversal writes every sample before
+  // any prediction reads it, so a reused buffer needs no clearing.
   thread_local AlignedVec<std::uint32_t> codes;
   thread_local AlignedVec<float> outliers;
+  thread_local std::vector<float> recon_buf;
   const detail::ScratchGuard gc(codes);
   const detail::ScratchGuard go(outliers);
+  const detail::ScratchGuard gr(recon_buf);
   codes.resize(static_cast<std::size_t>(d.size()));
   outliers.clear();
+  recon_buf.resize(static_cast<std::size_t>(d.size()));
+  FieldF recon(d, std::move(recon_buf));
   std::size_t emitted = 0;
 
   static obs::Counter& ns_pq =
@@ -473,6 +478,7 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
     OBS_SPAN("interp.predict_quant", &ns_pq);
     emitted = predict_quant_pass(f, abs_eb, cfg_, lanes, recon, codes, outliers);
   }
+  recon_buf = recon.release();
   MRC_REQUIRE(emitted == codes.size(), "traversal did not cover the grid");
 
   // The negotiated shard count (not the raw request) goes into the header,

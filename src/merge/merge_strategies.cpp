@@ -119,11 +119,16 @@ UnitBlockSet scan_unit_blocks(const LevelData& level, index_t unit) {
   for (index_t bz = 0; bz < set.block_grid.nz; ++bz)
     for (index_t by = 0; by < set.block_grid.ny; ++by)
       for (index_t bx = 0; bx < set.block_grid.nx; ++bx) {
+        // OR each mask row (a vectorizable reduction), stopping at the first
+        // row with a valid cell.
         bool occupied = false;
         for (index_t k = 0; k < unit && !occupied; ++k)
-          for (index_t j = 0; j < unit && !occupied; ++j)
-            for (index_t i = 0; i < unit && !occupied; ++i)
-              occupied = level.mask.at(bx * unit + i, by * unit + j, bz * unit + k) != 0;
+          for (index_t j = 0; j < unit && !occupied; ++j) {
+            const std::uint8_t* row = &level.mask.at(bx * unit, by * unit + j, bz * unit + k);
+            std::uint8_t any = 0;
+            for (index_t i = 0; i < unit; ++i) any |= row[i];
+            occupied = any != 0;
+          }
         if (occupied) set.block_ids.push_back(set.block_grid.index(bx, by, bz));
       }
   return set;
