@@ -366,7 +366,8 @@ MRC_OBS_NOINLINE void predict_recon_pass(const Dim3& d, double stream_eb,
   const double corner_eb = level_eb(stream_eb, levels, cfg);
   for (const Corner& c : corner_list(d)) {
     const index_t idx = d.index(c.x, c.y, c.z);
-    rec[idx] = dequantize_point(codes[consumed++], corner_prediction(recon, c), corner_eb, oi);
+    rec[idx] =
+        dequantize_point(codes[consumed++], corner_prediction(recon, c), corner_eb, oi);
   }
 
   std::vector<std::size_t> first_outlier;

@@ -103,8 +103,10 @@ TEST(InterpProperty, MultiLaneStreamsMatchOneLane) {
       InterpConfig wide = cfg;
       wide.threads = lanes;
       const InterpCompressor codec(wide);
-      EXPECT_TRUE(same_bytes(codec.compress(f, 0.01), one)) << what << ", " << lanes << " lanes";
-      EXPECT_TRUE(same_bits(codec.decompress(one), back_one)) << what << ", " << lanes << " lanes";
+      EXPECT_TRUE(same_bytes(codec.compress(f, 0.01), one))
+          << what << ", " << lanes << " lanes";
+      EXPECT_TRUE(same_bits(codec.decompress(one), back_one))
+          << what << ", " << lanes << " lanes";
     }
   }
 }
@@ -147,7 +149,8 @@ std::vector<std::uint32_t> literals(std::size_t n, Rng& rng) {
   std::vector<std::uint32_t> codes(n);
   for (auto& c : codes) {
     c = kRadius + 1 + static_cast<std::uint32_t>(rng.uniform_index(30));
-    if (rng.uniform() < 0.3) c = kRadius - 1 - static_cast<std::uint32_t>(rng.uniform_index(30));
+    if (rng.uniform() < 0.3)
+      c = kRadius - 1 - static_cast<std::uint32_t>(rng.uniform_index(30));
     if (rng.uniform() < 0.01) c = 0;
   }
   return codes;
@@ -180,7 +183,8 @@ TEST(QuantCodecProperty, SlicedEncodeMatchesOneSlice) {
   std::vector<std::vector<std::uint32_t>> inputs;
   // Runs of kMinRun - 1 (literals) and kMinRun (one run token) at the bounds.
   for (const std::size_t len : {kMinRun - 1, kMinRun})
-    for (int variant = 0; variant < 3; ++variant) inputs.push_back(edge_runs(n, len, variant, rng));
+    for (int variant = 0; variant < 3; ++variant)
+      inputs.push_back(edge_runs(n, len, variant, rng));
   inputs.push_back(std::vector<std::uint32_t>(n, kRadius));  // every slice all zeros
   {
     // Slice 1 of 4 all zeros, its run spilling into slices 0 and 2.
@@ -232,7 +236,10 @@ LevelData strip_unmerge_scatter(std::span<const std::byte> stream) {
   set.block_grid = blocks_for(header.dims, set.unit);
   const auto n_blocks = static_cast<index_t>(r.get_varint());
   index_t prev = -1;
-  for (index_t i = 0; i < n_blocks; ++i) set.block_ids.push_back(prev += static_cast<index_t>(r.get_varint()));
+  for (index_t i = 0; i < n_blocks; ++i) {
+    prev += static_cast<index_t>(r.get_varint());
+    set.block_ids.push_back(prev);
+  }
   LevelData level;
   level.ratio = ratio;
   level.data = FieldF(header.dims, 0.0f);
@@ -303,7 +310,8 @@ TEST(Sz3mrProperty, LevelDecodeMatchesStripUnmergeScatter) {
         for (const int lanes : {1, 4}) {
           const LevelData got = sz3mr::decompress_level(one, lanes);
           EXPECT_TRUE(same_bits(got.data, want.data)) << what << ", " << lanes << " lanes";
-          EXPECT_TRUE(same_bytes(std::as_bytes(got.mask.span()), std::as_bytes(want.mask.span())))
+          EXPECT_TRUE(same_bytes(std::as_bytes(got.mask.span()),
+                                 std::as_bytes(want.mask.span())))
               << what << ", " << lanes << " lanes";
         }
       }
