@@ -228,6 +228,9 @@ void visit_units(const Dim3& d, const float* base, bool cubic, const Sweep& sw,
 
 /// Targets below which a sweep runs inline as one chunk: the pool round
 /// trip and the per-chunk outlier bookkeeping would cost more than it buys.
+/// On a mini-Nyx snapshot's 9x9x2048 level-1 merge at 4 lanes (4 vCPUs),
+/// compress took 1.1-1.7 ms with 4 Ki, 1.3-2.2 ms with 16 Ki and 1.8-2.8 ms
+/// with 64 Ki, and decode did not tell them apart.
 constexpr index_t kMinChunkTargets = index_t{16} << 10;
 /// Chunks per lane of a split sweep, so lanes balance outlier-heavy chunks.
 constexpr index_t kChunksPerLane = 4;

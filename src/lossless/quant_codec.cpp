@@ -16,8 +16,6 @@ namespace {
 
 constexpr std::size_t kMinRun = 6;    // shorter zero runs are cheaper as literals
 constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 40;
-/// Symbols below which a monolithic encode stays one slice on one lane.
-constexpr std::size_t kMinSliceSymbols = std::size_t{256} << 10;
 
 // Sharded-layout framing (documented in quant_codec.h). The marker is the
 // all-ones 48-bit word: monolithic streams open with their symbol count,
@@ -39,24 +37,13 @@ struct ZeroRun {
   std::uint64_t len = 0;
 };
 
-/// Validated token frequencies, the long-run list, and the raw extra-bit
-/// budget of a whole code array — everything both the codebook build and
-/// the emit pass need.
+/// One pass over the codes: validated token frequencies, the long-run list,
+/// and the raw extra-bit budget — everything both the codebook build and the
+/// emit pass need.
 struct TokenScan {
   std::vector<std::uint64_t> freqs;
   std::vector<ZeroRun> runs;
   std::uint64_t extra_bits_total = 0;
-};
-
-/// One slice's share of the scan: its raw symbol histogram (zero bins
-/// included), the runs of >= kMinRun zero bins strictly inside it, and the
-/// zero runs touching its two edges, which may continue into its
-/// neighbours. An all-zero slice has lead == trail == its length.
-struct SliceScan {
-  std::vector<std::uint64_t> hist;
-  std::vector<ZeroRun> runs;
-  std::uint64_t lead = 0;
-  std::uint64_t trail = 0;
 };
 
 /// Cold path: re-checks a block the vector validity test flagged, to throw
@@ -88,19 +75,20 @@ inline std::uint32_t zero_mask16(const std::uint32_t* p, __m128i vzero,
 
 #endif  // __SSE2__
 
-/// Single fused scan of codes[begin, end): per-64-symbol block it builds a
-/// zero-bin bitmask (SSE2 compare+movemask where available), validates the
-/// block against the alphabet, extracts zero runs from the mask word, and
-/// histograms the block. Four histogram banks break the store-to-load
-/// dependency a run of equal symbols would otherwise serialize on. Run
-/// positions are indices into `codes`.
-SliceScan scan_slice(std::span<const std::uint32_t> codes, std::size_t begin,
-                     std::size_t end, std::uint32_t radius) {
+/// Single fused scan: per-64-symbol block it builds a zero-bin bitmask
+/// (SSE2 compare+movemask where available), validates the block against the
+/// alphabet, extracts zero runs from the mask word, and histograms the
+/// block. Four histogram banks break the store-to-load dependency a run of
+/// equal symbols would otherwise serialize on; long runs are subtracted from
+/// the zero-bin frequency afterwards, which reproduces the token counts of
+/// the original symbol-at-a-time tokenizer exactly.
+TokenScan scan_tokens(std::span<const std::uint32_t> codes, std::uint32_t radius) {
   const std::uint32_t zero = radius;
   const std::uint32_t limit = 2 * radius;
   const std::uint32_t alphabet = 2 * radius + 1 + kRunBuckets;
+  const std::size_t n = codes.size();
 
-  SliceScan sc;
+  TokenScan ts;
   // Bank stride: 4 banks for every realistic alphabet; one bank (stride 0)
   // past 2^14 symbols keeps the scratch bounded for absurd radii.
   const bool banked = alphabet <= (1u << 14);
@@ -110,11 +98,7 @@ SliceScan scan_slice(std::span<const std::uint32_t> codes, std::size_t begin,
   std::uint64_t open_start = 0;
   std::uint64_t open_len = 0;
   auto flush_run = [&] {
-    if (open_len == 0) return;
-    if (open_start == begin)
-      sc.lead = open_len;  // may continue the previous slice's trailing run
-    else if (open_len >= kMinRun)
-      sc.runs.push_back({open_start, open_len});
+    if (open_len >= kMinRun) ts.runs.push_back({open_start, open_len});
     open_len = 0;
   };
   // Consumes one mask word (vb valid bits for symbols [base, base+vb)):
@@ -141,13 +125,13 @@ SliceScan scan_slice(std::span<const std::uint32_t> codes, std::size_t begin,
     }
   };
 
-  std::size_t i = begin;
+  std::size_t i = 0;
 #if defined(__SSE2__)
-  if (end - begin >= 64) {
+  if (n >= 64) {
     const __m128i vzero = _mm_set1_epi32(static_cast<int>(zero));
     const __m128i vbias = _mm_set1_epi32(static_cast<int>(0x8000'0000u));
     const __m128i vlim = _mm_set1_epi32(static_cast<int>(limit ^ 0x8000'0000u));
-    for (; i + 64 <= end; i += 64) {
+    for (; i + 64 <= n; i += 64) {
       const std::uint32_t* p = codes.data() + i;
       __m128i bad = _mm_setzero_si128();
       std::uint64_t m = 0;
@@ -168,7 +152,7 @@ SliceScan scan_slice(std::span<const std::uint32_t> codes, std::size_t begin,
     std::uint64_t m = 0;
     int vb = 0;
     std::uint64_t base = i;
-    for (; i < end; ++i) {
+    for (; i < n; ++i) {
       const std::uint32_t c = codes[i];
       MRC_REQUIRE(c <= limit, "quant code outside alphabet");
       ++h[c];
@@ -182,70 +166,12 @@ SliceScan scan_slice(std::span<const std::uint32_t> codes, std::size_t begin,
     }
     if (vb > 0) feed_word(m, vb, base);
   }
-  // A run still open here reaches the slice's end.
-  if (open_len > 0) {
-    if (open_start == begin) sc.lead = open_len;
-    sc.trail = open_len;
-  }
+  flush_run();
 
-  sc.hist.assign(alphabet, 0);
+  ts.freqs.assign(alphabet, 0);
   const std::size_t nbanks = banked ? 4 : 1;
   for (std::size_t b = 0; b < nbanks; ++b)
-    for (std::size_t s = 0; s < alphabet; ++s) sc.hist[s] += h[b * bs + s];
-  return sc;
-}
-
-/// Even slice bounds: bound[k] = n * k / slices, k in [0, slices].
-std::vector<std::size_t> even_bounds(std::size_t n, std::size_t slices) {
-  std::vector<std::size_t> bound(slices + 1);
-  for (std::size_t k = 0; k <= slices; ++k)
-    bound[k] = static_cast<std::size_t>(static_cast<std::uint64_t>(n) * k / slices);
-  return bound;
-}
-
-/// The token scan of a whole code array, run as `slices` slice scans on
-/// `lanes` lanes and merged in order: edge runs join across slice bounds,
-/// so the result equals a one-slice scan exactly. Long runs are subtracted
-/// from the zero-bin frequency afterwards, which reproduces the token counts
-/// of the original symbol-at-a-time tokenizer.
-TokenScan scan_tokens(std::span<const std::uint32_t> codes, std::uint32_t radius,
-                      std::size_t slices = 1, int lanes = 1) {
-  const std::uint32_t zero = radius;
-  const std::uint32_t alphabet = 2 * radius + 1 + kRunBuckets;
-  const std::vector<std::size_t> bound = even_bounds(codes.size(), slices);
-  std::vector<SliceScan> scans(slices);
-  if (slices == 1)
-    scans[0] = scan_slice(codes, 0, codes.size(), radius);
-  else
-    exec::parallel_for(static_cast<index_t>(slices), [&](index_t k) {
-      const auto s = static_cast<std::size_t>(k);
-      scans[s] = scan_slice(codes, bound[s], bound[s + 1], radius);
-    }, lanes);
-
-  TokenScan ts;
-  ts.freqs.assign(alphabet, 0);
-  std::uint64_t open_start = 0;
-  std::uint64_t open_len = 0;
-  auto close_run = [&] {
-    if (open_len >= kMinRun) ts.runs.push_back({open_start, open_len});
-    open_len = 0;
-  };
-  for (std::size_t k = 0; k < slices; ++k) {
-    const SliceScan& sc = scans[k];
-    for (std::size_t s = 0; s < alphabet; ++s) ts.freqs[s] += sc.hist[s];
-    if (sc.lead > 0) {
-      if (open_len == 0) open_start = bound[k];
-      open_len += sc.lead;
-    }
-    if (sc.lead == bound[k + 1] - bound[k]) continue;  // all zeros: stays open
-    close_run();
-    ts.runs.insert(ts.runs.end(), sc.runs.begin(), sc.runs.end());
-    if (sc.trail > 0) {
-      open_start = bound[k + 1] - sc.trail;
-      open_len = sc.trail;
-    }
-  }
-  close_run();
+    for (std::size_t s = 0; s < alphabet; ++s) ts.freqs[s] += h[b * bs + s];
 
   const std::uint32_t run_base = 2 * radius + 1;
   for (const ZeroRun& r : ts.runs) {
@@ -257,21 +183,21 @@ TokenScan scan_tokens(std::span<const std::uint32_t> codes, std::uint32_t radius
   return ts;
 }
 
-/// Streams the tokens of codes[begin, end), which holds exactly `runs`:
-/// tight literal loops between the pre-found long runs (no per-symbol run
-/// detection), run symbol + raw extra bits at each run. Byte-identical to
-/// the historical symbol-at-a-time emitter.
+/// Streams the token sequence: tight literal loops between the pre-found
+/// long runs (no per-symbol run detection), run symbol + raw extra bits at
+/// each run. Byte-identical to the historical symbol-at-a-time emitter.
 void emit_tokens(BitWriter& bw, const HuffmanCodebook& cb,
-                 std::span<const std::uint32_t> codes, std::size_t begin, std::size_t end,
-                 std::uint32_t radius, std::span<const ZeroRun> runs) {
+                 std::span<const std::uint32_t> codes, std::uint32_t radius,
+                 const std::vector<ZeroRun>& runs) {
   const std::uint32_t run_base = 2 * radius + 1;
   const std::uint32_t* p = codes.data();
-  std::size_t i = begin;
+  const std::size_t n = codes.size();
+  std::size_t i = 0;
   std::size_t r = 0;
-  while (i < end) {
-    const std::size_t stop = r < runs.size() ? static_cast<std::size_t>(runs[r].start) : end;
+  while (i < n) {
+    const std::size_t stop = r < runs.size() ? static_cast<std::size_t>(runs[r].start) : n;
     for (; i < stop; ++i) cb.encode(bw, p[i]);
-    if (i >= end) break;
+    if (i >= n) break;
     const std::uint64_t run = runs[r].len;
     const int b = bucket_of(run);
     cb.encode(bw, run_base + static_cast<std::uint32_t>(b));
@@ -290,6 +216,28 @@ std::size_t stream_reserve_hint(const TokenScan& ts, const HuffmanCodebook& cb,
                                   4 * alphabet / 8 + 64);
 }
 
+/// Even slice bounds: bound[k] = n * k / slices, k in [0, slices].
+std::vector<std::size_t> even_bounds(std::size_t n, std::size_t slices) {
+  std::vector<std::size_t> bound(slices + 1);
+  for (std::size_t k = 0; k <= slices; ++k)
+    bound[k] = static_cast<std::size_t>(static_cast<std::uint64_t>(n) * k / slices);
+  return bound;
+}
+
+/// Even bounds, each moved forward past the zero bins on both of its sides
+/// (at most the length of the run it falls in). No zero run then crosses a
+/// bound, so each slice tokenizes exactly as the whole array does there.
+std::vector<std::size_t> run_aligned_bounds(std::span<const std::uint32_t> codes,
+                                            std::uint32_t zero, std::size_t slices) {
+  std::vector<std::size_t> bound = even_bounds(codes.size(), slices);
+  for (std::size_t k = 1; k < slices; ++k) {
+    std::size_t i = std::max(bound[k], bound[k - 1]);
+    while (i > 0 && i < codes.size() && codes[i - 1] == zero && codes[i] == zero) ++i;
+    bound[k] = i;
+  }
+  return bound;
+}
+
 /// Slices a monolithic encode of n symbols runs as on `lanes` lanes: one
 /// below kMinSliceSymbols, else one per lane — but never fewer symbols per
 /// slice than the alphabet has entries, since each slice scan histograms
@@ -299,54 +247,63 @@ std::size_t slice_count(std::size_t n, std::uint32_t alphabet, int lanes) {
   return std::clamp<std::size_t>(n / alphabet, 1, static_cast<std::size_t>(lanes));
 }
 
-/// Appends the token stream of `codes` to `bw` as `slices` token-aligned
-/// slices on `lanes` lanes: even cuts, each moved to the end of a long run
-/// it would split. Slice 0 writes straight into `bw`; every other slice
-/// writes its own buffer, spliced on after it at its exact bit length.
-void emit_slices(BitWriter& bw, const HuffmanCodebook& cb,
-                 std::span<const std::uint32_t> codes, std::uint32_t radius,
-                 std::span<const ZeroRun> runs, std::size_t slices, int lanes,
-                 std::size_t reserve_hint) {
-  if (slices == 1) {
-    emit_tokens(bw, cb, codes, 0, codes.size(), radius, runs);
-    return;
-  }
-  std::vector<std::size_t> cut = even_bounds(codes.size(), slices);
-  std::vector<std::size_t> first_run(slices + 1, runs.size());
-  first_run[0] = 0;
-  for (std::size_t k = 1; k < slices; ++k) {
-    auto it = std::partition_point(runs.begin(), runs.end(), [&](const ZeroRun& r) {
-      return r.start + r.len <= cut[k];
-    });
-    if (it != runs.end() && it->start < cut[k]) {
-      cut[k] = static_cast<std::size_t>(it->start + it->len);
-      ++it;
-    }
-    first_run[k] = static_cast<std::size_t>(it - runs.begin());
-  }
-  // Each lane writes a writer of its own (slice 0 the caller's), and only
-  // the finished buffer lands in `parts`: writers side by side in one array
-  // would share cache lines on every write.
-  struct Part {
-    std::uint64_t bits = 0;
-    Bytes bytes;
-  };
-  std::vector<Part> parts(slices);
-  exec::parallel_for(static_cast<index_t>(slices), [&](index_t i) {
+/// The slices codes[bound[k], bound[k+1]) each token-scanned on its own,
+/// and the one codebook of their summed frequencies.
+struct SlicedScan {
+  std::vector<std::size_t> bound;
+  std::vector<TokenScan> scans;
+  HuffmanCodebook cb;
+};
+
+SlicedScan scan_slices(std::span<const std::uint32_t> codes, std::uint32_t radius,
+                       std::vector<std::size_t> bound, int lanes) {
+  const std::uint32_t alphabet = 2 * radius + 1 + kRunBuckets;
+  SlicedScan sc;
+  sc.scans.resize(bound.size() - 1);
+  exec::parallel_for(static_cast<index_t>(sc.scans.size()), [&](index_t i) {
     const auto k = static_cast<std::size_t>(i);
-    const auto runs_k = runs.subspan(first_run[k], first_run[k + 1] - first_run[k]);
-    if (k == 0) {
-      emit_tokens(bw, cb, codes, cut[0], cut[1], radius, runs_k);
+    sc.scans[k] = scan_tokens(codes.subspan(bound[k], bound[k + 1] - bound[k]), radius);
+  }, lanes);
+  sc.bound = std::move(bound);
+  if (sc.scans.size() == 1) {
+    sc.cb = HuffmanCodebook::from_frequencies(sc.scans[0].freqs);
+    return sc;
+  }
+  std::vector<std::uint64_t> freqs(alphabet, 0);
+  for (const TokenScan& t : sc.scans)
+    for (std::uint32_t s = 0; s < alphabet; ++s) freqs[s] += t.freqs[s];
+  sc.cb = HuffmanCodebook::from_frequencies(freqs);
+  return sc;
+}
+
+/// One emitted slice: its exact bit length and its bytes.
+struct SliceBits {
+  std::uint64_t bits = 0;
+  Bytes bytes;
+};
+
+/// Emits every slice of `sc` into a writer of its own on `lanes` lanes, or
+/// slice 0 straight into `*head` when given (its entry stays empty). Only
+/// finished buffers land in the result: writers side by side in one array
+/// would share cache lines on every write.
+std::vector<SliceBits> emit_slices(const SlicedScan& sc, std::span<const std::uint32_t> codes,
+                                   std::uint32_t radius, int lanes, BitWriter* head) {
+  const std::uint32_t alphabet = 2 * radius + 1 + kRunBuckets;
+  std::vector<SliceBits> out(sc.scans.size());
+  exec::parallel_for(static_cast<index_t>(out.size()), [&](index_t i) {
+    const auto k = static_cast<std::size_t>(i);
+    const auto slice = codes.subspan(sc.bound[k], sc.bound[k + 1] - sc.bound[k]);
+    if (k == 0 && head != nullptr) {
+      emit_tokens(*head, sc.cb, slice, radius, sc.scans[0].runs);
       return;
     }
-    BitWriter out;
-    out.reserve_bytes(static_cast<std::size_t>(std::uint64_t{reserve_hint} *
-                                               (cut[k + 1] - cut[k]) / codes.size()));
-    emit_tokens(out, cb, codes, cut[k], cut[k + 1], radius, runs_k);
-    parts[k].bits = out.bit_count();
-    parts[k].bytes = out.take();
+    BitWriter w;
+    w.reserve_bytes(stream_reserve_hint(sc.scans[k], sc.cb, alphabet));
+    emit_tokens(w, sc.cb, slice, radius, sc.scans[k].runs);
+    out[k].bits = w.bit_count();
+    out[k].bytes = w.take();
   }, lanes);
-  for (std::size_t k = 1; k < slices; ++k) bw.append_bits(parts[k].bytes, parts[k].bits);
+  return out;
 }
 
 }  // namespace
@@ -357,15 +314,17 @@ Bytes encode_quant_codes(std::span<const std::uint32_t> codes, std::uint32_t rad
   const std::uint32_t alphabet = 2 * radius + 1 + kRunBuckets;
   const int width = exec::lanes_here(lanes);
   const std::size_t slices = slice_count(codes.size(), alphabet, width);
-  const TokenScan ts = scan_tokens(codes, radius, slices, width);
-  const auto cb = HuffmanCodebook::from_frequencies(ts.freqs);
+  const SlicedScan sc =
+      scan_slices(codes, radius, run_aligned_bounds(codes, radius, slices), width);
 
   BitWriter bw;
-  const std::size_t hint = stream_reserve_hint(ts, cb, alphabet);
+  std::size_t hint = 0;
+  for (const TokenScan& t : sc.scans) hint += stream_reserve_hint(t, sc.cb, alphabet);
   bw.reserve_bytes(hint);
   bw.write_bits(codes.size(), 48);
-  cb.serialize(bw);
-  emit_slices(bw, cb, codes, radius, ts.runs, slices, width, hint);
+  sc.cb.serialize(bw);
+  const std::vector<SliceBits> rest = emit_slices(sc, codes, radius, width, &bw);
+  for (std::size_t k = 1; k < rest.size(); ++k) bw.append_bits(rest[k].bytes, rest[k].bits);
   return bw.take();
 }
 
@@ -384,48 +343,29 @@ Bytes encode_quant_codes_sharded(std::span<const std::uint32_t> codes,
   MRC_REQUIRE(n < kMaxCount, "quant codec: too many symbols for one stream");
 
   const auto W = static_cast<std::uint32_t>(negotiated);
-  const std::uint32_t alphabet = 2 * radius + 1 + kRunBuckets;
 
   // Even split; every shard has >= kMinShardSymbols / 2 symbols by the clamp.
-  const std::vector<std::size_t> bound = even_bounds(n, W);
-
-  // Shared codebook from the summed per-shard token frequencies. Runs are
-  // split at shard boundaries (each shard tokenizes its slice
-  // independently), so the frequencies come from the per-shard scans, not a
-  // whole-array scan.
-  std::vector<TokenScan> scans(W);
-  for (std::uint32_t s = 0; s < W; ++s)
-    scans[s] = scan_tokens(codes.subspan(bound[s], bound[s + 1] - bound[s]), radius);
-  std::vector<std::uint64_t> freqs(alphabet, 0);
-  for (const TokenScan& t : scans)
-    for (std::uint32_t s = 0; s < alphabet; ++s) freqs[s] += t.freqs[s];
-  const auto cb = HuffmanCodebook::from_frequencies(freqs);
-
-  std::vector<Bytes> chunks(W);
-  for (std::uint32_t s = 0; s < W; ++s) {
-    BitWriter cw;
-    cw.reserve_bytes(stream_reserve_hint(scans[s], cb, alphabet));
-    emit_tokens(cw, cb, codes.subspan(bound[s], bound[s + 1] - bound[s]), 0,
-                bound[s + 1] - bound[s], radius, scans[s].runs);
-    chunks[s] = cw.take();
-  }
+  // Runs are split at shard bounds (each shard tokenizes its slice on its
+  // own), and the shared codebook comes from the summed per-shard scans.
+  const SlicedScan sc = scan_slices(codes, radius, even_bounds(n, W), lanes);
+  const std::vector<SliceBits> chunks = emit_slices(sc, codes, radius, lanes, nullptr);
 
   BitWriter bw;
   bw.write_bits(kShardMarker, 48);
   bw.write_bits(kShardLayoutVersion, 8);
   bw.write_bits(n, 48);
   bw.write_bits(W, 16);
-  cb.serialize(bw);
+  sc.cb.serialize(bw);
   std::uint64_t off = 0;
   for (std::uint32_t s = 0; s < W; ++s) {
     bw.write_bits(off, 48);
-    bw.write_bits(chunks[s].size(), 48);
-    bw.write_bits(bound[s + 1] - bound[s], 48);
-    off += chunks[s].size();
+    bw.write_bits(chunks[s].bytes.size(), 48);
+    bw.write_bits(sc.bound[s + 1] - sc.bound[s], 48);
+    off += chunks[s].bytes.size();
   }
   Bytes out = bw.take();
   out.reserve(out.size() + static_cast<std::size_t>(off));
-  for (const Bytes& c : chunks) out.insert(out.end(), c.begin(), c.end());
+  for (const SliceBits& c : chunks) out.insert(out.end(), c.bytes.begin(), c.bytes.end());
   return out;
 }
 

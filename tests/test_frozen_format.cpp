@@ -266,10 +266,9 @@ TEST(FrozenFormat, WireReplyFrames) {
 /// 96^3 keeps the snapshot's level 0 large enough for every multi-lane
 /// path at four lanes: 108 of its 216 16^3 blocks stay at full resolution,
 /// so the padded merge is 17 x 17 x 1728 samples. Its stride-1 and
-/// stride-2 z sweeps hold 249,696 and 34,992 targets (a sweep splits into
-/// chunks from 16 Ki targets up), its 499,392 codes are one Huffman stream past the 256 Ki
-/// symbols at which the encode splits into slices, and its decode scatters
-/// 108 blocks.
+/// stride-2 z sweeps hold 249,696 and 34,992 targets, its 499,392 codes are
+/// one Huffman stream, and its decode scatters 108 blocks: each large
+/// enough to split at four lanes.
 FieldF snapshot_field() {
   const Dim3 d{96, 96, 96};
   FieldF f(d);

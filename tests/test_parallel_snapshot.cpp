@@ -179,7 +179,7 @@ std::vector<std::uint32_t> edge_runs(std::size_t n, std::size_t len, int variant
 
 TEST(QuantCodecProperty, SlicedEncodeMatchesOneSlice) {
   Rng rng(4242);
-  const std::size_t n = (std::size_t{256} << 10) + 4099;  // past the slicing threshold
+  const std::size_t n = lossless::kMinSliceSymbols + 4099;  // past the slicing threshold
   std::vector<std::vector<std::uint32_t>> inputs;
   // Runs of kMinRun - 1 (literals) and kMinRun (one run token) at the bounds.
   for (const std::size_t len : {kMinRun - 1, kMinRun})
@@ -315,6 +315,40 @@ TEST(Sz3mrProperty, LevelDecodeMatchesStripUnmergeScatter) {
               << what << ", " << lanes << " lanes";
         }
       }
+}
+
+/// A hand-written level stream over `dims`: unit 16, a linear unpadded
+/// merge of blocks 0 and 1, and the 16 x 16 x 32 interp blob they decode to.
+Bytes two_block_level(Dim3 dims) {
+  const index_t u = 16;
+  Bytes out;
+  ByteWriter w(out);
+  detail::write_header(w, sz3mr::kLevelMagic, dims, 0.01);
+  w.put_varint(1);  // ratio
+  w.put_varint(static_cast<std::uint64_t>(u));
+  w.put(static_cast<std::uint8_t>(MergeKind::linear));
+  w.put(std::uint8_t{0});  // not padded
+  w.put(std::uint8_t{0});  // pad kind
+  w.put_varint(2);         // block ids 0 and 1, as deltas from -1
+  w.put_varint(1);
+  w.put_varint(1);
+  w.put(std::uint8_t{0});  // no post-process section
+  w.put_blob(InterpCompressor().compress(test::smooth_field({u, u, 2 * u}), 0.01));
+  return out;
+}
+
+TEST(Sz3mrProperty, RejectsLevelExtentsNotDivisibleByUnit) {
+  // 32 x 16 x 16 holds both blocks whole.
+  const LevelData whole = sz3mr::decompress_level(two_block_level({32, 16, 16}), 4);
+  index_t stored = 0;
+  for (index_t i = 0; i < whole.mask.size(); ++i) stored += whole.mask[i];
+  EXPECT_EQ(stored, 32 * 16 * 16);
+  // At 20 x 16 x 16 block 1 is partial: its rows would land past the grid.
+  const Bytes partial = two_block_level({20, 16, 16});
+  for (const int lanes : {1, 4}) {
+    EXPECT_THROW((void)sz3mr::decompress_level(partial, lanes), CodecError) << lanes;
+    EXPECT_THROW((void)api::decompress(partial, lanes), CodecError) << lanes;
+  }
 }
 
 // ------------------------------------------------------------- radius cap --
