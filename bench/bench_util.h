@@ -113,7 +113,7 @@ inline std::vector<RdPoint> rd_curve(const MultiResField& mr,
   std::vector<RdPoint> out;
   for (const double eb : ebs) {
     const auto streams = sz3mr::compress_multires(mr, eb, cfg);
-    const auto dec = sz3mr::decompress_multires(streams);
+    const auto dec = sz3mr::decompress_multires(streams, cfg.threads);
     out.push_back({sz3mr::multires_ratio(mr, streams), multires_psnr(mr, dec)});
   }
   return out;

@@ -177,7 +177,9 @@ struct Options {
 /// restored to the uniform grid, containers (MRCT/MRCP/MRCA/MRCR) decode
 /// their finest grid. All of them decode on `threads` exec-pool lanes
 /// (0 = hardware concurrency; the result is bit-identical for any width).
-/// Throws CodecError on foreign data.
+/// The default is one lane for every stream, a snapshot included: unlike
+/// restore, whose default is the hardware width. Throws CodecError on
+/// foreign data.
 [[nodiscard]] FieldF decompress(std::span<const std::byte> stream, int threads = 1);
 
 /// The paper's full workflow: ROI-based adaptive conversion + per-level

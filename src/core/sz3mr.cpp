@@ -176,6 +176,10 @@ LevelData decompress_level(std::span<const std::byte> stream, int threads) {
   const auto unit = static_cast<index_t>(r.get_varint());
   if (unit <= 0 || unit > ld.max_extent() || ratio <= 0)
     throw CodecError("sz3mr: bad unit/ratio");
+  // The encoder tiles the level with whole blocks; a partial block would
+  // have the scatter write past the level grid.
+  if (ld.nx % unit != 0 || ld.ny % unit != 0 || ld.nz % unit != 0)
+    throw CodecError("sz3mr: level extents not divisible by unit");
   const auto merge = static_cast<MergeKind>(r.get<std::uint8_t>());
   const bool padded = r.get<std::uint8_t>() != 0;
   (void)r.get<std::uint8_t>();  // pad kind (informational; strip is shape-only)
@@ -274,11 +278,11 @@ MultiResStreams compress_multires(const MultiResField& mr, double abs_eb,
   return out;
 }
 
-MultiResField decompress_multires(const MultiResStreams& streams) {
+MultiResField decompress_multires(const MultiResStreams& streams, int threads) {
   MultiResField mr;
   MRC_REQUIRE(!streams.level_streams.empty(), "no level streams");
   for (const auto& s : streams.level_streams)
-    mr.levels.push_back(decompress_level(s));
+    mr.levels.push_back(decompress_level(s, threads));
   mr.fine_dims = mr.levels.front().data.dims();
   // block size = unit of the finest level; recover from its dims/ratio via
   // the coarsest ratio (units halve per level).

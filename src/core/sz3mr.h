@@ -88,9 +88,13 @@ struct MultiResStreams {
   [[nodiscard]] std::size_t total_bytes() const;
 };
 
+/// Levels code one after another, each on cfg.threads lanes.
 [[nodiscard]] MultiResStreams compress_multires(const MultiResField& mr, double abs_eb,
                                                 const Config& cfg);
-[[nodiscard]] MultiResField decompress_multires(const MultiResStreams& streams);
+/// Levels decode one after another, each on `threads` lanes (Config::threads'
+/// rule and default); the result is identical for any width.
+[[nodiscard]] MultiResField decompress_multires(const MultiResStreams& streams,
+                                                int threads = 1);
 
 /// Compression ratio over the *stored* samples of the hierarchy.
 [[nodiscard]] double multires_ratio(const MultiResField& mr, const MultiResStreams& s);

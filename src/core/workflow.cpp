@@ -93,8 +93,8 @@ MultiResField decode_snapshot(std::span<const std::byte> snapshot, int threads) 
   return mr;
 }
 
-MultiResField read_snapshot(const std::string& path, int threads) {
-  return decode_snapshot(io::read_bytes(path), threads);
+MultiResField read_snapshot(const std::string& path) {
+  return decode_snapshot(io::read_bytes(path));
 }
 
 }  // namespace mrc::workflow

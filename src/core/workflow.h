@@ -48,8 +48,7 @@ struct OutputTiming {
 [[nodiscard]] MultiResField decode_snapshot(std::span<const std::byte> snapshot,
                                             int threads = 0);
 
-/// Reads back a snapshot written by write_snapshot (decode_snapshot's
-/// `threads`).
-[[nodiscard]] MultiResField read_snapshot(const std::string& path, int threads = 0);
+/// Reads back a snapshot written by write_snapshot, on all hardware lanes.
+[[nodiscard]] MultiResField read_snapshot(const std::string& path);
 
 }  // namespace mrc::workflow
