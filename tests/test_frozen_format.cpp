@@ -30,9 +30,15 @@
 // SnapshotContainer pins an in-situ snapshot (MRCS with its MRL1 level
 // streams) at one lane and at four, and the uniform grid api::restore
 // rebuilds from it.
+//
+// Sz3mrLevelStreams pins one MRL1 level stream per sz3mr preset and level of
+// a two-level hierarchy, and the level each decodes to, so every merge
+// layout's gather and scatter (linear, stack with tail slots, several TAC
+// boxes; padded and post-processed) keeps its bytes.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <span>
 
@@ -42,6 +48,7 @@
 #include "compressors/lorenzo/lorenzo_compressor.h"
 #include "compressors/quantize/quantize_compressor.h"
 #include "compressors/zfpx/zfpx_compressor.h"
+#include "core/sz3mr.h"
 #include "grid/field_ops.h"
 #include "lossless/bitstream.h"
 #include "lossless/huffman.h"
@@ -58,8 +65,8 @@ using lossless::BitReader;
 using lossless::BitWriter;
 using lossless::HuffmanCodebook;
 
-std::uint64_t fnv1a(std::span<const std::byte> b) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+/// `h` continues a previous hash, so fnv1a(b, fnv1a(a)) hashes a then b.
+std::uint64_t fnv1a(std::span<const std::byte> b, std::uint64_t h = 0xcbf29ce484222325ull) {
   for (auto c : b) {
     h ^= static_cast<std::uint8_t>(c);
     h *= 0x100000001b3ull;
@@ -296,6 +303,82 @@ TEST(FrozenFormat, SnapshotContainer) {
     const FieldF back = api::restore(s);
     EXPECT_EQ(fnv1a(std::as_bytes(back.span())), 0xa677e898591654aeull)
         << threads << " lanes";
+  }
+}
+
+/// 64^3 cut into 16^3 blocks, the top 30% kept at level 0: 19 blocks at
+/// unit 16 (stack arrangement 3 x 3 x 3, 8 tail slots) and 45 at unit 8 on
+/// the 32^3 level 1 (4 x 4 x 3, 3 tail slots).
+MultiResField level_streams_hierarchy() {
+  const Dim3 d{64, 64, 64};
+  FieldF f(d);
+  Rng rng(31);
+  for (index_t z = 0; z < d.nz; ++z)
+    for (index_t y = 0; y < d.ny; ++y)
+      for (index_t x = 0; x < d.nx; ++x)
+        f.at(x, y, z) = static_cast<float>(
+            std::sin(0.21 * x) * std::cos(0.17 * y + 0.05 * z) +
+            2.0 * std::exp(-0.004 * ((x - 40.0) * (x - 40.0) + (y - 20.0) * (y - 20.0) +
+                                     (z - 30.0) * (z - 30.0))) +
+            0.05 * rng.uniform());
+  const std::array<double, 2> fr{0.3, 0.7};
+  return amr::build_hierarchy(f, 16, fr);
+}
+
+TEST(FrozenFormat, Sz3mrLevelStreams) {
+  // At eb 0.1, about 2.5% of the range, the Bezier tuning keeps nonzero
+  // intensities on both levels, so `processed` decodes through the pad
+  // strip and the post-process.
+  const MultiResField mr = level_streams_hierarchy();
+  ASSERT_EQ(mr.levels.size(), 2u);
+  struct Golden {
+    const char* preset;
+    sz3mr::Config cfg;
+    std::size_t size[2];
+    std::uint64_t stream[2];
+    std::uint64_t level[2];  ///< decoded data, then mask
+  };
+  const Golden goldens[] = {
+      {"baseline", sz3mr::baseline_sz3(), {7733u, 3793u},
+       {0xe3805ec889cf975bull, 0x65611c77f7862ec2ull},
+       {0xc5fbdcfc6974394bull, 0x10912f9b97254aeaull}},
+      {"amric", sz3mr::amric_sz3(), {11442u, 3978u},
+       {0x518cdbcef2e62027ull, 0x1ca3466a5d8aa1d6ull},
+       {0xe688a06eca8709d9ull, 0xda79bc42edf65938ull}},
+      {"tac", sz3mr::tac_sz3(), {4179u, 2750u},
+       {0x5110f05473478886ull, 0x793a3181ea9597f8ull},
+       {0x462ff0230b211d92ull, 0x2198971a2cbe12d6ull}},
+      {"pad", sz3mr::ours_pad(), {7959u, 4195u},
+       {0x300740ee3e619504ull, 0xaaaccb0bf450ca39ull},
+       {0xf92dabe12ef9ca0eull, 0xd2671aba40515968ull}},
+      {"pad_eb", sz3mr::ours_pad_eb(), {8222u, 4475u},
+       {0x1f7fd91fe6afe839ull, 0x3a952d164f155518ull},
+       {0x9f6a4c611c949029ull, 0xa26385df2040068dull}},
+      {"processed", sz3mr::ours_processed(), {8246u, 4499u},
+       {0x19936c2406f27d3eull, 0xcff1253d5ad2951aull},
+       {0x656fc894be869f93ull, 0x71618800ba8a214eull}},
+  };
+  for (const Golden& g : goldens)
+    for (std::size_t l = 0; l < 2; ++l)
+      for (const int threads : {1, 4}) {
+        const LevelData& level = mr.levels[l];
+        sz3mr::Config cfg = g.cfg;
+        cfg.threads = threads;
+        const Bytes s = sz3mr::compress_level(level, 16 / level.ratio, 1e-1, cfg);
+        const LevelData back = sz3mr::decompress_level(s, threads);
+        const std::uint64_t decoded = fnv1a(std::as_bytes(back.mask.span()),
+                                            fnv1a(std::as_bytes(back.data.span())));
+        EXPECT_EQ(s.size(), g.size[l]) << g.preset << " level " << l << ", " << threads;
+        EXPECT_EQ(fnv1a(s), g.stream[l]) << g.preset << " level " << l << ", " << threads;
+        EXPECT_EQ(decoded, g.level[l]) << g.preset << " level " << l << ", " << threads;
+      }
+  // The layouts this pins: TAC cuts level 0 into several boxes, and both
+  // stack arrangements end in tail slots.
+  EXPECT_GE(sz3mr::prepare_level(mr.levels[0], 16, sz3mr::tac_sz3()).boxes.size(), 2u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const index_t unit = 16 / mr.levels[l].ratio;
+    const auto prep = sz3mr::prepare_level(mr.levels[l], unit, sz3mr::amric_sz3());
+    EXPECT_GT(prep.merged.size(), prep.set.block_count() * unit * unit * unit) << l;
   }
 }
 
