@@ -24,7 +24,7 @@ int main() {
   for (std::size_t l = 0; l < mr.levels.size(); ++l) {
     const auto& lev = mr.levels[l];
     const index_t unit = mr.block_size / lev.ratio;
-    const auto set = extract_unit_blocks(lev, unit);
+    const auto set = scan_unit_blocks(lev, unit);
     double lo = 1e300, hi = -1e300;
     for (index_t i = 0; i < lev.data.size(); ++i)
       if (lev.mask[i]) {

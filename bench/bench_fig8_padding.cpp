@@ -39,8 +39,8 @@ int main() {
   const FieldF f = sim::nyx_density(scaled({256, 256, 256}), 7);
   const std::array<double, 2> fr{0.4, 0.6};
   const auto mr = amr::build_hierarchy(f, 16, fr);
-  const auto set = extract_unit_blocks(mr.levels[0], 16);
-  const FieldF merged = merge_linear(set);
+  const auto set = scan_unit_blocks(mr.levels[0], 16);
+  const FieldF merged = gather_linear(mr.levels[0], set, /*pad=*/false, PadKind::linear);
   const double eb = f.value_range() * 1e-4;
 
   const auto comp_ptr = registry().make("interp");

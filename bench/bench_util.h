@@ -137,8 +137,8 @@ inline std::vector<RdPoint> rd_curve_level(const LevelData& lev, index_t unit,
 /// "AMRIC-SZ2"/ZFP-style block-wise compression of one multi-resolution
 /// level: stack-merge the unit blocks (AMRIC's arrangement), compress the
 /// merged array with a block-wise codec, and optionally Bézier-post-process
-/// with sampled intensities before unmerging. Returns matched before/after
-/// quality at one stream size.
+/// with sampled intensities before scattering back. Returns matched
+/// before/after quality at one stream size.
 struct BlockwiseLevelResult {
   double cr = 0.0;
   double psnr_ori = 0.0;
@@ -148,23 +148,21 @@ struct BlockwiseLevelResult {
 inline BlockwiseLevelResult blockwise_level_roundtrip(
     const LevelData& lev, index_t unit, const Compressor& comp, double eb,
     index_t pp_block, std::span<const double> candidates) {
-  auto set = extract_unit_blocks(lev, unit);
+  const auto set = scan_unit_blocks(lev, unit);
   BlockwiseLevelResult r;
   if (set.block_count() == 0) return r;
-  const FieldF merged = merge_stack(set);
+  const FieldF merged = gather_stack(lev, set);
   const auto stream = comp.compress(merged, eb);
   r.cr = static_cast<double>(lev.valid_count()) * sizeof(float) /
          static_cast<double>(stream.size());
   const FieldF dec = comp.decompress(stream);
 
   auto psnr_of = [&](const FieldF& m) {
-    UnitBlockSet s2 = set;
-    unmerge_stack(m, s2);
     LevelData out;
     out.ratio = lev.ratio;
     out.data = FieldF(lev.data.dims(), 0.0f);
     out.mask = MaskField(lev.mask.dims(), 0);
-    scatter_unit_blocks(s2, out);
+    scatter_stack(m, set, out);
     return level_psnr(lev, out);
   };
   r.psnr_ori = psnr_of(dec);

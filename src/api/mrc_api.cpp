@@ -138,8 +138,6 @@ void Options::set(const std::string& key, const std::string& value) {
     else
       throw ContractError("options: pad_kind must be constant|linear|quadratic, got " +
                           value);
-  } else if (key == "min_pad_unit") {
-    min_pad_unit = parse_index(key, value, 1);
   } else if (key == "adaptive_eb") {
     adaptive_eb = parse_bool(key, value);
   } else if (key == "alpha") {
@@ -195,7 +193,7 @@ void Options::set(const std::string& key, const std::string& value) {
   } else {
     throw ContractError(
         "options: unknown key '" + key +
-        "' (known: codec eb eb_mode merge pad pad_kind min_pad_unit adaptive_eb alpha "
+        "' (known: codec eb eb_mode merge pad pad_kind adaptive_eb alpha "
         "beta quant_radius postprocess roi_block roi_fraction block_size "
         "use_regression threads entropy_shards tile levels cache_mb prefetch "
         "importance importance_file roi coarse_level halo_threshold)");
@@ -226,7 +224,6 @@ std::string Options::to_string() const {
   s += std::string(",merge=") + merge_str(merge);
   s += std::string(",pad=") + (pad ? "1" : "0");
   s += std::string(",pad_kind=") + pad_kind_str(pad_kind);
-  s += ",min_pad_unit=" + std::to_string(min_pad_unit);
   if (adaptive_eb.has_value())
     s += std::string(",adaptive_eb=") + (*adaptive_eb ? "1" : "0");
   s += ",alpha=" + fmt_double(alpha);
@@ -273,7 +270,6 @@ sz3mr::Config Options::pipeline() const {
   c.merge = merge;
   c.pad = pad;
   c.pad_kind = pad_kind;
-  c.min_pad_unit = min_pad_unit;
   c.adaptive_eb = adaptive_eb.value_or(true);  // the paper's full SZ3MR
   c.alpha = alpha;
   c.beta = beta;

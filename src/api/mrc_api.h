@@ -74,7 +74,6 @@ struct Options {
   MergeKind merge = MergeKind::linear;
   bool pad = true;
   PadKind pad_kind = PadKind::linear;
-  index_t min_pad_unit = 5;
   /// Per-level error-bound tightening. Unset = context default: ON for the
   /// multi-resolution pipeline (the paper's full SZ3MR), OFF for single-codec
   /// compress (plain-codec behavior). Set it to force either path.

@@ -20,7 +20,53 @@ std::unique_ptr<Compressor> make_interp(const Config& cfg) {
 }
 
 bool should_pad(const Config& cfg, index_t unit) {
-  return cfg.pad && cfg.merge == MergeKind::linear && unit >= cfg.min_pad_unit;
+  return cfg.pad && cfg.merge == MergeKind::linear && unit >= kMinPadUnit;
+}
+
+/// Reads a TAC level's box records and decodes each box. The boxes must tile
+/// exactly the listed blocks, each inside the block grid with extent·u
+/// samples per axis; anything else is a malformed stream.
+std::vector<TacBox> read_tac_boxes(ByteReader& r, const UnitBlockSet& set,
+                                   const Compressor& interp) {
+  const std::uint64_t n_boxes = r.get_varint();
+  if (n_boxes > static_cast<std::uint64_t>(set.block_count()))
+    throw CodecError("sz3mr: more tac boxes than blocks");
+  const Dim3 grid = set.block_grid;
+  // 1 = listed and not yet covered by a box.
+  std::vector<std::uint8_t> open(static_cast<std::size_t>(grid.size()), 0);
+  for (const index_t id : set.block_ids) open[static_cast<std::size_t>(id)] = 1;
+  std::vector<TacBox> boxes(static_cast<std::size_t>(n_boxes));
+  index_t covered = 0;
+  for (TacBox& box : boxes) {
+    std::uint64_t v[6];
+    for (std::uint64_t& x : v) x = r.get_varint();
+    for (int a = 0; a < 3; ++a) {
+      const auto n = static_cast<std::uint64_t>(grid[a]);
+      if (v[a] >= n || v[3 + a] == 0 || v[3 + a] > n - v[a])
+        throw CodecError("sz3mr: tac box outside the block grid");
+    }
+    box.origin_blocks = {static_cast<index_t>(v[0]), static_cast<index_t>(v[1]),
+                         static_cast<index_t>(v[2])};
+    box.extent_blocks = {static_cast<index_t>(v[3]), static_cast<index_t>(v[4]),
+                         static_cast<index_t>(v[5])};
+    const Coord3 o = box.origin_blocks;
+    const Dim3 e = box.extent_blocks;
+    for (index_t z = o.z; z < o.z + e.nz; ++z)
+      for (index_t y = o.y; y < o.y + e.ny; ++y)
+        for (index_t x = o.x; x < o.x + e.nx; ++x) {
+          std::uint8_t& slot = open[static_cast<std::size_t>(grid.index(x, y, z))];
+          if (slot != 1) throw CodecError("sz3mr: tac box over an unlisted or covered block");
+          slot = 0;
+          ++covered;
+        }
+    box.data = interp.decompress(r.get_blob());
+    const index_t u = set.unit;
+    if (box.data.dims() != Dim3(e.nx * u, e.ny * u, e.nz * u))
+      throw CodecError("sz3mr: tac box samples do not match its extent");
+  }
+  if (covered != set.block_count())
+    throw CodecError("sz3mr: tac boxes leave a listed block uncovered");
+  return boxes;
 }
 
 }  // namespace
@@ -72,7 +118,7 @@ PreparedLevel prepare_level(const LevelData& level, index_t unit, const Config& 
   PreparedLevel prep;
   prep.cfg = cfg;
   prep.ratio = level.ratio;
-  // Occupancy scan only; the gathers below read the level grid directly so
+  // Occupancy scan only; each gather below reads the level grid directly so
   // pre-processing is a single pass (the Table IV "collect data" phase).
   prep.set = scan_unit_blocks(level, unit);
   if (prep.set.block_count() == 0) return prep;
@@ -85,11 +131,9 @@ PreparedLevel prepare_level(const LevelData& level, index_t unit, const Config& 
     case MergeKind::stack:
       prep.merged = gather_stack(level, prep.set);
       break;
-    case MergeKind::tac: {
-      auto full = extract_unit_blocks(level, unit);
-      prep.boxes = merge_tac(full);
+    case MergeKind::tac:
+      prep.boxes = gather_tac(level, prep.set);
       break;
-    }
   }
   return prep;
 }
@@ -180,17 +224,23 @@ LevelData decompress_level(std::span<const std::byte> stream, int threads) {
   // have the scatter write past the level grid.
   if (ld.nx % unit != 0 || ld.ny % unit != 0 || ld.nz % unit != 0)
     throw CodecError("sz3mr: level extents not divisible by unit");
-  const auto merge = static_cast<MergeKind>(r.get<std::uint8_t>());
+  const auto merge_byte = r.get<std::uint8_t>();
+  if (merge_byte > static_cast<std::uint8_t>(MergeKind::tac))
+    throw CodecError("sz3mr: unknown merge layout");
+  const auto merge = static_cast<MergeKind>(merge_byte);
   const bool padded = r.get<std::uint8_t>() != 0;
+  if (padded && merge != MergeKind::linear)
+    throw CodecError("sz3mr: only a linear merge is padded");
   (void)r.get<std::uint8_t>();  // pad kind (informational; strip is shape-only)
 
   set.unit = unit;
   set.level_dims = ld;
   set.block_grid = blocks_for(ld, unit);
-  const auto n_blocks = static_cast<index_t>(r.get_varint());
-  if (n_blocks > set.block_grid.size()) throw CodecError("sz3mr: too many blocks");
+  const std::uint64_t n_blocks = r.get_varint();
+  if (n_blocks > static_cast<std::uint64_t>(set.block_grid.size()))
+    throw CodecError("sz3mr: too many blocks");
   index_t prev = -1;
-  for (index_t i = 0; i < n_blocks; ++i) {
+  for (std::uint64_t i = 0; i < n_blocks; ++i) {
     const auto delta = static_cast<index_t>(r.get_varint());
     if (delta <= 0) throw CodecError("sz3mr: non-increasing block ids");
     prev += delta;
@@ -219,43 +269,24 @@ LevelData decompress_level(std::span<const std::byte> stream, int threads) {
   const auto interp = registry().make("interp", tuning);
 
   if (merge == MergeKind::tac) {
-    const auto n_boxes = r.get_varint();
-    std::vector<TacBox> boxes;
-    boxes.reserve(static_cast<std::size_t>(n_boxes));
-    for (std::uint64_t b = 0; b < n_boxes; ++b) {
-      TacBox box;
-      box.origin_blocks.x = static_cast<index_t>(r.get_varint());
-      box.origin_blocks.y = static_cast<index_t>(r.get_varint());
-      box.origin_blocks.z = static_cast<index_t>(r.get_varint());
-      box.extent_blocks.nx = static_cast<index_t>(r.get_varint());
-      box.extent_blocks.ny = static_cast<index_t>(r.get_varint());
-      box.extent_blocks.nz = static_cast<index_t>(r.get_varint());
-      box.data = interp->decompress(r.get_blob());
-      boxes.push_back(std::move(box));
-    }
-    unmerge_tac(boxes, set);
-  } else {
-    FieldF merged = interp->decompress(r.get_blob());
-    const bool post = has_post && (ax > 0.0 || ay > 0.0 || az > 0.0);
-    // The Bézier pass and the stack unmerge need the unpadded array; a
-    // linear merge's scatter reads past the pad layer instead.
-    bool pad_left = padded;
-    if (padded && (post || merge != MergeKind::linear)) {
-      merged = strip_pad_xy(merged);
-      pad_left = false;
-    }
-    if (post) {
-      postproc::BezierParams p{unit, eb, ax, ay, az};
-      merged = postproc::bezier_postprocess(merged, p);
-    }
-    if (merge == MergeKind::linear) {
-      scatter_linear(merged, pad_left, set, level, threads);
-      return level;
-    }
-    unmerge_stack(merged, set);
+    scatter_tac(read_tac_boxes(r, set, *interp), set, level);
+    return level;
   }
-
-  scatter_unit_blocks(set, level);
+  FieldF merged = interp->decompress(r.get_blob());
+  if (merged.dims() != merged_dims(set, merge, padded))
+    throw CodecError("sz3mr: merged extents do not match the block list");
+  // The Bézier pass needs the unpadded array; otherwise the linear scatter
+  // skips the pad layer itself.
+  bool pad_left = padded;
+  if (has_post && (ax > 0.0 || ay > 0.0 || az > 0.0)) {
+    if (padded) merged = strip_pad_xy(merged);
+    pad_left = false;
+    merged = postproc::bezier_postprocess(merged, {unit, eb, ax, ay, az});
+  }
+  if (merge == MergeKind::linear)
+    scatter_linear(merged, pad_left, set, level, threads);
+  else
+    scatter_stack(merged, set, level);
   return level;
 }
 

@@ -3,11 +3,13 @@
 // SZ3MR: the paper's multi-resolution compression pipeline (§III-A) plus the
 // baselines it is evaluated against.
 //
-// Per level:  extract unit blocks → merge (linear / stack / TAC) →
-//             [pad the two small dims] → SZ3-class compression with
+// Per level:  scan unit blocks → gather them from the level grid into the
+//             merge layout (linear / stack / TAC) [padding the two small
+//             dims in the same pass] → SZ3-class compression with
 //             [per-level adaptive error bounds] → self-describing stream.
-// Decompression mirrors the pipeline and can optionally run the Bézier
-// post-process on the merged array before unmerging ("Ours (processed)").
+// Decompression mirrors the pipeline: one scatter per layout puts the
+// decoded samples back into the level grid, after the optional Bézier
+// post-process of the merged array ("Ours (processed)").
 //
 // Named presets reproduce the curves of Figs. 15/17/18:
 //   baseline_sz3()  — linear merge, plain SZ3
@@ -32,11 +34,14 @@ namespace mrc::sz3mr {
 /// Container-header stream id of an sz3mr level stream.
 inline constexpr std::uint32_t kLevelMagic = 0x314c'524d;  // "MRL1"
 
+/// A linear merge is padded only when unit > 4 (paper §III-A): below that the
+/// pad layer's (u+1)^2/u^2 overhead outweighs the better prediction.
+inline constexpr index_t kMinPadUnit = 5;
+
 struct Config {
   MergeKind merge = MergeKind::linear;
-  bool pad = true;
+  bool pad = true;  ///< pad a linear merge whose unit is >= kMinPadUnit
   PadKind pad_kind = PadKind::linear;
-  index_t min_pad_unit = 5;  ///< pad only when unit > 4 (paper §III-A)
   bool adaptive_eb = true;
   double alpha = 2.25;
   double beta = 8.0;
@@ -60,7 +65,7 @@ struct Config {
 /// (Table IV) can time "collect data into the compression buffer" apart from
 /// "compress and write".
 struct PreparedLevel {
-  UnitBlockSet set;             ///< ids + geometry (payload moved into merged/boxes)
+  UnitBlockSet set;             ///< block ids + geometry; the samples are in merged/boxes
   FieldF merged;                ///< linear/stack merges
   std::vector<TacBox> boxes;    ///< tac merge
   index_t ratio = 1;
@@ -76,9 +81,13 @@ struct PreparedLevel {
 [[nodiscard]] Bytes compress_level(const LevelData& level, index_t unit, double abs_eb,
                                    const Config& cfg);
 
-/// Full inverse; reconstructs the level's data + mask (zeros elsewhere).
-/// The interp decode and a linear merge's block scatter run on `threads`
-/// exec-pool lanes (0 = hardware); the result is identical for any width.
+/// Full inverse; reconstructs the level's data + mask (zeros elsewhere) with
+/// one scatter per stream. The pad layer is stripped only ahead of the
+/// Bézier post-process; otherwise the linear scatter skips it. The interp
+/// decode and a linear merge's scatter run on `threads` exec-pool lanes
+/// (0 = hardware); the result is identical for any width. A stream whose
+/// merge byte, pad flag, merged extents or TAC boxes disagree with its block
+/// list throws CodecError before any sample is copied.
 [[nodiscard]] LevelData decompress_level(std::span<const std::byte> stream,
                                          int threads = 1);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "exec/thread_pool.h"
 
@@ -10,22 +9,29 @@ namespace mrc {
 
 namespace {
 
-void copy_block_to(const UnitBlockSet& set, index_t slot, FieldF& dst, Coord3 at) {
-  const index_t u = set.unit;
-  const float* src = set.data.data() + slot * set.values_per_block();
-  for (index_t k = 0; k < u; ++k)
-    for (index_t j = 0; j < u; ++j)
-      for (index_t i = 0; i < u; ++i)
-        dst.at(at.x + i, at.y + j, at.z + k) = src[i + u * (j + u * k)];
+Coord3 scaled(Coord3 c, index_t u) { return {c.x * u, c.y * u, c.z * u}; }
+
+/// Copies the `ext` box at `from` in `src` to `to` in `dst`, one x row at a
+/// time: the copy every gather and scatter makes.
+void copy_box(const FieldF& src, Coord3 from, FieldF& dst, Coord3 to, Dim3 ext) {
+  for (index_t k = 0; k < ext.nz; ++k)
+    for (index_t j = 0; j < ext.ny; ++j) {
+      const float* row = &src.at(from.x, from.y + j, from.z + k);
+      std::copy(row, row + ext.nx, &dst.at(to.x, to.y + j, to.z + k));
+    }
 }
 
-void copy_block_from(UnitBlockSet& set, index_t slot, const FieldF& src, Coord3 at) {
-  const index_t u = set.unit;
-  float* dst = set.data.data() + slot * set.values_per_block();
-  for (index_t k = 0; k < u; ++k)
-    for (index_t j = 0; j < u; ++j)
-      for (index_t i = 0; i < u; ++i)
-        dst[i + u * (j + u * k)] = src.at(at.x + i, at.y + j, at.z + k);
+/// copy_box into the level grid, marking every cell it writes valid.
+void scatter_box(const FieldF& src, Coord3 from, LevelData& level, Coord3 to, Dim3 ext) {
+  copy_box(src, from, level.data, to, ext);
+  for (index_t k = 0; k < ext.nz; ++k)
+    for (index_t j = 0; j < ext.ny; ++j)
+      std::fill_n(&level.mask.at(to.x, to.y + j, to.z + k), ext.nx, std::uint8_t{1});
+}
+
+void require_level_dims(const UnitBlockSet& set, const LevelData& level) {
+  MRC_REQUIRE(level.data.dims() == set.level_dims, "level dims mismatch");
+  MRC_REQUIRE(level.mask.dims() == set.level_dims, "mask dims mismatch");
 }
 
 /// Interleaves 16-bit coordinates into a Morton key.
@@ -44,13 +50,12 @@ std::uint64_t morton3(Coord3 c) {
          (spread(static_cast<std::uint64_t>(c.z)) << 2);
 }
 
-/// Deterministic Morton placement order used by both merge and unmerge.
+/// The block ids in stack slot order (Morton order of their coordinates),
+/// shared by gather_stack and scatter_stack.
 std::vector<index_t> morton_order(const UnitBlockSet& set) {
-  std::vector<index_t> order(static_cast<std::size_t>(set.block_count()));
-  std::iota(order.begin(), order.end(), 0);
+  std::vector<index_t> order = set.block_ids;
   std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-    return morton3(set.block_coord(set.block_ids[static_cast<std::size_t>(a)])) <
-           morton3(set.block_coord(set.block_ids[static_cast<std::size_t>(b)]));
+    return morton3(set.block_coord(a)) < morton3(set.block_coord(b));
   });
   return order;
 }
@@ -63,97 +68,35 @@ Dim3 stack_arrangement(index_t n) {
   return {a, b, c};
 }
 
+/// Sample origin of stack slot `s` in an `arr` arrangement of u^3 slots.
+Coord3 slot_origin(Dim3 arr, index_t s, index_t u) {
+  return scaled({s % arr.nx, (s / arr.nx) % arr.ny, s / (arr.nx * arr.ny)}, u);
+}
+
 }  // namespace
 
-FieldF merge_linear(const UnitBlockSet& set) {
-  MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
+Dim3 merged_dims(const UnitBlockSet& set, MergeKind kind, bool padded) {
   const index_t u = set.unit;
-  FieldF merged({u, u, u * set.block_count()});
-  for (index_t b = 0; b < set.block_count(); ++b)
-    copy_block_to(set, b, merged, {0, 0, b * u});
-  return merged;
-}
-
-FieldF merge_stack(const UnitBlockSet& set) {
-  MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
-  const index_t u = set.unit;
-  const index_t n = set.block_count();
-  const Dim3 arr = stack_arrangement(n);
-  FieldF merged({arr.nx * u, arr.ny * u, arr.nz * u});
-
-  const auto order = morton_order(set);
-  for (index_t s = 0; s < arr.size(); ++s) {
-    // Tail slots replicate the last real block to avoid a hard zero edge.
-    const index_t slot = order[static_cast<std::size_t>(std::min(s, n - 1))];
-    const Coord3 at{(s % arr.nx) * u, ((s / arr.nx) % arr.ny) * u,
-                    (s / (arr.nx * arr.ny)) * u};
-    copy_block_to(set, slot, merged, at);
+  if (kind == MergeKind::linear) {
+    const index_t pitch = padded ? u + 1 : u;
+    return {pitch, pitch, u * set.block_count()};
   }
-  return merged;
-}
-
-void unmerge_stack(const FieldF& merged, UnitBlockSet& set) {
-  const index_t u = set.unit;
-  const index_t n = set.block_count();
-  const Dim3 arr = stack_arrangement(n);
-  MRC_REQUIRE(merged.dims() == Dim3(arr.nx * u, arr.ny * u, arr.nz * u),
-              "merged shape mismatch");
-  set.data.assign(static_cast<std::size_t>(n * set.values_per_block()), 0.0f);
-  const auto order = morton_order(set);
-  for (index_t s = 0; s < n; ++s) {
-    const Coord3 at{(s % arr.nx) * u, ((s / arr.nx) % arr.ny) * u,
-                    (s / (arr.nx * arr.ny)) * u};
-    copy_block_from(set, order[static_cast<std::size_t>(s)], merged, at);
-  }
-}
-
-UnitBlockSet scan_unit_blocks(const LevelData& level, index_t unit) {
-  MRC_REQUIRE(unit >= 1, "bad unit size");
-  const Dim3 d = level.data.dims();
-  MRC_REQUIRE(d.nx % unit == 0 && d.ny % unit == 0 && d.nz % unit == 0,
-              "level extents not divisible by unit block size");
-  UnitBlockSet set;
-  set.unit = unit;
-  set.level_dims = d;
-  set.block_grid = blocks_for(d, unit);
-  for (index_t bz = 0; bz < set.block_grid.nz; ++bz)
-    for (index_t by = 0; by < set.block_grid.ny; ++by)
-      for (index_t bx = 0; bx < set.block_grid.nx; ++bx) {
-        // OR each mask row (a vectorizable reduction), stopping at the first
-        // row with a valid cell.
-        bool occupied = false;
-        for (index_t k = 0; k < unit && !occupied; ++k)
-          for (index_t j = 0; j < unit && !occupied; ++j) {
-            const std::uint8_t* row = &level.mask.at(bx * unit, by * unit + j, bz * unit + k);
-            std::uint8_t any = 0;
-            for (index_t i = 0; i < unit; ++i) any |= row[i];
-            occupied = any != 0;
-          }
-        if (occupied) set.block_ids.push_back(set.block_grid.index(bx, by, bz));
-      }
-  return set;
+  MRC_REQUIRE(kind == MergeKind::stack && !padded, "only linear and stack merges fill one "
+                                                    "array, and only linear is padded");
+  MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
+  const Dim3 arr = stack_arrangement(set.block_count());
+  return {arr.nx * u, arr.ny * u, arr.nz * u};
 }
 
 FieldF gather_linear(const LevelData& level, const UnitBlockSet& set, bool pad,
                      PadKind kind, int threads) {
   MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
   const index_t u = set.unit;
-  const index_t n = set.block_count();
-  const index_t mx = pad ? u + 1 : u;
-  const index_t my = pad ? u + 1 : u;
-  FieldF merged({mx, my, u * n});
-
-  auto extrapolate = [kind](float a, float b, float c) {
-    switch (kind) {
-      case PadKind::constant: return a;
-      case PadKind::linear: return 2.0f * a - b;
-      case PadKind::quadratic: return 3.0f * a - 3.0f * b + c;
-    }
-    return a;
-  };
+  MRC_REQUIRE(!pad || u >= 3, "padding extrapolates from three samples");
+  FieldF merged(merged_dims(set, MergeKind::linear, pad));
 
   // Block b owns merged planes [b·u, (b+1)·u), so blocks gather in parallel.
-  exec::parallel_for(n, [&](index_t b) {
+  exec::parallel_for(set.block_count(), [&](index_t b) {
     const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(b)]);
     for (index_t k = 0; k < u; ++k) {
       const index_t mz = b * u + k;
@@ -161,18 +104,13 @@ FieldF gather_linear(const LevelData& level, const UnitBlockSet& set, bool pad,
         const float* src = &level.data.at(c.x * u, c.y * u + j, c.z * u + k);
         float* dst = &merged.at(0, j, mz);
         std::copy(src, src + u, dst);
-        if (pad)
-          dst[u] = u >= 3 ? extrapolate(dst[u - 1], dst[u - 2], dst[u - 3])
-                          : dst[u - 1];
+        if (pad) dst[u] = pad_extrapolate(kind, dst[u - 1], dst[u - 2], dst[u - 3]);
       }
       if (pad) {
         // +y layer, including the +x column already written above.
-        for (index_t i = 0; i < mx; ++i) {
-          merged.at(i, u, mz) =
-              u >= 3 ? extrapolate(merged.at(i, u - 1, mz), merged.at(i, u - 2, mz),
-                                   merged.at(i, u - 3, mz))
-                     : merged.at(i, u - 1, mz);
-        }
+        for (index_t i = 0; i <= u; ++i)
+          merged.at(i, u, mz) = pad_extrapolate(kind, merged.at(i, u - 1, mz),
+                                                merged.at(i, u - 2, mz), merged.at(i, u - 3, mz));
       }
     }
   }, threads);
@@ -181,55 +119,50 @@ FieldF gather_linear(const LevelData& level, const UnitBlockSet& set, bool pad,
 
 void scatter_linear(const FieldF& merged, bool padded, const UnitBlockSet& set,
                     LevelData& level, int threads) {
-  MRC_REQUIRE(level.data.dims() == set.level_dims, "level dims mismatch");
-  MRC_REQUIRE(level.mask.dims() == set.level_dims, "mask dims mismatch");
-  const index_t u = set.unit;
-  const index_t pitch = padded ? u + 1 : u;
-  MRC_REQUIRE(merged.dims() == Dim3(pitch, pitch, u * set.block_count()),
+  require_level_dims(set, level);
+  MRC_REQUIRE(merged.dims() == merged_dims(set, MergeKind::linear, padded),
               "merged shape mismatch");
+  const index_t u = set.unit;
   exec::parallel_for(set.block_count(), [&](index_t b) {
     const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(b)]);
-    for (index_t k = 0; k < u; ++k)
-      for (index_t j = 0; j < u; ++j) {
-        const float* src = &merged.at(0, j, b * u + k);
-        const index_t dst = set.level_dims.index(c.x * u, c.y * u + j, c.z * u + k);
-        std::copy(src, src + u, level.data.data() + dst);
-        std::fill_n(level.mask.data() + dst, u, std::uint8_t{1});
-      }
+    scatter_box(merged, {0, 0, b * u}, level, scaled(c, u), {u, u, u});
   }, threads);
 }
 
 FieldF gather_stack(const LevelData& level, const UnitBlockSet& set) {
-  MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
+  FieldF merged(merged_dims(set, MergeKind::stack, false));
   const index_t u = set.unit;
   const index_t n = set.block_count();
   const Dim3 arr = stack_arrangement(n);
-  FieldF merged({arr.nx * u, arr.ny * u, arr.nz * u});
-
   const auto order = morton_order(set);
   for (index_t s = 0; s < arr.size(); ++s) {
-    const index_t slot = order[static_cast<std::size_t>(std::min(s, n - 1))];
-    const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(slot)]);
-    const Coord3 at{(s % arr.nx) * u, ((s / arr.nx) % arr.ny) * u,
-                    (s / (arr.nx * arr.ny)) * u};
-    for (index_t k = 0; k < u; ++k)
-      for (index_t j = 0; j < u; ++j) {
-        const float* src = &level.data.at(c.x * u, c.y * u + j, c.z * u + k);
-        float* dst = &merged.at(at.x, at.y + j, at.z + k);
-        std::copy(src, src + u, dst);
-      }
+    // Tail slots replicate the last real block to avoid a hard zero edge.
+    const index_t id = order[static_cast<std::size_t>(std::min(s, n - 1))];
+    copy_box(level.data, scaled(set.block_coord(id), u), merged, slot_origin(arr, s, u),
+             {u, u, u});
   }
   return merged;
+}
+
+void scatter_stack(const FieldF& merged, const UnitBlockSet& set, LevelData& level) {
+  require_level_dims(set, level);
+  MRC_REQUIRE(merged.dims() == merged_dims(set, MergeKind::stack, false),
+              "merged shape mismatch");
+  const index_t u = set.unit;
+  const Dim3 arr = stack_arrangement(set.block_count());
+  const auto order = morton_order(set);
+  for (index_t s = 0; s < set.block_count(); ++s)
+    scatter_box(merged, slot_origin(arr, s, u), level,
+                scaled(set.block_coord(order[static_cast<std::size_t>(s)]), u), {u, u, u});
 }
 
 namespace {
 
 struct TacContext {
+  const LevelData& level;
   const UnitBlockSet& set;
   const std::vector<std::uint8_t>& occupied;
   std::vector<TacBox>& out;
-  // Maps linear block id -> slot in set.data (or -1).
-  const std::vector<index_t>& slot_of;
 };
 
 void tac_recurse(TacContext& ctx, Coord3 lo, Dim3 ext) {
@@ -243,17 +176,8 @@ void tac_recurse(TacContext& ctx, Coord3 lo, Dim3 ext) {
 
   if (count == ext.size()) {
     const index_t u = ctx.set.unit;
-    TacBox box;
-    box.origin_blocks = lo;
-    box.extent_blocks = ext;
-    box.data = FieldF({ext.nx * u, ext.ny * u, ext.nz * u});
-    for (index_t z = 0; z < ext.nz; ++z)
-      for (index_t y = 0; y < ext.ny; ++y)
-        for (index_t x = 0; x < ext.nx; ++x) {
-          const index_t id = grid.index(lo.x + x, lo.y + y, lo.z + z);
-          copy_block_to(ctx.set, ctx.slot_of[static_cast<std::size_t>(id)], box.data,
-                        {x * u, y * u, z * u});
-        }
+    TacBox box{lo, ext, FieldF({ext.nx * u, ext.ny * u, ext.nz * u})};
+    copy_box(ctx.level.data, scaled(lo, u), box.data, {0, 0, 0}, box.data.dims());
     ctx.out.push_back(std::move(box));
     return;
   }
@@ -285,38 +209,28 @@ void tac_recurse(TacContext& ctx, Coord3 lo, Dim3 ext) {
 
 }  // namespace
 
-std::vector<TacBox> merge_tac(const UnitBlockSet& set) {
+std::vector<TacBox> gather_tac(const LevelData& level, const UnitBlockSet& set) {
   MRC_REQUIRE(set.block_count() > 0, "no blocks to merge");
   std::vector<std::uint8_t> occupied(static_cast<std::size_t>(set.block_grid.size()), 0);
-  std::vector<index_t> slot_of(static_cast<std::size_t>(set.block_grid.size()), -1);
-  for (index_t s = 0; s < set.block_count(); ++s) {
-    occupied[static_cast<std::size_t>(set.block_ids[static_cast<std::size_t>(s)])] = 1;
-    slot_of[static_cast<std::size_t>(set.block_ids[static_cast<std::size_t>(s)])] = s;
-  }
+  for (const index_t id : set.block_ids) occupied[static_cast<std::size_t>(id)] = 1;
   std::vector<TacBox> out;
-  TacContext ctx{set, occupied, out, slot_of};
+  TacContext ctx{level, set, occupied, out};
   tac_recurse(ctx, {0, 0, 0}, set.block_grid);
   return out;
 }
 
-void unmerge_tac(std::span<const TacBox> boxes, UnitBlockSet& set) {
-  std::vector<index_t> slot_of(static_cast<std::size_t>(set.block_grid.size()), -1);
-  for (index_t s = 0; s < set.block_count(); ++s)
-    slot_of[static_cast<std::size_t>(set.block_ids[static_cast<std::size_t>(s)])] = s;
-  set.data.assign(static_cast<std::size_t>(set.block_count() * set.values_per_block()), 0.0f);
-
+void scatter_tac(std::span<const TacBox> boxes, const UnitBlockSet& set, LevelData& level) {
+  require_level_dims(set, level);
   const index_t u = set.unit;
   for (const TacBox& box : boxes) {
-    for (index_t z = 0; z < box.extent_blocks.nz; ++z)
-      for (index_t y = 0; y < box.extent_blocks.ny; ++y)
-        for (index_t x = 0; x < box.extent_blocks.nx; ++x) {
-          const index_t id = set.block_grid.index(box.origin_blocks.x + x,
-                                                  box.origin_blocks.y + y,
-                                                  box.origin_blocks.z + z);
-          const index_t slot = slot_of[static_cast<std::size_t>(id)];
-          MRC_REQUIRE(slot >= 0, "tac box covers an unoccupied block");
-          copy_block_from(set, slot, box.data, {x * u, y * u, z * u});
-        }
+    const Coord3 o = box.origin_blocks;
+    const Dim3 e = box.extent_blocks;
+    MRC_REQUIRE(o.x >= 0 && o.y >= 0 && o.z >= 0 && o.x + e.nx <= set.block_grid.nx &&
+                    o.y + e.ny <= set.block_grid.ny && o.z + e.nz <= set.block_grid.nz,
+                "tac box outside the block grid");
+    MRC_REQUIRE(box.data.dims() == Dim3(e.nx * u, e.ny * u, e.nz * u),
+                "tac box samples do not match its extent");
+    scatter_box(box.data, {0, 0, 0}, level, scaled(o, u), box.data.dims());
   }
 }
 

@@ -3,7 +3,7 @@
 // The three unit-block arrangements compared in the paper (Fig. 6, part 2):
 //
 //  * linear merge — concatenate blocks along z into a u × u × (u·n) array.
-//    Two tiny dimensions, but consecutive blocks stay in extraction order.
+//    Two tiny dimensions, but consecutive blocks stay in scan order.
 //    This is the baseline our SZ3MR builds on (padding fixes the tiny dims).
 //  * stack merge (AMRIC) — place blocks into a near-cubic arrangement.
 //    Balanced extents, but stacks non-neighboring blocks against each other,
@@ -15,7 +15,15 @@
 //    fully-occupied sub-boxes become one contiguous 3-D region each.
 //    Preserves real adjacency but emits many variably-shaped boxes, each
 //    compressed separately (TAC's encoding overhead).
+//
+// Each arrangement has one gather and one scatter, both against the level
+// grid. The gather copies the occupied blocks straight into the layout, so
+// "collect data to the compression buffer" (Table IV) is a single pass; the
+// scatter copies a decoded layout back into `level.data` and sets
+// `level.mask` over the blocks it covers. The UnitBlockSet from
+// scan_unit_blocks supplies only block ids and geometry.
 
+#include <span>
 #include <vector>
 
 #include "merge/padding.h"
@@ -25,49 +33,47 @@ namespace mrc {
 
 enum class MergeKind : std::uint8_t { linear = 0, stack = 1, tac = 2 };
 
-/// u × u × (u·n) concatenation along z, in block_ids order.
-[[nodiscard]] FieldF merge_linear(const UnitBlockSet& set);
+/// Extents of the one array a linear or stack merge of `set` fills:
+/// u × u × (u·n) for linear, (u+1) × (u+1) × (u·n) when `padded` (only a
+/// linear merge is), and the near-cubic arrangement of u^3 slots for stack.
+[[nodiscard]] Dim3 merged_dims(const UnitBlockSet& set, MergeKind kind, bool padded);
 
-/// Near-cubic stacking in Morton order; empty tail slots replicate the last
-/// block so the tail stays smooth.
-[[nodiscard]] FieldF merge_stack(const UnitBlockSet& set);
-void unmerge_stack(const FieldF& merged, UnitBlockSet& set);
-
-/// Single-pass gathers used on the in-situ hot path (Table IV): they read
-/// straight from the level grid into the merged layout, so "collect data to
-/// the compression buffer" costs exactly one pass. `set` only needs ids and
-/// geometry (its payload vector stays untouched).
-///
-/// gather_linear optionally fuses the +x/+y padding layer into the same
-/// pass; the result is bit-identical to pad_xy(merge_linear(set), kind).
-/// Blocks are gathered on `threads` exec-pool lanes (0 = hardware).
+/// Linear merge, blocks in block_ids order along z. `pad` fuses the +x/+y
+/// padding layer into the same pass (the result equals pad_xy of the
+/// unpadded gather; padding needs u >= 3). Blocks are gathered on `threads`
+/// exec-pool lanes (0 = hardware).
 [[nodiscard]] FieldF gather_linear(const LevelData& level, const UnitBlockSet& set,
                                    bool pad, PadKind kind, int threads = 1);
 
-/// Inverse of gather_linear, straight into the level grid: block b of
-/// `merged` is its z-range [b·u, (b+1)·u), with row pitch u+1 and u+1 rows
-/// per plane when `padded` (the pad layer is skipped, never copied). Each
-/// block's rows land in `level.data` and set `level.mask`, blocks on
-/// `threads` lanes. Same result as stripping the pad, splitting the array
-/// into blocks and scatter_unit_blocks, in one pass. `level` must be
-/// pre-sized to set.level_dims.
+/// Inverse of gather_linear: block b of `merged` is its z-range
+/// [b·u, (b+1)·u); when `padded` the pad layer is skipped, never copied.
+/// Blocks are scattered on `threads` lanes. `level` must be pre-sized to
+/// set.level_dims.
 void scatter_linear(const FieldF& merged, bool padded, const UnitBlockSet& set,
                     LevelData& level, int threads = 1);
-/// Morton-ordered stacked gather (AMRIC's arrangement) in one pass —
-/// inherently scattered writes plus the ordering pass.
+
+/// Stack merge: slots filled x-fastest in Morton order of the block
+/// coordinates; empty tail slots replicate the last block so the tail stays
+/// smooth. Inherently scattered reads plus the ordering pass.
 [[nodiscard]] FieldF gather_stack(const LevelData& level, const UnitBlockSet& set);
 
-/// Occupancy-only extraction: fills ids and geometry without copying data.
-[[nodiscard]] UnitBlockSet scan_unit_blocks(const LevelData& level, index_t unit);
+/// Inverse of gather_stack (the tail slots are dropped). `level` must be
+/// pre-sized to set.level_dims.
+void scatter_stack(const FieldF& merged, const UnitBlockSet& set, LevelData& level);
 
-/// One contiguous region produced by the TAC-style recursive merge.
+/// One contiguous region produced by the TAC-style recursive merge. It is a
+/// fully occupied run of blocks, so its samples are the level grid over
+/// [origin·u, (origin+extent)·u).
 struct TacBox {
   Coord3 origin_blocks;  ///< position in the unit-block grid
   Dim3 extent_blocks;    ///< size in unit blocks
   FieldF data;           ///< gathered samples, extent_blocks * u per axis
 };
 
-[[nodiscard]] std::vector<TacBox> merge_tac(const UnitBlockSet& set);
-void unmerge_tac(std::span<const TacBox> boxes, UnitBlockSet& set);
+[[nodiscard]] std::vector<TacBox> gather_tac(const LevelData& level, const UnitBlockSet& set);
+
+/// Inverse of gather_tac. Every box must lie inside the block grid and hold
+/// extent·u samples per axis; `level` must be pre-sized to set.level_dims.
+void scatter_tac(std::span<const TacBox> boxes, const UnitBlockSet& set, LevelData& level);
 
 }  // namespace mrc

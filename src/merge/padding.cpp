@@ -4,26 +4,6 @@
 
 namespace mrc {
 
-namespace {
-
-/// Extrapolates one step past the end of a line given up to three trailing
-/// samples (a = f[n-1], b = f[n-2], c = f[n-3]); falls back to lower order
-/// when the line is short.
-float extrapolate(PadKind kind, float a, float b, float c, int avail) {
-  switch (kind) {
-    case PadKind::constant:
-      return a;
-    case PadKind::linear:
-      return avail >= 2 ? 2.0f * a - b : a;
-    case PadKind::quadratic:
-      if (avail >= 3) return 3.0f * a - 3.0f * b + c;
-      return avail >= 2 ? 2.0f * a - b : a;
-  }
-  return a;
-}
-
-}  // namespace
-
 FieldF pad_xy(const FieldF& merged, PadKind kind) {
   const Dim3 d = merged.dims();
   FieldF out({d.nx + 1, d.ny + 1, d.nz});
@@ -32,13 +12,13 @@ FieldF pad_xy(const FieldF& merged, PadKind kind) {
   for (index_t z = 0; z < d.nz; ++z) {
     for (index_t y = 0; y < d.ny; ++y) {
       for (index_t x = 0; x < d.nx; ++x) out.at(x, y, z) = merged.at(x, y, z);
-      out.at(d.nx, y, z) = extrapolate(
+      out.at(d.nx, y, z) = pad_extrapolate(
           kind, merged.at(d.nx - 1, y, z), d.nx >= 2 ? merged.at(d.nx - 2, y, z) : 0.0f,
           d.nx >= 3 ? merged.at(d.nx - 3, y, z) : 0.0f, ax);
     }
     // Pad the +y layer, including the new +x column.
     for (index_t x = 0; x <= d.nx; ++x) {
-      out.at(x, d.ny, z) = extrapolate(
+      out.at(x, d.ny, z) = pad_extrapolate(
           kind, out.at(x, d.ny - 1, z), d.ny >= 2 ? out.at(x, d.ny - 2, z) : 0.0f,
           d.ny >= 3 ? out.at(x, d.ny - 3, z) : 0.0f, ay);
     }
@@ -71,20 +51,20 @@ FieldF pad_to_even(const FieldF& f, PadKind kind) {
     for (index_t y = 0; y < d.ny; ++y) {
       for (index_t x = 0; x < d.nx; ++x) out.at(x, y, z) = f.at(x, y, z);
       if (pd.nx > d.nx)
-        out.at(d.nx, y, z) = extrapolate(
+        out.at(d.nx, y, z) = pad_extrapolate(
             kind, f.at(d.nx - 1, y, z), d.nx >= 2 ? f.at(d.nx - 2, y, z) : 0.0f,
             d.nx >= 3 ? f.at(d.nx - 3, y, z) : 0.0f, ax);
     }
   if (pd.ny > d.ny)
     for (index_t z = 0; z < d.nz; ++z)
       for (index_t x = 0; x < pd.nx; ++x)
-        out.at(x, d.ny, z) = extrapolate(
+        out.at(x, d.ny, z) = pad_extrapolate(
             kind, out.at(x, d.ny - 1, z), d.ny >= 2 ? out.at(x, d.ny - 2, z) : 0.0f,
             d.ny >= 3 ? out.at(x, d.ny - 3, z) : 0.0f, ay);
   if (pd.nz > d.nz)
     for (index_t y = 0; y < pd.ny; ++y)
       for (index_t x = 0; x < pd.nx; ++x)
-        out.at(x, y, d.nz) = extrapolate(
+        out.at(x, y, d.nz) = pad_extrapolate(
             kind, out.at(x, y, d.nz - 1), d.nz >= 2 ? out.at(x, y, d.nz - 2) : 0.0f,
             d.nz >= 3 ? out.at(x, y, d.nz - 3) : 0.0f, az);
   return out;

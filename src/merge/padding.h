@@ -13,6 +13,23 @@ namespace mrc {
 
 enum class PadKind : std::uint8_t { constant = 0, linear = 1, quadratic = 2 };
 
+/// The pad value one step past the end of a line, from its last `avail`
+/// samples a = f[n-1], b = f[n-2], c = f[n-3]; a short line falls back to a
+/// lower order.
+[[nodiscard]] inline float pad_extrapolate(PadKind kind, float a, float b, float c,
+                                           int avail = 3) {
+  switch (kind) {
+    case PadKind::constant:
+      return a;
+    case PadKind::linear:
+      return avail >= 2 ? 2.0f * a - b : a;
+    case PadKind::quadratic:
+      if (avail >= 3) return 3.0f * a - 3.0f * b + c;
+      return avail >= 2 ? 2.0f * a - b : a;
+  }
+  return a;
+}
+
 /// Appends one extrapolated layer along +x and +y.
 [[nodiscard]] FieldF pad_xy(const FieldF& merged, PadKind kind);
 

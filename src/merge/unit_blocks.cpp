@@ -2,7 +2,7 @@
 
 namespace mrc {
 
-UnitBlockSet extract_unit_blocks(const LevelData& level, index_t unit) {
+UnitBlockSet scan_unit_blocks(const LevelData& level, index_t unit) {
   MRC_REQUIRE(unit >= 1, "bad unit size");
   const Dim3 d = level.data.dims();
   MRC_REQUIRE(d.nx % unit == 0 && d.ny % unit == 0 && d.nz % unit == 0,
@@ -11,41 +11,23 @@ UnitBlockSet extract_unit_blocks(const LevelData& level, index_t unit) {
   set.unit = unit;
   set.level_dims = d;
   set.block_grid = blocks_for(d, unit);
-
   for (index_t bz = 0; bz < set.block_grid.nz; ++bz)
     for (index_t by = 0; by < set.block_grid.ny; ++by)
       for (index_t bx = 0; bx < set.block_grid.nx; ++bx) {
         // Refinement is block-granular, so any valid cell marks the block.
+        // OR each mask row (a vectorizable reduction), stopping at the first
+        // row with a valid cell.
         bool occupied = false;
         for (index_t k = 0; k < unit && !occupied; ++k)
-          for (index_t j = 0; j < unit && !occupied; ++j)
-            for (index_t i = 0; i < unit && !occupied; ++i)
-              occupied = level.mask.at(bx * unit + i, by * unit + j, bz * unit + k) != 0;
-        if (!occupied) continue;
-        set.block_ids.push_back(set.block_grid.index(bx, by, bz));
-        for (index_t k = 0; k < unit; ++k)
-          for (index_t j = 0; j < unit; ++j)
-            for (index_t i = 0; i < unit; ++i)
-              set.data.push_back(level.data.at(bx * unit + i, by * unit + j, bz * unit + k));
+          for (index_t j = 0; j < unit && !occupied; ++j) {
+            const std::uint8_t* row = &level.mask.at(bx * unit, by * unit + j, bz * unit + k);
+            std::uint8_t any = 0;
+            for (index_t i = 0; i < unit; ++i) any |= row[i];
+            occupied = any != 0;
+          }
+        if (occupied) set.block_ids.push_back(set.block_grid.index(bx, by, bz));
       }
   return set;
-}
-
-void scatter_unit_blocks(const UnitBlockSet& set, LevelData& level) {
-  MRC_REQUIRE(level.data.dims() == set.level_dims, "level dims mismatch");
-  MRC_REQUIRE(level.mask.dims() == set.level_dims, "mask dims mismatch");
-  const index_t u = set.unit;
-  const index_t per = set.values_per_block();
-  for (index_t b = 0; b < set.block_count(); ++b) {
-    const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(b)]);
-    const float* src = set.data.data() + b * per;
-    for (index_t k = 0; k < u; ++k)
-      for (index_t j = 0; j < u; ++j)
-        for (index_t i = 0; i < u; ++i) {
-          level.data.at(c.x * u + i, c.y * u + j, c.z * u + k) = src[i + u * (j + u * k)];
-          level.mask.at(c.x * u + i, c.y * u + j, c.z * u + k) = 1;
-        }
-  }
 }
 
 }  // namespace mrc

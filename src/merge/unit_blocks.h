@@ -1,9 +1,10 @@
 #pragma once
 
 // Uniform partitioning of one multi-resolution level into u^3 "unit blocks"
-// (paper Fig. 6, part 1). Only occupied blocks (valid cells under the level
-// mask) are extracted; the set remembers where each block came from so the
-// inverse scatter is exact.
+// (paper Fig. 6, part 1). A set lists the occupied blocks (those holding a
+// valid cell under the level mask) and the geometry to place them; it holds
+// no samples. Each merge layout (merge_strategies.h) gathers the blocks'
+// samples straight from the level grid and scatters them back there.
 
 #include <vector>
 
@@ -16,24 +17,18 @@ struct UnitBlockSet {
   Dim3 level_dims;         ///< extents of the level grid
   Dim3 block_grid;         ///< number of unit blocks per axis
   std::vector<index_t> block_ids;  ///< occupied blocks, ascending linear ids
-  std::vector<float> data;         ///< block-major payload, u^3 per block
 
   [[nodiscard]] index_t block_count() const {
     return static_cast<index_t>(block_ids.size());
   }
-  [[nodiscard]] index_t values_per_block() const { return unit * unit * unit; }
   [[nodiscard]] Coord3 block_coord(index_t id) const {
     return {id % block_grid.nx, (id / block_grid.nx) % block_grid.ny,
             id / (block_grid.nx * block_grid.ny)};
   }
 };
 
-/// Extracts occupied unit blocks from a level. Level extents must be
+/// Lists the occupied unit blocks of a level. Level extents must be
 /// divisible by `unit` (guaranteed when unit = hierarchy block size / ratio).
-[[nodiscard]] UnitBlockSet extract_unit_blocks(const LevelData& level, index_t unit);
-
-/// Inverse of extract: writes blocks back into `level.data` and sets
-/// `level.mask` over the covered cells. `level` must be pre-sized.
-void scatter_unit_blocks(const UnitBlockSet& set, LevelData& level);
+[[nodiscard]] UnitBlockSet scan_unit_blocks(const LevelData& level, index_t unit);
 
 }  // namespace mrc

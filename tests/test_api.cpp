@@ -199,7 +199,7 @@ TEST(ContainerHeader, PeekReportsPayloadOffset) {
 TEST(ApiOptions, KeyValueParsingSetsEveryKnob) {
   const auto o = api::Options::parse(
       "codec=zfpx,eb=0.5,eb_mode=abs,merge=stack,pad=0,pad_kind=quadratic,"
-      "min_pad_unit=7,adaptive_eb=0,alpha=3,beta=9,quant_radius=256,postprocess=1,"
+      "adaptive_eb=0,alpha=3,beta=9,quant_radius=256,postprocess=1,"
       "roi_block=8,roi_fraction=0.75,block_size=4,use_regression=0,threads=3,tile=48,"
       "levels=3,cache_mb=64,prefetch=0");
   EXPECT_EQ(o.codec, "zfpx");
@@ -208,7 +208,6 @@ TEST(ApiOptions, KeyValueParsingSetsEveryKnob) {
   EXPECT_EQ(o.merge, MergeKind::stack);
   EXPECT_FALSE(o.pad);
   EXPECT_EQ(o.pad_kind, PadKind::quadratic);
-  EXPECT_EQ(o.min_pad_unit, 7);
   EXPECT_EQ(o.adaptive_eb, false);
   EXPECT_EQ(o.alpha, 3.0);
   EXPECT_EQ(o.beta, 9.0);

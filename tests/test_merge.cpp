@@ -13,7 +13,6 @@ namespace {
 
 using test::noise_field;
 using test::smooth_field;
-using test::unmerge_linear;
 
 /// Builds a 2-level hierarchy and returns the requested level.
 LevelData make_level(Dim3 fine_dims, index_t block, double fine_frac, int level) {
@@ -23,29 +22,58 @@ LevelData make_level(Dim3 fine_dims, index_t block, double fine_frac, int level)
   return std::move(mr.levels[static_cast<std::size_t>(level)]);
 }
 
+/// An empty level the shape of `like`, for a scatter to fill.
+LevelData empty_like(const LevelData& like) {
+  LevelData out;
+  out.ratio = like.ratio;
+  out.data = FieldF(like.data.dims(), 0.0f);
+  out.mask = MaskField(like.mask.dims(), 0);
+  return out;
+}
+
+/// Gathers `lev` into `kind`'s layout and scatters it into an empty level.
+LevelData gather_then_scatter(const LevelData& lev, MergeKind kind) {
+  const auto set = scan_unit_blocks(lev, 8);
+  LevelData out = empty_like(lev);
+  switch (kind) {
+    case MergeKind::linear:
+      scatter_linear(gather_linear(lev, set, false, PadKind::linear), false, set, out);
+      break;
+    case MergeKind::stack:
+      scatter_stack(gather_stack(lev, set), set, out);
+      break;
+    case MergeKind::tac:
+      scatter_tac(gather_tac(lev, set), set, out);
+      break;
+  }
+  return out;
+}
+
+/// The scatter restores every valid sample bit for bit and exactly the mask.
+void expect_same_level(const LevelData& got, const LevelData& want) {
+  ASSERT_EQ(got.data.dims(), want.data.dims());
+  for (index_t i = 0; i < want.data.size(); ++i) {
+    ASSERT_EQ(got.mask[i], want.mask[i]) << i;
+    if (want.mask[i]) {
+      ASSERT_EQ(got.data[i], want.data[i]) << i;
+    }
+  }
+}
+
 TEST(UnitBlocks, ExtractCountMatchesMaskDensity) {
   const LevelData lev = make_level({32, 32, 32}, 8, 0.25, 0);
-  const auto set = extract_unit_blocks(lev, 8);
+  const auto set = scan_unit_blocks(lev, 8);
   EXPECT_EQ(set.unit, 8);
   EXPECT_EQ(set.block_grid, Dim3(4, 4, 4));
   EXPECT_EQ(set.block_count(), 16);  // 25% of 64 blocks
-  EXPECT_EQ(static_cast<index_t>(set.data.size()), set.block_count() * 512);
+  // The gather holds exactly the listed blocks' samples.
+  EXPECT_EQ(gather_linear(lev, set, false, PadKind::linear).size(), set.block_count() * 512);
 }
 
 TEST(UnitBlocks, ScatterRestoresDataAndMask) {
   const LevelData lev = make_level({32, 32, 32}, 8, 0.5, 0);
-  const auto set = extract_unit_blocks(lev, 8);
-  LevelData out;
-  out.ratio = lev.ratio;
-  out.data = FieldF(lev.data.dims(), 0.0f);
-  out.mask = MaskField(lev.mask.dims(), 0);
-  scatter_unit_blocks(set, out);
-  for (index_t i = 0; i < lev.data.size(); ++i) {
-    EXPECT_EQ(out.mask[i], lev.mask[i]);
-    if (lev.mask[i]) {
-      EXPECT_FLOAT_EQ(out.data[i], lev.data[i]);
-    }
-  }
+  for (const auto kind : {MergeKind::linear, MergeKind::stack, MergeKind::tac})
+    expect_same_level(gather_then_scatter(lev, kind), lev);
 }
 
 TEST(UnitBlocks, BlockCoordRoundTrip) {
@@ -60,51 +88,42 @@ TEST(UnitBlocks, RejectsIndivisibleExtents) {
   lev.ratio = 1;
   lev.data = FieldF({10, 8, 8});
   lev.mask = MaskField({10, 8, 8}, 1);
-  EXPECT_THROW((void)extract_unit_blocks(lev, 8), ContractError);
+  EXPECT_THROW((void)scan_unit_blocks(lev, 8), ContractError);
 }
 
 class MergeRoundTrip : public ::testing::TestWithParam<double> {};
 
 TEST_P(MergeRoundTrip, LinearExact) {
   const LevelData lev = make_level({32, 32, 32}, 8, GetParam(), 0);
-  auto set = extract_unit_blocks(lev, 8);
-  const auto original = set.data;
-  const FieldF merged = merge_linear(set);
-  EXPECT_EQ(merged.dims(), Dim3(8, 8, 8 * set.block_count()));
-  unmerge_linear(merged, set);
-  EXPECT_EQ(set.data, original);
+  const auto set = scan_unit_blocks(lev, 8);
+  EXPECT_EQ(gather_linear(lev, set, false, PadKind::linear).dims(),
+            Dim3(8, 8, 8 * set.block_count()));
+  expect_same_level(gather_then_scatter(lev, MergeKind::linear), lev);
 }
 
 TEST_P(MergeRoundTrip, StackExact) {
   const LevelData lev = make_level({32, 32, 32}, 8, GetParam(), 0);
-  auto set = extract_unit_blocks(lev, 8);
-  const auto original = set.data;
-  const FieldF merged = merge_stack(set);
+  const auto set = scan_unit_blocks(lev, 8);
   // Near-cubic arrangement.
-  EXPECT_GE(merged.dims().size(), set.block_count() * 512);
-  unmerge_stack(merged, set);
-  EXPECT_EQ(set.data, original);
+  EXPECT_GE(gather_stack(lev, set).size(), set.block_count() * 512);
+  expect_same_level(gather_then_scatter(lev, MergeKind::stack), lev);
 }
 
 TEST_P(MergeRoundTrip, TacExact) {
   const LevelData lev = make_level({32, 32, 32}, 8, GetParam(), 0);
-  auto set = extract_unit_blocks(lev, 8);
-  const auto original = set.data;
-  const auto boxes = merge_tac(set);
+  const auto set = scan_unit_blocks(lev, 8);
   // Boxes must tile exactly the occupied blocks.
   index_t covered = 0;
-  for (const auto& b : boxes) covered += b.extent_blocks.size();
+  for (const auto& b : gather_tac(lev, set)) covered += b.extent_blocks.size();
   EXPECT_EQ(covered, set.block_count());
-  unmerge_tac(boxes, set);
-  EXPECT_EQ(set.data, original);
+  expect_same_level(gather_then_scatter(lev, MergeKind::tac), lev);
 }
 
 INSTANTIATE_TEST_SUITE_P(Densities, MergeRoundTrip, ::testing::Values(0.1, 0.5, 0.9, 1.0));
 
 TEST(MergeTac, FullyOccupiedGridIsOneBox) {
   const LevelData lev = make_level({32, 32, 32}, 8, 1.0, 0);
-  const auto set = extract_unit_blocks(lev, 8);
-  const auto boxes = merge_tac(set);
+  const auto boxes = gather_tac(lev, scan_unit_blocks(lev, 8));
   ASSERT_EQ(boxes.size(), 1u);
   EXPECT_EQ(boxes[0].extent_blocks, Dim3(4, 4, 4));
 }
@@ -113,55 +132,104 @@ TEST(MergeTac, SparseDataProducesManyBoxes) {
   // Sparse levels fragment into many variably-shaped boxes — the encoding
   // overhead the paper attributes to TAC on the RT dataset.
   const LevelData lev = make_level({64, 64, 64}, 8, 0.1, 0);
-  const auto set = extract_unit_blocks(lev, 8);
-  const auto boxes = merge_tac(set);
-  EXPECT_GT(boxes.size(), 5u);
+  EXPECT_GT(gather_tac(lev, scan_unit_blocks(lev, 8)).size(), 5u);
 }
 
 TEST(MergeStack, ArrangementIsNearCubic) {
   const LevelData lev = make_level({64, 64, 64}, 8, 0.5, 0);
-  auto set = extract_unit_blocks(lev, 8);
-  const FieldF merged = merge_stack(set);
-  const Dim3 d = merged.dims();
+  const Dim3 d = gather_stack(lev, scan_unit_blocks(lev, 8)).dims();
   const double aspect = static_cast<double>(d.max_extent()) /
                         static_cast<double>(std::min({d.nx, d.ny, d.nz}));
   EXPECT_LE(aspect, 2.5);
 }
 
+// The library's gathers and scatters against the block-payload reference
+// (merge_reference.h): extract copies, merge, unmerge, scatter copies.
+
 TEST(GatherFused, LinearMatchesMergeThenPad) {
   // The in-situ single-pass gather must be bit-identical to the two-step
-  // reference path (merge_linear then pad_xy).
+  // reference path (merge then pad_xy).
   const LevelData lev = make_level({32, 32, 32}, 8, 0.4, 0);
-  auto set = extract_unit_blocks(lev, 8);
+  const auto set = scan_unit_blocks(lev, 8);
+  const FieldF merged = test::merge_linear(test::extract_unit_blocks(lev, 8));
   for (const auto kind : {PadKind::constant, PadKind::linear, PadKind::quadratic}) {
-    const FieldF reference = pad_xy(merge_linear(set), kind);
+    const FieldF reference = pad_xy(merged, kind);
     const FieldF fused = gather_linear(lev, set, /*pad=*/true, kind);
     ASSERT_EQ(fused.dims(), reference.dims());
     for (index_t i = 0; i < fused.size(); ++i) ASSERT_FLOAT_EQ(fused[i], reference[i]);
   }
   // Unpadded variant matches plain merge.
-  EXPECT_EQ(gather_linear(lev, set, false, PadKind::linear), merge_linear(set));
+  EXPECT_EQ(gather_linear(lev, set, false, PadKind::linear), merged);
 }
 
 TEST(GatherFused, StackMatchesMergeStack) {
   const LevelData lev = make_level({32, 32, 32}, 8, 0.4, 0);
-  auto set = extract_unit_blocks(lev, 8);
-  EXPECT_EQ(gather_stack(lev, set), merge_stack(set));
+  EXPECT_EQ(gather_stack(lev, scan_unit_blocks(lev, 8)),
+            test::merge_stack(test::extract_unit_blocks(lev, 8)));
+}
+
+TEST(GatherFused, TacMatchesMergeTac) {
+  const LevelData lev = make_level({64, 64, 64}, 8, 0.3, 0);
+  const auto boxes = gather_tac(lev, scan_unit_blocks(lev, 8));
+  const auto reference = test::merge_tac(test::extract_unit_blocks(lev, 8));
+  ASSERT_EQ(boxes.size(), reference.size());
+  for (std::size_t b = 0; b < boxes.size(); ++b) {
+    EXPECT_EQ(boxes[b].origin_blocks, reference[b].origin_blocks) << b;
+    EXPECT_EQ(boxes[b].extent_blocks, reference[b].extent_blocks) << b;
+    EXPECT_EQ(boxes[b].data, reference[b].data) << b;
+  }
+}
+
+TEST(GatherFused, ScattersMatchUnmergeThenScatter) {
+  // Decoded layouts are not gathers of the level: perturb every sample so a
+  // scatter that read the wrong slot or box could not match by accident.
+  const LevelData lev = make_level({64, 64, 64}, 8, 0.3, 0);
+  const auto set = scan_unit_blocks(lev, 8);
+  auto perturbed = [](FieldF f) {
+    for (index_t i = 0; i < f.size(); ++i) f[i] += 0.25f * static_cast<float>(i % 7);
+    return f;
+  };
+  auto reference = [&](auto unmerge) {
+    auto p = test::extract_unit_blocks(lev, 8);
+    unmerge(p);
+    LevelData out = empty_like(lev);
+    test::scatter_unit_blocks(p, out);
+    return out;
+  };
+
+  const FieldF linear = perturbed(gather_linear(lev, set, false, PadKind::linear));
+  LevelData got = empty_like(lev);
+  scatter_linear(linear, false, set, got);
+  expect_same_level(got, reference([&](auto& p) { test::unmerge_linear(linear, p); }));
+  // A padded linear merge scatters past its pad layer.
+  LevelData from_padded = empty_like(lev);
+  scatter_linear(pad_xy(linear, PadKind::linear), true, set, from_padded);
+  expect_same_level(from_padded, got);
+
+  const FieldF stack = perturbed(gather_stack(lev, set));
+  got = empty_like(lev);
+  scatter_stack(stack, set, got);
+  expect_same_level(got, reference([&](auto& p) { test::unmerge_stack(stack, p); }));
+
+  auto boxes = gather_tac(lev, set);
+  for (TacBox& box : boxes) box.data = perturbed(std::move(box.data));
+  got = empty_like(lev);
+  scatter_tac(boxes, set, got);
+  expect_same_level(got, reference([&](auto& p) { test::unmerge_tac(boxes, p); }));
 }
 
 TEST(GatherFused, ScanMatchesExtractIds) {
   const LevelData lev = make_level({32, 32, 32}, 8, 0.3, 0);
   const auto scanned = scan_unit_blocks(lev, 8);
-  const auto full = extract_unit_blocks(lev, 8);
-  EXPECT_EQ(scanned.block_ids, full.block_ids);
-  EXPECT_EQ(scanned.block_grid, full.block_grid);
-  EXPECT_TRUE(scanned.data.empty());
+  const auto full = test::extract_unit_blocks(lev, 8);
+  EXPECT_EQ(scanned.block_ids, full.set.block_ids);
+  EXPECT_EQ(scanned.block_grid, full.set.block_grid);
+  EXPECT_EQ(scanned.level_dims, full.set.level_dims);
 }
 
 TEST(MergeLinear, KeepsExtractionOrderAlongZ) {
   const LevelData lev = make_level({16, 16, 16}, 8, 1.0, 0);
-  auto set = extract_unit_blocks(lev, 8);
-  const FieldF merged = merge_linear(set);
+  const FieldF merged = gather_linear(lev, scan_unit_blocks(lev, 8), false, PadKind::linear);
   // First block occupies z in [0, 8): spot check a sample.
   EXPECT_FLOAT_EQ(merged.at(3, 4, 5), lev.data.at(3, 4, 5));
 }

@@ -4,7 +4,7 @@
 // monolithic Huffman encode splits into slices, and a linear merge's level
 // decode scatters its blocks in parallel. Each property here runs the
 // multi-lane path against the one-lane run of the same input and compares
-// bytes with memcmp; the level-decode property also checks the fused
+// bytes with memcmp; the level-decode property also checks each layout's
 // scatter against the strip -> unmerge -> scatter chain it replaced.
 
 #include <gtest/gtest.h>
@@ -221,12 +221,14 @@ TEST(QuantCodecProperty, SlicedEncodeMatchesOneSlice) {
 
 // ------------------------------------------------------------------- sz3mr --
 
-/// The level decode before the fused scatter: decode the merged array,
-/// strip the pad, post-process, split into blocks and scatter them.
+/// The level decode before one scatter per layout: decode the merged array
+/// or boxes, strip the pad, post-process, split into block copies and
+/// scatter them (merge_reference.h).
 LevelData strip_unmerge_scatter(std::span<const std::byte> stream) {
   ByteReader r(stream);
   const auto header = detail::read_header(r, sz3mr::kLevelMagic, "sz3mr");
-  UnitBlockSet set;
+  test::BlockPayload p;
+  UnitBlockSet& set = p.set;
   const auto ratio = static_cast<index_t>(r.get_varint());
   set.unit = static_cast<index_t>(r.get_varint());
   const auto merge = static_cast<MergeKind>(r.get<std::uint8_t>());
@@ -262,18 +264,18 @@ LevelData strip_unmerge_scatter(std::span<const std::byte> stream) {
                            static_cast<index_t>(r.get_varint())};
       box.data = interp.decompress(r.get_blob());
     }
-    unmerge_tac(boxes, set);
+    test::unmerge_tac(boxes, p);
   } else {
     FieldF merged = interp.decompress(r.get_blob());
     if (padded) merged = strip_pad_xy(merged);
     if (ax > 0.0 || ay > 0.0 || az > 0.0)
       merged = postproc::bezier_postprocess(merged, {set.unit, header.eb, ax, ay, az});
     if (merge == MergeKind::linear)
-      test::unmerge_linear(merged, set);
+      test::unmerge_linear(merged, p);
     else
-      unmerge_stack(merged, set);
+      test::unmerge_stack(merged, p);
   }
-  scatter_unit_blocks(set, level);
+  test::scatter_unit_blocks(p, level);
   return level;
 }
 
@@ -317,24 +319,45 @@ TEST(Sz3mrProperty, LevelDecodeMatchesStripUnmergeScatter) {
       }
 }
 
-/// A hand-written level stream over `dims`: unit 16, a linear unpadded
-/// merge of blocks 0 and 1, and the 16 x 16 x 32 interp blob they decode to.
-Bytes two_block_level(Dim3 dims) {
-  const index_t u = 16;
+/// The head of a hand-written unit-16 level stream over `dims`: ratio 1,
+/// merge byte `merge`, pad flag `padded`, the listed block ids and no
+/// post-process section. The payload follows it.
+Bytes level_head(Dim3 dims, std::uint8_t merge, bool padded,
+                 std::initializer_list<index_t> ids) {
   Bytes out;
   ByteWriter w(out);
   detail::write_header(w, sz3mr::kLevelMagic, dims, 0.01);
-  w.put_varint(1);  // ratio
-  w.put_varint(static_cast<std::uint64_t>(u));
-  w.put(static_cast<std::uint8_t>(MergeKind::linear));
-  w.put(std::uint8_t{0});  // not padded
+  w.put_varint(1);   // ratio
+  w.put_varint(16);  // unit
+  w.put(merge);
+  w.put(static_cast<std::uint8_t>(padded ? 1 : 0));
   w.put(std::uint8_t{0});  // pad kind
-  w.put_varint(2);         // block ids 0 and 1, as deltas from -1
-  w.put_varint(1);
-  w.put_varint(1);
+  w.put_varint(ids.size());
+  index_t prev = -1;
+  for (const index_t id : ids) {
+    w.put_varint(static_cast<std::uint64_t>(id - prev));
+    prev = id;
+  }
   w.put(std::uint8_t{0});  // no post-process section
-  w.put_blob(InterpCompressor().compress(test::smooth_field({u, u, 2 * u}), 0.01));
   return out;
+}
+
+/// The interp blob of a smooth field with extents `d`.
+Bytes interp_blob(Dim3 d) { return InterpCompressor().compress(test::smooth_field(d), 0.01); }
+
+/// A linear or stack level stream: the head, then one blob of `blob` extents.
+Bytes merged_level(Dim3 dims, std::uint8_t merge, bool padded,
+                   std::initializer_list<index_t> ids, Dim3 blob) {
+  Bytes out = level_head(dims, merge, padded, ids);
+  ByteWriter(out).put_blob(interp_blob(blob));
+  return out;
+}
+
+/// A linear unpadded merge of blocks 0 and 1, and the 16 x 16 x 32 interp
+/// blob they decode to.
+Bytes two_block_level(Dim3 dims) {
+  return merged_level(dims, static_cast<std::uint8_t>(MergeKind::linear), false, {0, 1},
+                      {16, 16, 32});
 }
 
 TEST(Sz3mrProperty, RejectsLevelExtentsNotDivisibleByUnit) {
@@ -349,6 +372,77 @@ TEST(Sz3mrProperty, RejectsLevelExtentsNotDivisibleByUnit) {
     EXPECT_THROW((void)sz3mr::decompress_level(partial, lanes), CodecError) << lanes;
     EXPECT_THROW((void)api::decompress(partial, lanes), CodecError) << lanes;
   }
+}
+
+/// One box record of a hand-written TAC stream, with a blob of `blob`
+/// extents.
+struct CraftedBox {
+  Coord3 origin;
+  Dim3 extent;
+  Dim3 blob;
+};
+
+/// A 32^3 TAC level stream (a 2 x 2 x 2 block grid) listing `ids`, with
+/// `count` as its box count and `boxes` as the records that follow.
+Bytes tac_level(std::initializer_list<index_t> ids, std::uint64_t count,
+                std::initializer_list<CraftedBox> boxes) {
+  Bytes out = level_head({32, 32, 32}, static_cast<std::uint8_t>(MergeKind::tac), false, ids);
+  ByteWriter w(out);
+  w.put_varint(count);
+  for (const CraftedBox& b : boxes) {
+    for (const index_t v : {b.origin.x, b.origin.y, b.origin.z, b.extent.nx, b.extent.ny,
+                            b.extent.nz})
+      w.put_varint(static_cast<std::uint64_t>(v));
+    w.put_blob(interp_blob(b.blob));
+  }
+  return out;
+}
+
+void expect_codec_error(const Bytes& stream, const char* what) {
+  for (const int lanes : {1, 4}) {
+    EXPECT_THROW((void)sz3mr::decompress_level(stream, lanes), CodecError)
+        << what << ", " << lanes << " lanes";
+    EXPECT_THROW((void)api::decompress(stream, lanes), CodecError)
+        << what << ", " << lanes << " lanes";
+  }
+}
+
+TEST(Sz3mrProperty, RejectsTacBoxesThatDoNotTileTheListedBlocks) {
+  const Dim3 one{16, 16, 16};
+  // The well-formed stream these are cut from decodes.
+  const LevelData ok = sz3mr::decompress_level(tac_level({0}, 1, {{{0, 0, 0}, {1, 1, 1}, one}}));
+  index_t stored = 0;
+  for (index_t i = 0; i < ok.mask.size(); ++i) stored += ok.mask[i];
+  EXPECT_EQ(stored, 16 * 16 * 16);
+  expect_codec_error(tac_level({0}, 1, {{{0, 0, 0}, {1, 1, 1}, {8, 8, 8}}}),
+                     "box samples short of its extent");
+  expect_codec_error(tac_level({0}, 1, {{{9, 9, 9}, {1, 1, 1}, one}}), "box outside the grid");
+  expect_codec_error(tac_level({0}, 1, {{{0, 0, 0}, {2, 1, 1}, {32, 16, 16}}}),
+                     "box over an unlisted block");
+  expect_codec_error(tac_level({0}, std::uint64_t{1} << 40, {}), "box count 2^40");
+  expect_codec_error(tac_level({0, 1}, 2, {{{0, 0, 0}, {1, 1, 1}, one}, {{0, 0, 0}, {1, 1, 1}, one}}),
+                     "overlapping boxes");
+  expect_codec_error(tac_level({0, 1}, 1, {{{0, 0, 0}, {1, 1, 1}, one}}),
+                     "listed block no box covers");
+}
+
+TEST(Sz3mrProperty, RejectsMergeLayoutsTheBlockListDoesNotImply) {
+  const auto linear = static_cast<std::uint8_t>(MergeKind::linear);
+  const auto stack = static_cast<std::uint8_t>(MergeKind::stack);
+  // Three blocks of a 2 x 2 x 1 grid over four blocks' samples.
+  expect_codec_error(merged_level({32, 32, 16}, linear, false, {0, 1, 2}, {16, 16, 64}),
+                     "linear blob of the wrong extents");
+  expect_codec_error(merged_level({32, 16, 16}, 7, false, {0, 1}, {32, 16, 16}),
+                     "merge byte 7");
+  // Two blocks stack as 2 x 1 x 1; only a linear merge is ever padded.
+  expect_codec_error(merged_level({32, 16, 16}, stack, true, {0, 1}, {33, 17, 16}),
+                     "padded stack merge");
+  // The same streams with the layouts they claim decode.
+  EXPECT_NO_THROW(
+      (void)sz3mr::decompress_level(merged_level({32, 32, 16}, linear, false, {0, 1, 2},
+                                                 {16, 16, 48})));
+  EXPECT_NO_THROW((void)sz3mr::decompress_level(
+      merged_level({32, 16, 16}, stack, false, {0, 1}, {32, 16, 16})));
 }
 
 // ------------------------------------------------------------- radius cap --

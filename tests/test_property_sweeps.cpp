@@ -351,12 +351,15 @@ TEST(MergeProperty, LinearMergePreservesValueMultiset) {
   FieldF f = test::noise_field({32, 32, 32}, 3.0, 9);
   const std::array<double, 2> fr{0.4, 0.6};
   const auto mr = amr::build_hierarchy(f, 8, fr);
-  const auto set = extract_unit_blocks(mr.levels[0], 8);
-  const FieldF merged = merge_linear(set);
-  double sum_set = 0, sum_merged = 0;
-  for (const float v : set.data) sum_set += v;
+  const LevelData& lev = mr.levels[0];
+  const FieldF merged = gather_linear(lev, scan_unit_blocks(lev, 8), false, PadKind::linear);
+  // Refinement is block-granular, so the valid cells are the blocks' samples.
+  double sum_valid = 0, sum_merged = 0;
+  for (index_t i = 0; i < lev.data.size(); ++i)
+    if (lev.mask[i]) sum_valid += lev.data[i];
   for (index_t i = 0; i < merged.size(); ++i) sum_merged += merged[i];
-  EXPECT_NEAR(sum_set, sum_merged, std::abs(sum_set) * 1e-12 + 1e-9);
+  EXPECT_EQ(merged.size(), lev.valid_count());
+  EXPECT_NEAR(sum_valid, sum_merged, std::abs(sum_valid) * 1e-12 + 1e-9);
 }
 
 }  // namespace

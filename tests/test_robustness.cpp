@@ -108,11 +108,27 @@ std::string codec_case_name(const ::testing::TestParamInfo<int>& info) {
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecRobustness, ::testing::Values(0, 1, 2, 3),
                          codec_case_name);
 
-TEST(Sz3mrRobustness, TruncatedLevelStreamContained) {
-  FieldF f = test::smooth_field({32, 32, 32});
-  const std::array<double, 2> fr{0.5, 0.5};
-  const auto mr = amr::build_hierarchy(f, 16, fr);
-  const auto stream = sz3mr::compress_level(mr.levels[0], 16, 0.5, sz3mr::ours_pad_eb());
+struct Sz3mrPreset {
+  sz3mr::Config cfg;
+  const char* name;
+};
+
+// gtest_discover_tests puts the printed parameter into the ctest name.
+void PrintTo(const Sz3mrPreset& p, std::ostream* os) { *os << p.name; }
+
+/// Every sz3mr preset: each merge layout, padded and post-processed.
+class Sz3mrRobustness : public ::testing::TestWithParam<Sz3mrPreset> {
+ protected:
+  static Bytes level_stream() {
+    FieldF f = test::smooth_field({32, 32, 32});
+    const std::array<double, 2> fr{0.5, 0.5};
+    const auto mr = amr::build_hierarchy(f, 16, fr);
+    return sz3mr::compress_level(mr.levels[0], 16, 0.5, GetParam().cfg);
+  }
+};
+
+TEST_P(Sz3mrRobustness, TruncatedLevelStreamContained) {
+  const auto stream = level_stream();
   for (const double frac : {0.05, 0.3, 0.7, 0.95}) {
     const auto len = static_cast<std::size_t>(static_cast<double>(stream.size()) * frac);
     Bytes cut(stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(len));
@@ -120,11 +136,8 @@ TEST(Sz3mrRobustness, TruncatedLevelStreamContained) {
   }
 }
 
-TEST(Sz3mrRobustness, BitFlippedLevelStreamContained) {
-  FieldF f = test::smooth_field({32, 32, 32});
-  const std::array<double, 2> fr{0.5, 0.5};
-  const auto mr = amr::build_hierarchy(f, 16, fr);
-  const auto stream = sz3mr::compress_level(mr.levels[0], 16, 0.5, sz3mr::ours_pad());
+TEST_P(Sz3mrRobustness, BitFlippedLevelStreamContained) {
+  const auto stream = level_stream();
   Rng rng(77);
   for (int trial = 0; trial < 48; ++trial) {
     Bytes mutated = stream;
@@ -133,6 +146,15 @@ TEST(Sz3mrRobustness, BitFlippedLevelStreamContained) {
     expect_contained([&] { (void)sz3mr::decompress_level(mutated); });
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Presets, Sz3mrRobustness,
+                         ::testing::Values(Sz3mrPreset{sz3mr::baseline_sz3(), "baseline"},
+                                           Sz3mrPreset{sz3mr::amric_sz3(), "amric"},
+                                           Sz3mrPreset{sz3mr::tac_sz3(), "tac"},
+                                           Sz3mrPreset{sz3mr::ours_pad(), "pad"},
+                                           Sz3mrPreset{sz3mr::ours_pad_eb(), "pad_eb"},
+                                           Sz3mrPreset{sz3mr::ours_processed(), "processed"}),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 TEST(LosslessRobustness, RandomBytesIntoDecoders) {
   Rng rng(13);
