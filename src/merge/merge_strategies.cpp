@@ -12,7 +12,7 @@ namespace {
 Coord3 scaled(Coord3 c, index_t u) { return {c.x * u, c.y * u, c.z * u}; }
 
 /// Copies the `ext` box at `from` in `src` to `to` in `dst`, one x row at a
-/// time: the copy every gather and scatter makes.
+/// time.
 void copy_box(const FieldF& src, Coord3 from, FieldF& dst, Coord3 to, Dim3 ext) {
   for (index_t k = 0; k < ext.nz; ++k)
     for (index_t j = 0; j < ext.ny; ++j) {
@@ -23,10 +23,13 @@ void copy_box(const FieldF& src, Coord3 from, FieldF& dst, Coord3 to, Dim3 ext) 
 
 /// copy_box into the level grid, marking every cell it writes valid.
 void scatter_box(const FieldF& src, Coord3 from, LevelData& level, Coord3 to, Dim3 ext) {
-  copy_box(src, from, level.data, to, ext);
   for (index_t k = 0; k < ext.nz; ++k)
-    for (index_t j = 0; j < ext.ny; ++j)
-      std::fill_n(&level.mask.at(to.x, to.y + j, to.z + k), ext.nx, std::uint8_t{1});
+    for (index_t j = 0; j < ext.ny; ++j) {
+      const float* row = &src.at(from.x, from.y + j, from.z + k);
+      const index_t at = level.data.dims().index(to.x, to.y + j, to.z + k);
+      std::copy(row, row + ext.nx, level.data.data() + at);
+      std::fill_n(level.mask.data() + at, ext.nx, std::uint8_t{1});
+    }
 }
 
 void require_level_dims(const UnitBlockSet& set, const LevelData& level) {

@@ -22,19 +22,13 @@ LevelData make_level(Dim3 fine_dims, index_t block, double fine_frac, int level)
   return std::move(mr.levels[static_cast<std::size_t>(level)]);
 }
 
-/// An empty level the shape of `like`, for a scatter to fill.
-LevelData empty_like(const LevelData& like) {
-  LevelData out;
-  out.ratio = like.ratio;
-  out.data = FieldF(like.data.dims(), 0.0f);
-  out.mask = MaskField(like.mask.dims(), 0);
-  return out;
-}
-
 /// Gathers `lev` into `kind`'s layout and scatters it into an empty level.
 LevelData gather_then_scatter(const LevelData& lev, MergeKind kind) {
   const auto set = scan_unit_blocks(lev, 8);
-  LevelData out = empty_like(lev);
+  LevelData out;
+  out.ratio = lev.ratio;
+  out.data = FieldF(lev.data.dims(), 0.0f);
+  out.mask = MaskField(lev.mask.dims(), 0);
   switch (kind) {
     case MergeKind::linear:
       scatter_linear(gather_linear(lev, set, false, PadKind::linear), false, set, out);
@@ -143,8 +137,9 @@ TEST(MergeStack, ArrangementIsNearCubic) {
   EXPECT_LE(aspect, 2.5);
 }
 
-// The library's gathers and scatters against the block-payload reference
-// (merge_reference.h): extract copies, merge, unmerge, scatter copies.
+// The library's gathers against the block-payload reference
+// (merge_reference.h); Sz3mrProperty.LevelDecodeMatchesStripUnmergeScatter
+// checks the scatters against it.
 
 TEST(GatherFused, LinearMatchesMergeThenPad) {
   // The in-situ single-pass gather must be bit-identical to the two-step
@@ -178,44 +173,6 @@ TEST(GatherFused, TacMatchesMergeTac) {
     EXPECT_EQ(boxes[b].extent_blocks, reference[b].extent_blocks) << b;
     EXPECT_EQ(boxes[b].data, reference[b].data) << b;
   }
-}
-
-TEST(GatherFused, ScattersMatchUnmergeThenScatter) {
-  // Decoded layouts are not gathers of the level: perturb every sample so a
-  // scatter that read the wrong slot or box could not match by accident.
-  const LevelData lev = make_level({64, 64, 64}, 8, 0.3, 0);
-  const auto set = scan_unit_blocks(lev, 8);
-  auto perturbed = [](FieldF f) {
-    for (index_t i = 0; i < f.size(); ++i) f[i] += 0.25f * static_cast<float>(i % 7);
-    return f;
-  };
-  auto reference = [&](auto unmerge) {
-    auto p = test::extract_unit_blocks(lev, 8);
-    unmerge(p);
-    LevelData out = empty_like(lev);
-    test::scatter_unit_blocks(p, out);
-    return out;
-  };
-
-  const FieldF linear = perturbed(gather_linear(lev, set, false, PadKind::linear));
-  LevelData got = empty_like(lev);
-  scatter_linear(linear, false, set, got);
-  expect_same_level(got, reference([&](auto& p) { test::unmerge_linear(linear, p); }));
-  // A padded linear merge scatters past its pad layer.
-  LevelData from_padded = empty_like(lev);
-  scatter_linear(pad_xy(linear, PadKind::linear), true, set, from_padded);
-  expect_same_level(from_padded, got);
-
-  const FieldF stack = perturbed(gather_stack(lev, set));
-  got = empty_like(lev);
-  scatter_stack(stack, set, got);
-  expect_same_level(got, reference([&](auto& p) { test::unmerge_stack(stack, p); }));
-
-  auto boxes = gather_tac(lev, set);
-  for (TacBox& box : boxes) box.data = perturbed(std::move(box.data));
-  got = empty_like(lev);
-  scatter_tac(boxes, set, got);
-  expect_same_level(got, reference([&](auto& p) { test::unmerge_tac(boxes, p); }));
 }
 
 TEST(GatherFused, ScanMatchesExtractIds) {

@@ -37,8 +37,11 @@
 # 4-lane pool > 1.5x the same stream on one lane, in the same process),
 # bench_server_load (multi-tenant Server under
 # concurrent wire clients; gates viewport-walk out-hitting random and
-# monotone latency quantiles) and bench_progressive_stream (gates MRCR
-# total bytes < MRCP at equal eb), with every BENCH_*.json they and earlier runs
+# monotone latency quantiles), bench_progressive_stream (gates MRCR
+# total bytes < MRCP at equal eb) and the eight paper benches that reach
+# merge/ (fig2, fig5, fig8, fig15, fig18, table5, table6, table7 at
+# MRC_SCALE=13; each must exit 0, their figures are not checked), with every
+# BENCH_*.json they and earlier runs
 # produced validated by tools/check_bench_json.py — malformed bench output
 # fails the pipeline — and the repository benchmark's smoke test
 # (perfbench/smoke_test.py: every BENCHMARK.json workload at --dims 64,
@@ -198,9 +201,18 @@ fi
 if [ "${MRC_SKIP_BENCH:-0}" != "1" ]; then
   echo
   echo "== bench smoke (tiny grid) + BENCH_*.json validation =="
+  MERGE_BENCHES="bench_fig2_levels bench_fig5_quality bench_fig8_padding
+      bench_fig15_insitu_nyx bench_fig18_offline_amr_rd bench_table5_post_amr_sz2
+      bench_table6_spectrum bench_table7_post_multires"
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_adaptive_ratio \
       bench_tiled_scaling bench_codec_hotpath bench_server_load \
-      bench_progressive_stream > /dev/null
+      bench_progressive_stream $MERGE_BENCHES > /dev/null
+  # The paper benches that run the merge layouts through bench_util.h and
+  # the sz3mr presets: a broken call there fails here. Only the exit status
+  # is checked.
+  for bench in $MERGE_BENCHES; do
+    (cd "$BUILD_DIR/bench" && MRC_SCALE=13 "./$bench" > /dev/null)
+  done
   (cd "$BUILD_DIR/bench" && MRC_SCALE=13 ./bench_adaptive_ratio > /dev/null)
   # Tiled thread/brick sweep: only its JSON is checked (below). No scaling
   # bar: where the VM places the process decides the 4-lane row.
