@@ -21,7 +21,9 @@ void copy_box(const FieldF& src, Coord3 from, FieldF& dst, Coord3 to, Dim3 ext) 
     }
 }
 
-/// copy_box into the level grid, marking every cell it writes valid.
+/// copy_box into the level grid, marking every cell it writes valid. Each
+/// row's copy and mask fill share one loop: a second pass for the mask
+/// timed slower on the decode's linear scatter.
 void scatter_box(const FieldF& src, Coord3 from, LevelData& level, Coord3 to, Dim3 ext) {
   for (index_t k = 0; k < ext.nz; ++k)
     for (index_t j = 0; j < ext.ny; ++j) {
