@@ -380,7 +380,8 @@ Bytes compress_adaptive(const FieldF& uniform, const Options& opt) {
   MRC_REQUIRE(opt.codec == "interp",
               "compress_adaptive: the multi-resolution pipeline supports only "
               "codec=interp, got codec=" + opt.codec);
-  const auto adaptive = roi::extract_adaptive(uniform, opt.roi_block, opt.roi_fraction);
+  const auto adaptive =
+      roi::extract_adaptive(uniform, opt.roi_block, opt.roi_fraction, opt.threads);
   return workflow::encode_snapshot(adaptive, opt.absolute_eb(uniform), opt.pipeline());
 }
 
@@ -389,7 +390,7 @@ MultiResField restore_adaptive(std::span<const std::byte> snapshot, int threads)
 }
 
 FieldF restore(std::span<const std::byte> snapshot, int threads) {
-  return workflow::decode_snapshot(snapshot, threads).reconstruct_uniform();
+  return workflow::decode_snapshot(snapshot, threads).reconstruct_uniform(threads);
 }
 
 Bytes compress_tiled(const FieldF& f, const Options& opt) {

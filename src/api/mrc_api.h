@@ -93,8 +93,8 @@ struct Options {
   /// Exec-pool lanes: brick compression in compress_tiled and the other
   /// brick containers, the chunk count of the chunked codecs (lorenzo,
   /// zfpx), and one interp stream's sweeps and entropy encode — which is how
-  /// compress_adaptive spreads each snapshot level, levels one after
-  /// another. Interp bytes do not depend on it. 0 = hardware concurrency.
+  /// compress_adaptive spreads its ROI extraction and each snapshot level,
+  /// levels one after another. Interp bytes do not depend on it. 0 = hardware.
   int threads = 1;
   /// Requested entropy shards per Huffman code stream (negotiated down by
   /// stream size). > 1 writes the v7 sharded layout so one large brick's
@@ -192,8 +192,8 @@ struct Options {
 [[nodiscard]] MultiResField restore_adaptive(std::span<const std::byte> snapshot,
                                              int threads = 0);
 
-/// Decodes a snapshot and reconstructs the uniform fine-resolution grid, on
-/// `threads` exec-pool lanes (0 = hardware; bit-identical for any width).
+/// Decodes a snapshot and reconstructs the uniform fine-resolution grid, both
+/// on `threads` exec-pool lanes (0 = hardware; bit-identical for any width).
 [[nodiscard]] FieldF restore(std::span<const std::byte> snapshot, int threads = 0);
 
 /// Compresses `f` into the brick-tiled container: `opt.tile`-edge bricks

@@ -136,9 +136,7 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
   std::vector<ChunkStream> chunks(static_cast<std::size_t>(n_chunks));
   const float* orig = f.data();
 
-  exec::parallel_for(n_chunks, [&](index_t c) {
-    const index_t bz0 = nbz * c / n_chunks;
-    const index_t bz1 = nbz * (c + 1) / n_chunks;
+  exec::for_slabs(nbz, n_chunks, [&](index_t c, index_t bz0, index_t bz1) {
     const index_t zmin = bz0 * bs;
 
     lossless::BitWriter flag_bits;
@@ -312,10 +310,8 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
 
   FieldF recon(d);
 
-  exec::parallel_for(n_chunks, [&](index_t c) {
+  exec::for_slabs(nbz, n_chunks, [&](index_t c, index_t bz0, index_t bz1) {
    try {
-    const index_t bz0 = nbz * c / n_chunks;
-    const index_t bz1 = nbz * (c + 1) / n_chunks;
     const index_t zmin = bz0 * bs;
     const auto& ci_in = chunk_in[static_cast<std::size_t>(c)];
 

@@ -252,14 +252,12 @@ Bytes ZfpxCompressor::compress(const FieldF& f, double abs_eb) const {
 
   std::vector<Bytes> streams(static_cast<std::size_t>(n_chunks));
 
-  exec::parallel_for(n_chunks, [&](index_t c) {
+  exec::for_slabs(nb.nz, n_chunks, [&](index_t c, index_t bz0, index_t bz1) {
     // zfpx fuses transform + bit-plane coding per block, so one span covers
     // the chunk's whole encode; the duration feeds the entropy-stage total.
     static obs::Counter& ns_ent =
         obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
     OBS_SPAN("zfpx.encode_blocks", &ns_ent);
-    const index_t bz0 = nb.nz * c / n_chunks;
-    const index_t bz1 = nb.nz * (c + 1) / n_chunks;
     lossless::BitWriter bw;
     // Typical accuracy-mode blocks land well under 32 bytes; one up-front
     // reservation replaces the first few doublings of the chunk stream.
@@ -296,13 +294,11 @@ FieldF ZfpxCompressor::decompress(std::span<const std::byte> stream) const {
 
   FieldF recon(d);
 
-  exec::parallel_for(n_chunks, [&](index_t c) {
+  exec::for_slabs(nb.nz, n_chunks, [&](index_t c, index_t bz0, index_t bz1) {
    try {
     static obs::Counter& ns_ent =
         obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
     OBS_SPAN("zfpx.decode_blocks", &ns_ent);
-    const index_t bz0 = nb.nz * c / n_chunks;
-    const index_t bz1 = nb.nz * (c + 1) / n_chunks;
     lossless::BitReader br(chunk_in[static_cast<std::size_t>(c)]);
     float block[64];
     for (index_t bz = bz0; bz < bz1; ++bz)

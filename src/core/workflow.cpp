@@ -88,8 +88,14 @@ MultiResField decode_snapshot(std::span<const std::byte> snapshot, int threads) 
   const auto n_levels = r.get_varint();
   if (mr.block_size <= 0 || n_levels == 0 || n_levels > 64)
     throw CodecError("snapshot: bad block size / level count");
-  for (std::uint64_t l = 0; l < n_levels; ++l)
+  // Level l must be the header's grid coarsened 2^l-fold, as restore reads it.
+  const Dim3 f = mr.fine_dims;
+  for (index_t ratio = 1; mr.levels.size() < n_levels; ratio *= 2) {
     mr.levels.push_back(sz3mr::decompress_level(r.get_blob(), threads));
+    if (mr.levels.back().ratio != ratio || f.nx % ratio || f.ny % ratio || f.nz % ratio ||
+        mr.levels.back().data.dims() != Dim3{f.nx / ratio, f.ny / ratio, f.nz / ratio})
+      throw CodecError("snapshot: a level's ratio or extents disagree with the header");
+  }
   return mr;
 }
 

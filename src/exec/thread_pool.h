@@ -47,6 +47,7 @@
 // attributed to its request. Tasks posted outside any request context by a
 // process with obs disabled are posted unwrapped — zero added cost.
 
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -155,5 +156,19 @@ class ThreadPool {
 /// nested loop would only oversubscribe it. Rethrows the first exception
 /// like ThreadPool::parallel_for.
 void parallel_for(index_t n, const std::function<void(index_t)>& body, int width = 0);
+
+/// Slabs a loop of width `width` splits n ordered items into: min(n, lanes).
+[[nodiscard]] inline index_t slab_count(index_t n, int width) {
+  return std::min<index_t>(n, lanes_for(width));
+}
+
+/// The library's one slab split: parallel_for(slabs, ..., width) calling
+/// body(s, lo, hi) with slab s covering items [s·n/slabs, (s+1)·n/slabs), so
+/// per-slab results merged in slab order are merged in item order.
+inline void for_slabs(index_t n, index_t slabs,
+                      const std::function<void(index_t s, index_t lo, index_t hi)>& body,
+                      int width = 0) {
+  parallel_for(slabs, [&](index_t s) { body(s, s * n / slabs, (s + 1) * n / slabs); }, width);
+}
 
 }  // namespace mrc::exec

@@ -4,53 +4,53 @@
 #include <cmath>
 #include <vector>
 
+#include "exec/thread_pool.h"
+
 namespace mrc {
 
-FieldF restrict_average(const FieldF& fine, index_t factor) {
+FieldF restrict_average(const FieldF& fine, index_t factor, int threads) {
   MRC_REQUIRE(factor >= 1, "bad restriction factor");
   const Dim3 fd = fine.dims();
   MRC_REQUIRE(fd.nx % factor == 0 && fd.ny % factor == 0 && fd.nz % factor == 0,
               "extents not divisible by restriction factor");
-  const Dim3 cd{fd.nx / factor, fd.ny / factor, fd.nz / factor};
-  FieldF coarse(cd);
-  const double inv = 1.0 / static_cast<double>(factor * factor * factor);
-  for (index_t z = 0; z < cd.nz; ++z)
-    for (index_t y = 0; y < cd.ny; ++y)
-      for (index_t x = 0; x < cd.nx; ++x) {
-        double sum = 0.0;
-        for (index_t k = 0; k < factor; ++k)
-          for (index_t j = 0; j < factor; ++j)
-            for (index_t i = 0; i < factor; ++i)
-              sum += fine.at(x * factor + i, y * factor + j, z * factor + k);
-        coarse.at(x, y, z) = static_cast<float>(sum * inv);
-      }
+  FieldF coarse(blocks_for(fd, factor));
+  const index_t nz = coarse.dims().nz;
+  exec::for_slabs(nz, exec::slab_count(nz, threads), [&](index_t, index_t z0, index_t z1) {
+    restrict_slab(fine, coarse, factor, z0, z1);
+  }, threads);
   return coarse;
 }
 
 FieldF restrict_half(const FieldF& fine) {
   MRC_REQUIRE(!fine.empty(), "restrict_half of empty field");
   FieldF coarse(blocks_for(fine.dims(), 2));
-  restrict_half_slab(fine, coarse, 0, coarse.dims().nz);
+  restrict_slab(fine, coarse, 2, 0, coarse.dims().nz);
   return coarse;
 }
 
-void restrict_half_slab(const FieldF& fine, FieldF& coarse, index_t z0, index_t z1) {
+void restrict_slab(const FieldF& fine, FieldF& coarse, index_t factor, index_t z0,
+                   index_t z1) {
   const Dim3 fd = fine.dims();
   const Dim3 cd = coarse.dims();
-  MRC_REQUIRE(cd == blocks_for(fd, 2), "restrict_half_slab: coarse extents mismatch");
-  MRC_REQUIRE(z0 >= 0 && z0 <= z1 && z1 <= cd.nz, "restrict_half_slab: bad slab");
+  MRC_REQUIRE(factor >= 1 && cd == blocks_for(fd, factor),
+              "restrict_slab: coarse extents mismatch");
+  MRC_REQUIRE(z0 >= 0 && z0 <= z1 && z1 <= cd.nz, "restrict_slab: bad slab");
   for (index_t z = z0; z < z1; ++z) {
-    const index_t fz0 = 2 * z, fz1 = std::min(fz0 + 2, fd.nz);
+    const index_t k0 = factor * z, k1 = std::min(k0 + factor, fd.nz);
     for (index_t y = 0; y < cd.ny; ++y) {
-      const index_t y0 = 2 * y, y1 = std::min(y0 + 2, fd.ny);
+      const index_t j0 = factor * y, j1 = std::min(j0 + factor, fd.ny);
       for (index_t x = 0; x < cd.nx; ++x) {
-        const index_t x0 = 2 * x, x1 = std::min(x0 + 2, fd.nx);
+        const index_t i0 = factor * x, i1 = std::min(i0 + factor, fd.nx);
         double sum = 0.0;
-        for (index_t k = fz0; k < fz1; ++k)
-          for (index_t j = y0; j < y1; ++j)
-            for (index_t i = x0; i < x1; ++i) sum += fine.at(i, j, k);
+        for (index_t k = k0; k < k1; ++k)
+          for (index_t j = j0; j < j1; ++j) {
+            const float* row = &fine.at(0, j, k);
+            for (index_t i = i0; i < i1; ++i) sum += row[i];
+          }
+        // restrict_average's 1/factor^3; restrict_half's clipped counts are
+        // powers of two, whose exact reciprocals give the bits of dividing.
         coarse.at(x, y, z) = static_cast<float>(
-            sum / static_cast<double>((x1 - x0) * (y1 - y0) * (fz1 - fz0)));
+            sum * (1.0 / static_cast<double>((i1 - i0) * (j1 - j0) * (k1 - k0))));
       }
     }
   }
@@ -304,29 +304,32 @@ FieldF central_slice_z(const FieldF& f) {
   return extract_region(f, {0, 0, d.nz / 2}, {d.nx, d.ny, 1});
 }
 
-std::vector<double> block_value_ranges(const FieldF& f, index_t block) {
+std::vector<double> block_value_ranges(const FieldF& f, index_t block, int threads) {
   MRC_REQUIRE(block >= 1, "bad block size");
   const Dim3 d = f.dims();
   const Dim3 nb = blocks_for(d, block);
   std::vector<double> ranges(static_cast<std::size_t>(nb.size()));
-  for (index_t bz = 0; bz < nb.nz; ++bz)
-    for (index_t by = 0; by < nb.ny; ++by)
-      for (index_t bx = 0; bx < nb.nx; ++bx) {
-        float lo = f.at(bx * block, by * block, bz * block);
-        float hi = lo;
-        const index_t ex = std::min(block, d.nx - bx * block);
-        const index_t ey = std::min(block, d.ny - by * block);
-        const index_t ez = std::min(block, d.nz - bz * block);
-        for (index_t k = 0; k < ez; ++k)
-          for (index_t j = 0; j < ey; ++j)
-            for (index_t i = 0; i < ex; ++i) {
-              const float v = f.at(bx * block + i, by * block + j, bz * block + k);
-              lo = std::min(lo, v);
-              hi = std::max(hi, v);
+  exec::for_slabs(nb.nz, exec::slab_count(nb.nz, threads), [&](index_t, index_t bz0, index_t bz1) {
+    for (index_t bz = bz0; bz < bz1; ++bz)
+      for (index_t by = 0; by < nb.ny; ++by)
+        for (index_t bx = 0; bx < nb.nx; ++bx) {
+          float lo = f.at(bx * block, by * block, bz * block);
+          float hi = lo;
+          const index_t ex = std::min(block, d.nx - bx * block);
+          const index_t ey = std::min(block, d.ny - by * block);
+          const index_t ez = std::min(block, d.nz - bz * block);
+          for (index_t k = 0; k < ez; ++k)
+            for (index_t j = 0; j < ey; ++j) {
+              const float* row = &f.at(bx * block, by * block + j, bz * block + k);
+              for (index_t i = 0; i < ex; ++i) {
+                lo = std::min(lo, row[i]);
+                hi = std::max(hi, row[i]);
+              }
             }
-        ranges[static_cast<std::size_t>(nb.index(bx, by, bz))] =
-            static_cast<double>(hi) - static_cast<double>(lo);
-      }
+          ranges[static_cast<std::size_t>(nb.index(bx, by, bz))] =
+              static_cast<double>(hi) - static_cast<double>(lo);
+        }
+  }, threads);
   return ranges;
 }
 

@@ -11,8 +11,9 @@
 namespace mrc {
 
 /// Box-average downsampling by an integer factor along every axis.
-/// Extents must be divisible by the factor.
-[[nodiscard]] FieldF restrict_average(const FieldF& fine, index_t factor);
+/// Extents must be divisible by the factor. Runs on `threads` exec-pool
+/// lanes (0 = hardware; bit-identical for any width).
+[[nodiscard]] FieldF restrict_average(const FieldF& fine, index_t factor, int threads = 0);
 
 /// Box-average downsampling by 2 for arbitrary extents: the coarse grid has
 /// ceil(n/2) samples per axis and each coarse cell averages its (possibly
@@ -20,11 +21,12 @@ namespace mrc {
 /// built by iterating this, so level extents follow ceil_div(dims, 2^level).
 [[nodiscard]] FieldF restrict_half(const FieldF& fine);
 
-/// restrict_half into the coarse z-planes [z0, z1) of `coarse`, which must
-/// have blocks_for(fine.dims(), 2) extents. Each coarse plane reads only its
-/// own fine planes, so callers split z across a pool; restrict_half is the
-/// full-range call, and every sample is bit-identical either way.
-void restrict_half_slab(const FieldF& fine, FieldF& coarse, index_t z0, index_t z1);
+/// restrict_average (or, at factor 2, restrict_half) into the coarse z-planes
+/// [z0, z1) of `coarse`, which must have blocks_for(fine.dims(), factor)
+/// extents. Each coarse plane reads only its own fine planes, so callers
+/// split z across a pool; every sample is bit-identical either way.
+void restrict_slab(const FieldF& fine, FieldF& coarse, index_t factor, index_t z0,
+                   index_t z1);
 
 /// Nearest-neighbor (injection) upsampling to `fine_dims`.
 [[nodiscard]] FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims);
@@ -106,7 +108,9 @@ void insert_region(FieldF& f, Coord3 origin, const FieldF& region);
 [[nodiscard]] FieldF central_slice_z(const FieldF& f);
 
 /// Per-block value range (max - min) over a b^3 tiling — the paper's ROI
-/// criterion. Returns one value per block, in block raster order.
-[[nodiscard]] std::vector<double> block_value_ranges(const FieldF& f, index_t block);
+/// criterion. Returns one value per block, in block raster order. Runs on
+/// `threads` exec-pool lanes (0 = hardware).
+[[nodiscard]] std::vector<double> block_value_ranges(const FieldF& f, index_t block,
+                                                     int threads = 0);
 
 }  // namespace mrc

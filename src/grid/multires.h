@@ -33,8 +33,10 @@ struct MultiResField {
   index_t block_size = 16;  ///< refinement granularity on the finest grid
 
   /// Composes a uniform fine-resolution field: valid fine cells where
-  /// present, trilinear prolongation of coarser levels elsewhere.
-  [[nodiscard]] FieldF reconstruct_uniform() const;
+  /// present, trilinear prolongation of coarser levels elsewhere. Level l must
+  /// be fine_dims coarsened 2^l-fold. Runs on `threads` exec-pool lanes (0 =
+  /// hardware; bit-identical for any width).
+  [[nodiscard]] FieldF reconstruct_uniform(int threads = 0) const;
 
   /// Total number of stored (valid) samples across levels.
   [[nodiscard]] index_t stored_samples() const;
@@ -49,9 +51,11 @@ namespace amr {
 /// the top `fractions[0]` stay at level 0, the next `fractions[1]` at level 1
 /// (2x coarser), and so on. The last level absorbs the remainder, so
 /// `fractions` needs one entry per level and they must sum to <= 1 with the
-/// final entry ignored in favor of "everything left".
+/// final entry ignored in favor of "everything left". Runs on `threads`
+/// exec-pool lanes (0 = hardware; bit-identical for any width).
 [[nodiscard]] MultiResField build_hierarchy(const FieldF& fine, index_t block_size,
-                                            std::span<const double> fractions);
+                                            std::span<const double> fractions,
+                                            int threads = 0);
 
 }  // namespace amr
 

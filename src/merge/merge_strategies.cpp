@@ -128,9 +128,13 @@ void scatter_linear(const FieldF& merged, bool padded, const UnitBlockSet& set,
   MRC_REQUIRE(merged.dims() == merged_dims(set, MergeKind::linear, padded),
               "merged shape mismatch");
   const index_t u = set.unit;
-  exec::parallel_for(set.block_count(), [&](index_t b) {
-    const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(b)]);
-    scatter_box(merged, {0, 0, b * u}, level, scaled(c, u), {u, u, u});
+  // One run of ascending blocks per lane keeps neighbours' shared lines on it.
+  const index_t n = set.block_count();
+  exec::for_slabs(n, exec::slab_count(n, threads), [&](index_t, index_t b0, index_t b1) {
+    for (index_t b = b0; b < b1; ++b) {
+      const Coord3 c = set.block_coord(set.block_ids[static_cast<std::size_t>(b)]);
+      scatter_box(merged, {0, 0, b * u}, level, scaled(c, u), {u, u, u});
+    }
   }, threads);
 }
 

@@ -24,21 +24,6 @@ inline constexpr pyramid::detail::TableFormat kTable{kProgressiveMagic, "progres
 /// hundred bins (the level-0 residual).
 inline constexpr long long kMaxDenseBins = 1 << 16;
 
-/// Every full-grid pass below splits the nz planes of its field into
-/// min(nz, lanes) contiguous z-slabs for a loop `threads` lanes wide (0 =
-/// hardware), slab s covering [s*nz/n, (s+1)*nz/n), so per-slab results
-/// merged in slab order are merged in sample order.
-index_t slab_count(index_t nz, int threads) {
-  return std::min<index_t>(nz, exec::lanes_for(threads));
-}
-
-template <class Body>
-void for_slabs(int threads, index_t nz, Body&& body) {
-  const index_t n = slab_count(nz, threads);
-  exec::parallel_for(n, [&](index_t s) { body(s, s * nz / n, (s + 1) * nz / n); },
-                     threads);
-}
-
 /// Value range of a run of samples as std::minmax_element reports it: the
 /// first smallest and the last largest, which decides the stored bits when
 /// -0 and +0 tie. Starting from (+inf, -inf) gives the same answer as
@@ -75,12 +60,12 @@ std::pair<float, float> min_max(const FieldF& f, const Range& r) {
 
 MRC_OBS_NOINLINE Range range_pass(const FieldF& f, int threads) {
   const index_t plane = f.dims().nx * f.dims().ny;
-  std::vector<Range> parts(static_cast<std::size_t>(slab_count(f.dims().nz, threads)));
-  for_slabs(threads, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<Range> parts(static_cast<std::size_t>(exec::slab_count(f.dims().nz, threads)));
+  exec::for_slabs(f.dims().nz, std::ssize(parts), [&](index_t s, index_t z0, index_t z1) {
     Range r;
     for (index_t i = z0 * plane; i < z1 * plane; ++i) r.add(f[i]);
     parts[static_cast<std::size_t>(s)] = r;
-  });
+  }, threads);
   Range all;
   for (const Range& r : parts) all.merge(r);
   return all;
@@ -95,8 +80,8 @@ struct ResidualRanges {
 MRC_OBS_NOINLINE ResidualRanges residual_pass(const FieldF& data, const FieldF& recon,
                                               FieldF& resid, int threads) {
   const Dim3 d = data.dims();
-  std::vector<ResidualRanges> parts(static_cast<std::size_t>(slab_count(d.nz, threads)));
-  for_slabs(threads, d.nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<ResidualRanges> parts(static_cast<std::size_t>(exec::slab_count(d.nz, threads)));
+  exec::for_slabs(d.nz, std::ssize(parts), [&](index_t s, index_t z0, index_t z1) {
     ResidualRanges& part = parts[static_cast<std::size_t>(s)];
     prolong_trilinear_rows(recon, d, z0, z1, [&](index_t y, index_t z, const float* v) {
       const float* in = &data.at(0, y, z);
@@ -111,7 +96,7 @@ MRC_OBS_NOINLINE ResidualRanges residual_pass(const FieldF& data, const FieldF& 
       }
       part = r;
     });
-  });
+  }, threads);
   ResidualRanges all;
   for (const ResidualRanges& r : parts) {
     all.data.merge(r.data);
@@ -124,13 +109,13 @@ MRC_OBS_NOINLINE ResidualRanges residual_pass(const FieldF& data, const FieldF& 
 /// refine's expression, so the fold needs no prolonged field of its own.
 MRC_OBS_NOINLINE void fold(const FieldF& coarse, FieldF& decoded, int threads) {
   const Dim3 d = decoded.dims();
-  for_slabs(threads, d.nz, [&](index_t, index_t z0, index_t z1) {
+  exec::for_slabs(d.nz, exec::slab_count(d.nz, threads), [&](index_t, index_t z0, index_t z1) {
     prolong_trilinear_rows(coarse, d, z0, z1, [&](index_t y, index_t z, const float* v) {
       float* r = &decoded.at(0, y, z);
       for (index_t x = 0; x < d.nx; ++x)
         r[x] = static_cast<float>(static_cast<double>(v[x]) + static_cast<double>(r[x]));
     });
-  });
+  }, threads);
 }
 
 /// std::llround for |q| < 2^62 without the libm call. The cast truncates
@@ -195,8 +180,8 @@ MRC_OBS_NOINLINE float bin_entropy(const FieldF& f, double eb, const Range& rang
   };
   const auto bins_n = static_cast<std::size_t>(n_bins);
   const index_t plane = f.dims().nx * f.dims().ny;
-  std::vector<Hist> hists(static_cast<std::size_t>(slab_count(f.dims().nz, threads)));
-  for_slabs(threads, f.dims().nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<Hist> hists(static_cast<std::size_t>(exec::slab_count(f.dims().nz, threads)));
+  exec::for_slabs(f.dims().nz, std::ssize(hists), [&](index_t s, index_t z0, index_t z1) {
     Hist& h = hists[static_cast<std::size_t>(s)];
     h.count.assign(bins_n, 0);
     // A local, so the rare push_back call does not force a reload per sample.
@@ -206,7 +191,7 @@ MRC_OBS_NOINLINE float bin_entropy(const FieldF& f, double eb, const Range& rang
           round_half_away(static_cast<double>(f[i]) / width) - b0);
       if (count[b]++ == 0) h.seen.push_back(b);
     }
-  });
+  }, threads);
 
   // Slabs are in sample order, so their first occurrences in slab order,
   // minus bins an earlier slab already inserted, are the field's.
@@ -248,8 +233,8 @@ MRC_OBS_NOINLINE float lorenzo_entropy(const FieldF& f, double eb, float vmax,
     std::uint64_t escape = 0;
   };
   const std::vector<float> zero_row(static_cast<std::size_t>(d.nx), 0.0f);
-  std::vector<Counts> parts(static_cast<std::size_t>(slab_count(d.nz, threads)));
-  for_slabs(threads, d.nz, [&](index_t s, index_t z0, index_t z1) {
+  std::vector<Counts> parts(static_cast<std::size_t>(exec::slab_count(d.nz, threads)));
+  exec::for_slabs(d.nz, std::ssize(parts), [&](index_t s, index_t z0, index_t z1) {
     Counts& c = parts[static_cast<std::size_t>(s)];
     if (dense) c.dense.assign(bins_n, 0);
     std::uint64_t escape = 0;
@@ -283,7 +268,7 @@ MRC_OBS_NOINLINE float lorenzo_entropy(const FieldF& f, double eb, float vmax,
         }
       }
     c.escape = escape;
-  });
+  }, threads);
 
   std::vector<std::uint64_t> counts;
   std::uint64_t escape = 0;
@@ -385,9 +370,12 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
       const FieldF& fine = l == 1 ? f : chain[static_cast<std::size_t>(l - 1)];
       FieldF& coarse = chain[static_cast<std::size_t>(l)];
       coarse = FieldF(blocks_for(fine.dims(), 2));
-      for_slabs(cfg.threads, coarse.dims().nz, [&](index_t, index_t z0, index_t z1) {
-        restrict_half_slab(fine, coarse, z0, z1);
-      });
+      const index_t nz = coarse.dims().nz;
+      exec::for_slabs(nz, exec::slab_count(nz, cfg.threads),
+                      [&](index_t, index_t z0, index_t z1) {
+                        restrict_slab(fine, coarse, 2, z0, z1);
+                      },
+                      cfg.threads);
     }
   }
   auto level_data = [&](int l) -> const FieldF& {

@@ -18,11 +18,10 @@ inline constexpr detail::TableFormat kTable{kPyramidMagic, "pyramid", false};
 
 double prolong_error(const FieldF& coarse, const FieldF& fine, int width) {
   const index_t nz = fine.dims().nz;
-  const index_t slabs = std::min<index_t>(nz, 4 * exec::lanes_for(width));
-  std::vector<double> errs(static_cast<std::size_t>(slabs), 0.0);
-  exec::parallel_for(slabs, [&](index_t s) {
-    errs[static_cast<std::size_t>(s)] = prolong_error_slab(
-        coarse, fine, s * nz / slabs, (s + 1) * nz / slabs);
+  const index_t slabs = exec::slab_count(nz, 4 * exec::lanes_for(width));
+  std::vector<double> errs(static_cast<std::size_t>(slabs));
+  exec::for_slabs(nz, slabs, [&](index_t s, index_t z0, index_t z1) {
+    errs[static_cast<std::size_t>(s)] = prolong_error_slab(coarse, fine, z0, z1);
   }, width);
   return *std::max_element(errs.begin(), errs.end());
 }

@@ -35,11 +35,11 @@ double keep_fraction_threshold(std::span<const double> scores, double fraction) 
 }
 
 MultiResField extract_adaptive(const FieldF& uniform, index_t block_size,
-                               double roi_fraction) {
+                               double roi_fraction, int threads) {
   MRC_REQUIRE(roi_fraction > 0.0 && roi_fraction <= 1.0, "roi fraction in (0, 1]");
   MRC_REQUIRE(block_size >= 8, "paper requires b = 2^n with n > 2");
   const std::array<double, 2> fractions{roi_fraction, 1.0 - roi_fraction};
-  return amr::build_hierarchy(uniform, block_size, fractions);
+  return amr::build_hierarchy(uniform, block_size, fractions, threads);
 }
 
 double captured_fraction(const MultiResField& adaptive, const FieldF& original,

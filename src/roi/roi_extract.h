@@ -13,9 +13,9 @@ namespace mrc::roi {
 
 /// Converts a uniform field into adaptive (2-level) multi-resolution data.
 /// `roi_fraction` is the paper's x (default 0.5), `block_size` its b (2^n,
-/// n > 2).
+/// n > 2), on `threads` exec-pool lanes (0 = hardware; same bits at any width).
 [[nodiscard]] MultiResField extract_adaptive(const FieldF& uniform, index_t block_size,
-                                             double roi_fraction);
+                                             double roi_fraction, int threads = 0);
 
 /// The paper's top-x% ranking rule generalized to any per-block score: the
 /// smallest score still kept when the best `fraction` of blocks are kept.

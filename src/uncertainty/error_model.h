@@ -19,9 +19,10 @@ struct ErrorModel {
   double sigma = 0.0;
   index_t n_samples = 0;
 
-  /// Fit from paired original/decompressed samples.
+  /// Fit from paired original/decompressed samples on `threads` exec-pool
+  /// lanes (0 = hardware); fixed 64 Ki-sample chunks keep every width's bits.
   [[nodiscard]] static ErrorModel fit(std::span<const float> orig,
-                                      std::span<const float> dec);
+                                      std::span<const float> dec, int threads = 0);
 
   /// Isovalue-conditioned fit: uses only samples with
   /// |orig - isovalue| <= window; falls back to the global fit when fewer
@@ -29,7 +30,8 @@ struct ErrorModel {
   [[nodiscard]] static ErrorModel fit_near_isovalue(std::span<const float> orig,
                                                     std::span<const float> dec,
                                                     double isovalue, double window,
-                                                    index_t min_samples = 64);
+                                                    index_t min_samples = 64,
+                                                    int threads = 0);
 };
 
 }  // namespace mrc::uq

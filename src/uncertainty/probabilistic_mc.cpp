@@ -36,7 +36,8 @@ int cell_corners(const FieldF& f, index_t x, index_t y, index_t z, double* out) 
 
 }  // namespace
 
-FieldD crossing_probability(const FieldF& dec, double isovalue, const ErrorModel& model) {
+FieldD crossing_probability(const FieldF& dec, double isovalue, const ErrorModel& model,
+                            int threads) {
   const Dim3 d = dec.dims();
   const Dim3 cd = cell_dims(d);
   FieldD prob(cd);
@@ -62,13 +63,12 @@ FieldD crossing_probability(const FieldF& dec, double isovalue, const ErrorModel
   // CDF buffer. Every cell multiplies its corners' CDFs in cell_corners'
   // order (x fastest, then y, then z), so the result is bit-identical to the
   // per-cell loop.
-  const index_t slabs = std::min<index_t>(exec::hardware_threads(), cd.nz);
+  const index_t slabs = exec::slab_count(cd.nz, threads);
   // The caller allocates every slab's buffer: buffers malloc'd on the lanes
-  // land in the short-lived pool threads' own glibc arenas, whose retained
-  // free memory raised the insitu benchmark's peak RSS.
+  // land in the pool lanes' own glibc arenas, whose retained free memory
+  // raised the insitu benchmark's peak RSS.
   std::vector<double> buf(static_cast<std::size_t>(slabs * 2 * plane));
-  exec::parallel_for(slabs, [&](index_t s) {
-    const index_t z0 = cd.nz * s / slabs, z1 = cd.nz * (s + 1) / slabs;
+  exec::for_slabs(cd.nz, slabs, [&](index_t s, index_t z0, index_t z1) {
     double* lo = buf.data() + s * 2 * plane;
     double* hi = lo + plane;
     cdf_plane(z0, lo);
@@ -93,7 +93,7 @@ FieldD crossing_probability(const FieldF& dec, double isovalue, const ErrorModel
       }
       std::swap(lo, hi);
     }
-  });
+  }, threads);
   return prob;
 }
 

@@ -14,9 +14,10 @@
 
 namespace mrc::uq {
 
-/// Per-cell crossing probability; result extents are max(n-1, 1) per axis.
+/// Per-cell crossing probability; result extents are max(n-1, 1) per axis,
+/// on `threads` exec-pool lanes (0 = hardware; bit-identical for any width).
 [[nodiscard]] FieldD crossing_probability(const FieldF& dec, double isovalue,
-                                          const ErrorModel& model);
+                                          const ErrorModel& model, int threads = 0);
 
 /// Monte-Carlo estimator drawing `n_draws` joint realizations per cell.
 [[nodiscard]] FieldD crossing_probability_mc(const FieldF& dec, double isovalue,

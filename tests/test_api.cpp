@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "api/mrc_api.h"
+#include "common/bytes.h"
 #include "obs/obs.h"
+#include "simdata/generators.h"
 #include "test_util.h"
 
 namespace mrc {
@@ -126,6 +128,43 @@ TEST(ApiFacade, AdaptiveSnapshotRoundTrip) {
   for (index_t i = 0; i < fine.data.size(); ++i)
     if (fine.mask[i]) {
       ASSERT_LE(std::abs(static_cast<double>(f[i]) - back[i]), abs_eb * (1 + 1e-9));
+    }
+}
+
+// A snapshot's level l must be its header's grid coarsened 2^l-fold: the
+// restore reads level 0 at the header's extents. Before the check, a 32^3
+// header over 64^3 levels overflowed the restored grid, and the other three
+// streams decoded without an error.
+TEST(ApiFacade, SnapshotLevelsMustMatchTheHeader) {
+  const FieldF f = sim::nyx_density({64, 64, 64}, 5);
+  api::Options opt;
+  opt.roi_block = 16;
+  opt.roi_fraction = 0.5;
+  const Bytes good = api::compress_adaptive(f, opt);
+  ByteReader r(good);
+  const auto h = detail::read_header(r, workflow::kSnapshotMagic, "snapshot");
+  const auto block = r.get_varint();
+  std::vector<std::span<const std::byte>> levels(r.get_varint());
+  for (auto& l : levels) l = r.get_blob();
+  const auto rewrap = [&](Dim3 dims, const std::vector<std::span<const std::byte>>& ls) {
+    Bytes out;
+    ByteWriter w(out);
+    detail::write_header(w, workflow::kSnapshotMagic, dims, h.eb);
+    w.put_varint(block);
+    w.put_varint(ls.size());
+    for (const auto l : ls) w.put_blob(l);
+    return out;
+  };
+  ASSERT_EQ(rewrap(h.dims, levels), good);
+  const std::vector<Bytes> crafted = {rewrap({32, 32, 32}, levels),
+                                      rewrap({64, 64, 128}, levels),
+                                      rewrap({128, 128, 128}, levels),
+                                      rewrap(h.dims, {levels[0], levels[1], levels[0]})};
+  for (std::size_t c = 0; c < crafted.size(); ++c)
+    for (const int threads : {1, 4}) {
+      EXPECT_THROW((void)api::restore(crafted[c], threads), CodecError) << c;
+      EXPECT_THROW((void)api::decompress(crafted[c], threads), CodecError) << c;
+      EXPECT_THROW((void)api::restore_adaptive(crafted[c], threads), CodecError) << c;
     }
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "grid/field_ops.h"
 #include "grid/multires.h"
+#include "multires_reference.h"
 #include "test_util.h"
 
 namespace mrc {
@@ -198,6 +202,94 @@ TEST(Amr, RejectsIndivisibleExtents) {
   const FieldF f = smooth_field({30, 32, 32});
   const std::array<double, 2> fr{0.5, 0.5};
   EXPECT_THROW((void)amr::build_hierarchy(f, 8, fr), ContractError);
+}
+
+// ---------------------------------------------------------------------------
+// The pooled hierarchy passes against their serial reference
+// (multires_reference.h), byte for byte, at one lane, four and the hardware
+// width.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+bool same_bytes(const Field3D<T>& a, const Field3D<T>& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) * sizeof(T)) == 0;
+}
+
+TEST(MultiresProperty, PooledBuildAndReconstructMatchSerialReference) {
+  struct Case {
+    Dim3 dims;
+    index_t block;
+    std::vector<double> fractions;
+  };
+  const std::vector<Case> cases = {
+      {{32, 32, 32}, 8, {0.5, 0.5}},
+      {{48, 16, 32}, 16, {0.25, 0.75}},
+      {{16, 40, 24}, 8, {0.1, 0.9}},
+      {{64, 32, 16}, 16, {1.0, 0.0}},
+      {{32, 32, 32}, 8, {0.2, 0.3, 0.5}},  // three levels: level 2 has ratio 4
+      {{64, 48, 32}, 16, {0.15, 0.31, 0.54}},
+      {{16, 16, 48}, 4, {0.0, 0.5, 0.5}},
+      {{64, 32, 32}, 16, {0.2, 0.2, 0.3, 0.3}},  // four: levels of ratio 2 and 4 overlay
+      {{24, 24, 24}, 8, {1.0}},
+  };
+  for (const Case& c : cases)
+    for (const bool noisy : {true, false}) {
+      const std::string tag = std::to_string(c.dims.nx) + "x" + std::to_string(c.dims.ny) +
+                              "x" + std::to_string(c.dims.nz) + " block " +
+                              std::to_string(c.block) + " levels " +
+                              std::to_string(c.fractions.size()) + (noisy ? " noise" : " smooth");
+      const FieldF f = noisy ? test::noise_field(c.dims, 10.0, c.dims.nx + c.block)
+                             : smooth_field(c.dims);  // smooth: tied block ranges
+      const MultiResField want = test::reference_build_hierarchy(f, c.block, c.fractions);
+      const FieldF want_uniform = test::reference_reconstruct_uniform(want);
+      for (const int threads : {1, 4, 0}) {
+        const MultiResField got = amr::build_hierarchy(f, c.block, c.fractions, threads);
+        ASSERT_EQ(got.levels.size(), want.levels.size()) << tag;
+        for (std::size_t l = 0; l < want.levels.size(); ++l) {
+          EXPECT_EQ(got.levels[l].ratio, want.levels[l].ratio) << tag;
+          EXPECT_TRUE(same_bytes(got.levels[l].data, want.levels[l].data))
+              << tag << " level " << l << " data, " << threads << " lanes";
+          EXPECT_TRUE(same_bytes(got.levels[l].mask, want.levels[l].mask))
+              << tag << " level " << l << " mask, " << threads << " lanes";
+        }
+        EXPECT_TRUE(same_bytes(want.reconstruct_uniform(threads), want_uniform))
+            << tag << " reconstruct, " << threads << " lanes";
+      }
+    }
+}
+
+TEST(MultiresProperty, RestrictionMatchesSerialReference) {
+  // restrict_average and restrict_half share one slab kernel; at factor 2 on
+  // even extents they are the same average.
+  for (const Dim3 d : {Dim3{32, 16, 64}, Dim3{48, 40, 8}, Dim3{2, 2, 2}, Dim3{7, 9, 5},
+                       Dim3{33, 1, 6}, Dim3{1, 1, 1}}) {
+    const FieldF f = test::noise_field(d, 3.0, static_cast<std::uint64_t>(d.nx + d.nz));
+    const std::string tag = std::to_string(d.nx) + "x" + std::to_string(d.ny) + "x" +
+                            std::to_string(d.nz);
+    EXPECT_TRUE(same_bytes(restrict_half(f), test::reference_restrict_half(f))) << tag;
+    for (const index_t factor : {1, 2, 4, 8, 16}) {
+      if (d.nx % factor != 0 || d.ny % factor != 0 || d.nz % factor != 0) continue;
+      const FieldF want = test::reference_restrict_average(f, factor);
+      if (factor == 2) {
+        EXPECT_TRUE(same_bytes(restrict_half(f), want)) << tag;
+      }
+      for (const int threads : {1, 4})
+        EXPECT_TRUE(same_bytes(restrict_average(f, factor, threads), want))
+            << tag << " factor " << factor << ", " << threads << " lanes";
+    }
+  }
+}
+
+TEST(MultiresProperty, ReconstructRejectsLevelsOffTheRatioChain) {
+  const FieldF f = test::noise_field({32, 32, 32}, 1.0);
+  const std::array<double, 2> fr{0.5, 0.5};
+  MultiResField mr = amr::build_hierarchy(f, 8, fr);
+  mr.fine_dims = {16, 16, 16};  // level 0 would be read past its end
+  EXPECT_THROW((void)mr.reconstruct_uniform(), ContractError);
+  mr = amr::build_hierarchy(f, 8, fr);
+  mr.levels.push_back(mr.levels[0]);  // a third level of ratio 1
+  EXPECT_THROW((void)mr.reconstruct_uniform(), ContractError);
 }
 
 }  // namespace

@@ -143,6 +143,59 @@ TEST(LaneInvariance, PortedLoopsMatchTheirOneLaneRun) {
   }
 }
 
+// insitu's passes outside the codec take their width as a parameter: ROI
+// extraction, the uniform restore, the error fit (fixed chunks, so the sums
+// do not depend on the width) and the crossing probability.
+
+TEST(LaneInvariance, InsituPassesMatchAtOneAndFourLanes) {
+  const FieldF f = sim::nyx_density({64, 64, 64}, 41);
+  const Bytes snapshot =
+      api::compress_adaptive(f, api::Options::parse("roi_fraction=0.3,threads=4"));
+  const MultiResField mr = api::restore_adaptive(snapshot, 4);
+  const FieldF dec = mr.reconstruct_uniform(4);
+  // A ragged last fit chunk: 64 Ki-sample chunks plus 1,234 samples short.
+  const auto orig = f.span().first(static_cast<std::size_t>(f.size()) - 1234);
+  const auto back = dec.span().first(orig.size());
+  const auto fit_bits = [](const uq::ErrorModel& m) {
+    return std::vector<double>{m.mean, m.sigma, static_cast<double>(m.n_samples)};
+  };
+  // The median, give or take 10%: the isovalue window keeps a subset.
+  const double iso = roi::top_value_quantile(f.span(), 0.5);
+  const double window = 0.1 * iso;
+  const uq::ErrorModel model = uq::ErrorModel::fit(orig, back);
+
+  std::vector<MultiResField> extracted;
+  std::vector<FieldF> restored;
+  std::vector<std::vector<double>> fits, near;
+  std::vector<FieldD> prob;
+  for (const int w : {1, 4}) {
+    extracted.push_back(roi::extract_adaptive(f, 16, 0.3, w));
+    restored.push_back(mr.reconstruct_uniform(w));
+    fits.push_back(fit_bits(uq::ErrorModel::fit(orig, back, w)));
+    near.push_back(fit_bits(uq::ErrorModel::fit_near_isovalue(orig, back, iso, window, 64, w)));
+    prob.push_back(uq::crossing_probability(dec, iso, model, w));
+  }
+  const auto same = [](std::span<const std::byte> a, std::span<const std::byte> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
+  };
+  ASSERT_EQ(extracted[0].levels.size(), 2u);
+  ASSERT_EQ(extracted[1].levels.size(), 2u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    EXPECT_TRUE(same(bytes_of(extracted[0].levels[l].data), bytes_of(extracted[1].levels[l].data)))
+        << "extract_adaptive level " << l << " data";
+    EXPECT_TRUE(same(bytes_of(extracted[0].levels[l].mask), bytes_of(extracted[1].levels[l].mask)))
+        << "extract_adaptive level " << l << " mask";
+  }
+  EXPECT_TRUE(same(bytes_of(restored[0]), bytes_of(restored[1]))) << "reconstruct_uniform";
+  EXPECT_TRUE(same(std::as_bytes(std::span(fits[0])), std::as_bytes(std::span(fits[1]))))
+      << "ErrorModel::fit";
+  EXPECT_TRUE(same(std::as_bytes(std::span(near[0])), std::as_bytes(std::span(near[1]))))
+      << "fit_near_isovalue";
+  EXPECT_LT(near[0][2], 0.5 * static_cast<double>(orig.size()));
+  EXPECT_GT(near[0][2], 64.0);
+  EXPECT_TRUE(same(bytes_of(prob[0]), bytes_of(prob[1]))) << "crossing_probability";
+}
+
 // The multi-resolution snapshot writers take their width from the config:
 // per-level streams encode on that many lanes and must not depend on it.
 

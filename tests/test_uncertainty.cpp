@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numbers>
 
+#include "api/mrc_api.h"
+#include "simdata/mini_nyx.h"
 #include "uncertainty/error_model.h"
 #include "uncertainty/marching_cubes.h"
 #include "uncertainty/probabilistic_mc.h"
@@ -25,6 +28,47 @@ TEST(ErrorModel, FitRecoversMoments) {
   const auto m = ErrorModel::fit(orig, dec);
   EXPECT_NEAR(m.mean, mu, 0.02);
   EXPECT_NEAR(m.sigma, sigma, 0.02);
+}
+
+// The chunked fit's mean and sigma are no farther from an extended-precision
+// sum than one running double sum over every sample (the fit before it ran
+// on chunks), on an insitu benchmark timestep: mini-Nyx after one step,
+// compress_adaptive and restore at absolute eb 2.5e8.
+TEST(ErrorModel, ChunkedFitIsNoFartherFromExactThanOneRunningSum) {
+  if (std::numeric_limits<long double>::digits <= std::numeric_limits<double>::digits)
+    GTEST_SKIP() << "long double is no wider than double here";
+  for (const std::uint64_t seed : {1u, 9001u}) {
+    sim::MiniNyx::Params p;
+    p.dims = {64, 64, 64};
+    p.seed = seed;
+    sim::MiniNyx nyx(p);
+    nyx.step();
+    const FieldF& f = nyx.density();
+    api::Options opt;
+    opt.eb = 2.5e8;
+    opt.eb_mode = api::EbMode::absolute;
+    const FieldF dec = api::restore(api::compress_adaptive(f, opt));
+
+    long double ls = 0, ls2 = 0;
+    double s = 0, s2 = 0;
+    for (index_t i = 0; i < f.size(); ++i) {
+      const double e = static_cast<double>(f[i]) - static_cast<double>(dec[i]);
+      ls += e;
+      ls2 += static_cast<long double>(e) * e;
+      s += e;
+      s2 += e * e;
+    }
+    const auto n = static_cast<double>(f.size());
+    const long double ref_mean = ls / n;
+    const long double ref_sigma = std::sqrt(ls2 / n - ref_mean * ref_mean);
+    const double serial_mean = s / n;
+    const double serial_sigma = std::sqrt(std::max(0.0, s2 / n - serial_mean * serial_mean));
+
+    const ErrorModel m = ErrorModel::fit(f.span(), dec.span());
+    const auto dist = [](double v, long double ref) { return std::fabs(v - ref); };
+    EXPECT_LE(dist(m.mean, ref_mean), dist(serial_mean, ref_mean)) << "seed " << seed;
+    EXPECT_LE(dist(m.sigma, ref_sigma), dist(serial_sigma, ref_sigma)) << "seed " << seed;
+  }
 }
 
 TEST(ErrorModel, IsovalueConditioningSelectsLocalErrors) {

@@ -11,7 +11,9 @@
 # the quantize codec's sharded entropy decode, the interp sweeps, monolithic
 # Huffman encode and snapshot level loops that split one stream across the
 # pool (InterpProperty/QuantCodecProperty/Sz3mrProperty and the
-# SnapshotContainer golden at four lanes),
+# SnapshotContainer golden at four lanes), insitu's grid passes and error
+# fit on exec-pool slabs (Amr, RoiExtract, ErrorModel and MultiresProperty,
+# the pooled hierarchy build and restore against their serial reference),
 # the field generators and their FFT, MiniNyx/MiniWarpX, SSIM, the Bézier
 # post-process, the filters and the volume renderer) under ThreadSanitizer
 # (third preset, <build-dir>-tsan), then an
@@ -85,7 +87,7 @@ fi
 
 if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   echo
-  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / uq / codecs / snapshot / simdata / metrics / postproc / render) =="
+  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire / uq / codecs / snapshot / grid / simdata / metrics / postproc / render) =="
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DMRC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       > /dev/null
@@ -93,7 +95,7 @@ if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   # Only the suites that reach the exec pool: the serial suites add nothing
   # under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*:Sweep/QuantizeErrorBound.*:InterpProperty.*:QuantCodecProperty.*:Sz3mrProperty.*:FrozenFormat.Snapshot*'
+      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*:Sweep/QuantizeErrorBound.*:InterpProperty.*:QuantCodecProperty.*:Sz3mrProperty.*:FrozenFormat.Snapshot*:Amr.*:RoiExtract.*:ErrorModel.*:MultiresProperty.*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
