@@ -12,23 +12,32 @@
 //   * sharded_decode_tN — one brick-sized quant stream decoded from the
 //     frozen monolithic layout (baseline) vs the sharded layout on an
 //     explicit N-lane pool (optimized); bytes asserted identical.
+//   * uq_normal_cdf — the crossing probability's per-voxel normal CDF on a
+//     mini-Nyx timestep with its fitted error model: std::erfc per voxel
+//     (baseline) vs the dispatched in-tree CDF row (optimized); the two
+//     asserted within 2^-51 of each other.
 //
 // Results land in BENCH_codec_hotpath.json
 // (stage, baseline_mb_s, optimized_mb_s, speedup), with a top-level
 // usable_lanes: how many of a 4-lane pool's lanes the machine ran at once
-// just before and just after the sharded rows. ci.sh runs this in its
-// bench-smoke step. The >= 3x canonical-Huffman decode target is gated here
-// with MRC_REQUIRE; ci.sh additionally gates quant_encode absolute MB/s and,
-// where usable_lanes shows four lanes can run, the sharded decode's 4-lane
-// over 1-lane ratio (sharded_decode_t4 / sharded_decode_t1) from the JSON.
+// just before and just after the sharded rows, and simd_isa: the dispatched
+// ISA. ci.sh runs this in its bench-smoke step. The >= 3x canonical-Huffman
+// decode target is gated here with MRC_REQUIRE; ci.sh additionally gates
+// quant_encode absolute MB/s, where usable_lanes shows four lanes can run
+// the sharded decode's 4-lane over 1-lane ratio (sharded_decode_t4 /
+// sharded_decode_t1), and where simd_isa is avx2 the uq_normal_cdf speedup,
+// all from the JSON.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <numbers>
 #include <string>
 #include <vector>
 
+#include "api/mrc_api.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "compressors/interp/interp_compressor.h"
@@ -40,6 +49,9 @@
 #include "lossless/huffman.h"
 #include "lossless/quant_codec.h"
 #include "ref_bitcoder.h"
+#include "simdata/mini_nyx.h"
+#include "uncertainty/error_model.h"
+#include "uncertainty/probabilistic_mc.h"
 
 using namespace mrc;
 using namespace mrc::lossless;
@@ -289,6 +301,51 @@ int main() {
     pq_row("predict_quant_lorenzo", LorenzoCompressor{});
   }
 
+  {  // uq_normal_cdf: P(v < iso) for every voxel of an insitu-style timestep
+    // (mini-Nyx seed 1 after one step, compress_adaptive + restore at
+    // absolute eb 2.5e8, isovalue 2e9, the fitted model), one z-plane at a
+    // time as crossing_probability fills its CDF planes. MB/s counts the
+    // doubles written.
+    sim::MiniNyx::Params np;
+    np.dims = scaled({256, 256, 256});
+    np.seed = 1;
+    sim::MiniNyx nyx(np);
+    nyx.step();
+    const FieldF& orig = nyx.density();
+    api::Options opt;
+    opt.eb = 2.5e8;
+    opt.eb_mode = api::EbMode::absolute;
+    const FieldF dec = api::restore(api::compress_adaptive(orig, opt));
+    const uq::ErrorModel model = uq::ErrorModel::fit(orig.span(), dec.span());
+    const double iso = 2e9;
+    const auto plane = static_cast<std::size_t>(dec.dims().nx * dec.dims().ny);
+    const auto voxels = static_cast<std::size_t>(dec.size());
+    const auto arg = [&](std::size_t i) {
+      return (iso - (static_cast<double>(dec[static_cast<index_t>(i)]) + model.mean)) /
+             model.sigma;
+    };
+    std::vector<double> ref(voxels), got(voxels);
+    const double t_erfc = best_seconds([&] {
+      for (std::size_t i = 0; i < voxels; ++i)
+        ref[i] = 0.5 * std::erfc(-arg(i) / std::numbers::sqrt2);
+    });
+    const double t_row = best_seconds([&] {
+      for (std::size_t z0 = 0; z0 < voxels; z0 += plane) {
+        for (std::size_t i = z0; i < z0 + plane; ++i) got[i] = arg(i);
+        uq::normal_cdf_row({got.data() + z0, plane});
+      }
+    });
+    double worst = 0.0;
+    for (std::size_t i = 0; i < voxels; ++i) worst = std::max(worst, std::fabs(got[i] - ref[i]));
+    MRC_REQUIRE(worst <= std::ldexp(1.0, -51), "in-tree normal CDF strayed from std::erfc");
+    std::printf("uq normal cdf: %zu voxels, sigma %.4g, max |dPhi| %.3g, isa %s\n", voxels,
+                model.sigma, worst, simd::isa_name(simd::active_isa()));
+    Row r{.stage = "uq_normal_cdf"};
+    r.baseline_mb_s = mb(voxels * sizeof(double)) / t_erfc;
+    r.optimized_mb_s = mb(voxels * sizeof(double)) / t_row;
+    rows.push_back(r);
+  }
+
   // The sharded rows read the machine as much as the code when the
   // scheduler does not give a 4-lane pool four CPUs; the smaller of the
   // usable-lane readings taken just before and just after them says whether
@@ -336,6 +393,7 @@ int main() {
   std::fprintf(json, "{\n  \"bench\": \"codec_hotpath\",\n");
   std::fprintf(json, "  \"hardware_threads\": %d,\n", exec::hardware_threads());
   std::fprintf(json, "  \"usable_lanes\": %.2f,\n", lanes_usable);
+  std::fprintf(json, "  \"simd_isa\": \"%s\",\n", simd::isa_name(simd::active_isa()));
   std::fprintf(json, "  \"symbols\": %zu,\n  \"radius\": %u,\n  \"results\": [\n",
                syms.size(), radius);
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -33,6 +33,7 @@
 #include "uncertainty/error_model.h"
 #include "uncertainty/probabilistic_mc.h"
 #include "test_util.h"
+#include "uq_reference.h"
 
 namespace mrc {
 namespace {

@@ -7,11 +7,13 @@
 #include <numbers>
 
 #include "api/mrc_api.h"
+#include "compressors/simd_kernels.h"
 #include "simdata/mini_nyx.h"
 #include "uncertainty/error_model.h"
 #include "uncertainty/marching_cubes.h"
 #include "uncertainty/probabilistic_mc.h"
 #include "test_util.h"
+#include "uq_reference.h"
 
 namespace mrc::uq {
 namespace {
@@ -160,9 +162,9 @@ TEST(ProbMc, CompareIsosurfacesCountsMissedCells) {
 
 /// Test-only reference: the per-cell closed form crossing_probability
 /// replaced. Every cell reads its 8 corners (x fastest, then y, then z, far
-/// faces clamped) and evaluates one normal CDF per corner.
+/// faces clamped) and evaluates one normal CDF per corner with `cdf`.
 FieldD reference_crossing_probability(const FieldF& f, double isovalue,
-                                      const ErrorModel& model) {
+                                      const ErrorModel& model, double (*cdf)(double)) {
   const Dim3 d = f.dims();
   const Dim3 cd{std::max<index_t>(d.nx - 1, 1), std::max<index_t>(d.ny - 1, 1),
                 std::max<index_t>(d.nz - 1, 1)};
@@ -178,8 +180,7 @@ FieldD reference_crossing_probability(const FieldF& f, double isovalue,
               const double c = f.at(std::min(x + i, d.nx - 1), std::min(y + j, d.ny - 1),
                                     std::min(z + k, d.nz - 1));
               const double mu = c + model.mean;
-              const double pb =
-                  0.5 * std::erfc(-((isovalue - mu) / sigma) / std::numbers::sqrt2);
+              const double pb = cdf((isovalue - mu) / sigma);
               p_below *= pb;
               p_above *= 1.0 - pb;
             }
@@ -188,10 +189,14 @@ FieldD reference_crossing_probability(const FieldF& f, double isovalue,
   return prob;
 }
 
-TEST(ProbMc, MatchesPerCellReferenceBitForBit) {
-  // Random extents (1-wide axes, primes, and deep z so several slabs run at
-  // once), sigma = 0 (the 1e-300 floor), biased models, and isovalues both
-  // inside the value range (some exactly on a voxel) and outside it.
+double erfc_cdf(double x) { return 0.5 * std::erfc(-x / std::numbers::sqrt2); }
+
+/// Calls check(f, iso, model) on 240 cases: random extents (1-wide axes,
+/// primes, and deep z so several slabs run at once), sigma = 0 (the 1e-300
+/// floor), biased models, and isovalues both inside the value range (some
+/// exactly on a voxel) and outside it.
+template <typename Check>
+void for_each_crossing_case(Check check) {
   Rng rng(1515);
   constexpr index_t kPrimes[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31};
   auto extent = [&](int t, int axis) -> index_t {
@@ -213,14 +218,141 @@ TEST(ProbMc, MatchesPerCellReferenceBitForBit) {
     SCOPED_TRACE(::testing::Message() << "case " << t << " dims " << d.nx << "x" << d.ny
                                       << "x" << d.nz << " sigma " << m.sigma << " mean "
                                       << m.mean << " iso " << iso);
+    check(f, iso, m);
+  }
+}
 
-    const FieldD ref = reference_crossing_probability(f, iso, m);
+// The slab loop, its two-plane CDF buffer and the vectorized CDF row give
+// the per-cell loop's bytes when that loop calls the library's scalar CDF.
+TEST(ProbMc, MatchesPerCellReferenceBitForBit) {
+  for_each_crossing_case([](const FieldF& f, double iso, const ErrorModel& m) {
+    const FieldD ref = reference_crossing_probability(f, iso, m, normal_cdf);
     const FieldD got = crossing_probability(f, iso, m);
     ASSERT_EQ(got.dims(), ref.dims());
     ASSERT_EQ(std::memcmp(got.data(), ref.data(),
                           static_cast<std::size_t>(ref.size()) * sizeof(double)),
               0);
+  });
+}
+
+// Accuracy oracle: the same per-cell loop on std::erfc. The in-tree CDF moves
+// a probability by a few ulps at most.
+TEST(ProbMc, StaysWithin1e14OfStdErfcPerCellReference) {
+  for_each_crossing_case([](const FieldF& f, double iso, const ErrorModel& m) {
+    const FieldD ref = reference_crossing_probability(f, iso, m, erfc_cdf);
+    const FieldD got = crossing_probability(f, iso, m);
+    ASSERT_EQ(got.dims(), ref.dims());
+    for (index_t i = 0; i < ref.size(); ++i)
+      ASSERT_LE(std::fabs(got[i] - ref[i]), 1e-14) << "cell " << i;
+  });
+}
+
+// The in-tree CDF against 0.5 * std::erfc(-x / sqrt2) over a dense sweep of
+// [-40, 40]: within 2^-51 absolute everywhere and 2e-15 relative wherever
+// Phi >= 1e-300, and symmetric to 2^-51. Below x = -37.54 it returns 0 where
+// glibc returns subnormals.
+TEST(ProbMc, NormalCdfTracksErfc) {
+  constexpr std::size_t kPoints = 10'000'001;
+  std::vector<double> x(kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i)
+    x[i] = -40.0 + 80.0 * static_cast<double>(i) / static_cast<double>(kPoints - 1);
+  std::vector<double> phi = x;
+  normal_cdf_row(phi);
+  const double abs_tol = std::ldexp(1.0, -51);
+  double max_abs = 0.0, max_rel = 0.0, max_sym = 0.0;
+  std::size_t nonzero_past_cutoff = 0;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const double ref = erfc_cdf(x[i]);
+    const double d = std::fabs(phi[i] - ref);
+    max_abs = std::max(max_abs, d);
+    if (ref >= 1e-300) max_rel = std::max(max_rel, d / ref);
+    max_sym = std::max(max_sym, std::fabs(phi[i] + normal_cdf(-x[i]) - 1.0));
+    nonzero_past_cutoff += x[i] < -37.54 && phi[i] != 0.0 ? 1 : 0;
   }
+  EXPECT_LE(max_abs, abs_tol);
+  EXPECT_LE(max_rel, 2e-15);
+  EXPECT_LE(max_sym, abs_tol);
+  EXPECT_EQ(nonzero_past_cutoff, 0u);
+  EXPECT_GT(normal_cdf(-37.5), 0.0);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(normal_cdf(nan)));
+  EXPECT_TRUE(std::isnan(normal_cdf(-nan)));
+  EXPECT_EQ(normal_cdf(kInf), 1.0);
+  EXPECT_EQ(normal_cdf(-kInf), 0.0);
+  EXPECT_EQ(normal_cdf(0.0), 0.5);
+  EXPECT_EQ(normal_cdf(-0.0), 0.5);
+  EXPECT_EQ(normal_cdf(std::numeric_limits<double>::denorm_min()), 0.5);
+  // At the sigma floor every offset from the isovalue is a huge argument.
+  for (const double gap : {1e-290, 1e-200, 1e-20, 1.0, 1e300}) {
+    EXPECT_EQ(normal_cdf(gap / 1e-300), 1.0) << gap;
+    EXPECT_EQ(normal_cdf(-gap / 1e-300), 0.0) << gap;
+  }
+}
+
+// The AVX2 row, the row pinned to the baseline body and one call per element
+// agree bit for bit at every row length up to 67 (vector bodies and their
+// remainders), and so does crossing_probability under either body.
+TEST(ProbMc, NormalCdfRowMatchesScalarBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Signed zeros, the forms' boundaries, both sides of the cutoff, non-finites.
+  constexpr double kSpecial[] = {0.0,   -0.0, 0.46875 * std::numbers::sqrt2,
+                                 -4.0 * std::numbers::sqrt2, -37.5, -38.0, 37.6,
+                                 kInf,  -kInf, std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(27);
+  const simd::Isa prev = simd::active_isa();
+  for (std::size_t n = 1; n <= 67; ++n) {
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = i % 5 == 4 ? kSpecial[rng.uniform_index(std::size(kSpecial))]
+                        : rng.normal(0.0, i % 2 == 0 ? 2.0 : 12.0);
+    std::vector<double> fast = x, base = x, one(n);
+    simd::force_isa(simd::best_isa());
+    normal_cdf_row(fast);
+    simd::force_isa(simd::Isa::scalar);
+    normal_cdf_row(base);
+    for (std::size_t i = 0; i < n; ++i) one[i] = normal_cdf(x[i]);
+    EXPECT_EQ(std::memcmp(fast.data(), base.data(), n * sizeof(double)), 0) << "n " << n;
+    EXPECT_EQ(std::memcmp(fast.data(), one.data(), n * sizeof(double)), 0) << "n " << n;
+  }
+  const FieldF f = test::noise_field({37, 29, 11}, 2.0, 8);
+  const ErrorModel m{0.1, 0.4, 1000};
+  simd::force_isa(simd::best_isa());
+  const FieldD fast = crossing_probability(f, 0.3, m);
+  simd::force_isa(simd::Isa::scalar);
+  const FieldD base = crossing_probability(f, 0.3, m);
+  simd::force_isa(prev);
+  EXPECT_EQ(std::memcmp(fast.data(), base.data(),
+                        static_cast<std::size_t>(fast.size()) * sizeof(double)),
+            0);
+}
+
+// A NaN voxel makes every cell that has it as a corner NaN and no other
+// cell; +-inf voxels give finite probabilities (CDF exactly 0 or 1).
+TEST(ProbMc, NanVoxelsPoisonOnlyTheirCells) {
+  const Dim3 d{9, 7, 6};
+  FieldF f = test::noise_field(d, 2.0, 31);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  f.at(0, 0, 0) = nan;
+  f.at(4, 3, 2) = nan;
+  f.at(8, 6, 5) = nan;
+  f.at(2, 5, 4) = inf;
+  f.at(6, 1, 1) = -inf;
+  f.at(7, 1, 1) = inf;
+  const FieldD p = crossing_probability(f, 0.2, ErrorModel{0.1, 0.5, 1000});
+  const Dim3 cd = p.dims();
+  for (index_t z = 0; z < cd.nz; ++z)
+    for (index_t y = 0; y < cd.ny; ++y)
+      for (index_t x = 0; x < cd.nx; ++x) {
+        bool touches_nan = false;
+        for (index_t k = 0; k < 2; ++k)
+          for (index_t j = 0; j < 2; ++j)
+            for (index_t i = 0; i < 2; ++i)
+              touches_nan = touches_nan || std::isnan(f.at(x + i, y + j, z + k));
+        EXPECT_EQ(std::isnan(p.at(x, y, z)), touches_nan) << x << "," << y << "," << z;
+      }
 }
 
 // ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ ROW_IDENTITY = {
             "sharded_decode_t1",
             "sharded_decode_t2",
             "sharded_decode_t4",
+            "uq_normal_cdf",
         },
     ),
 }

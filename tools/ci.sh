@@ -33,10 +33,12 @@
 # bench_tiled_scaling at the same scale (64^3; its JSON is validated, its
 # lane scaling is not gated) plus
 # bench_codec_hotpath (entropy hot path; gates >= 3x Huffman decode over the
-# bit-at-a-time baseline, >= 2x the pre-SIMD quant_encode throughput, and —
+# bit-at-a-time baseline, >= 2x the pre-SIMD quant_encode throughput,
 # where >= 4 hardware threads exist and the bench's usable_lanes shows a
 # 4-lane pool really ran >= 2 lanes at once — sharded entropy decode on a
-# 4-lane pool > 1.5x the same stream on one lane, in the same process),
+# 4-lane pool > 1.5x the same stream on one lane, in the same process —
+# and, where the bench dispatched AVX2, the crossing probability's in-tree
+# normal CDF >= 2x the std::erfc loop, in the same process),
 # bench_server_load (multi-tenant Server under
 # concurrent wire clients; gates viewport-walk out-hitting random and
 # monotone latency quantiles), bench_progressive_stream (gates MRCR
@@ -246,6 +248,11 @@ if [ "${MRC_SKIP_BENCH:-0}" != "1" ]; then
   #     a decode that ignored its pool would still beat it.
   #     MRC_SHARDED_DECODE_MIN_SPEEDUP overrides the 1.5 bar on t4/t1; 0
   #     disables.
+  #   * the crossing probability's normal CDF: the dispatched in-tree row
+  #     must run >= 2x the std::erfc loop on the same voxels, in the same
+  #     process (uq_normal_cdf) — where the bench dispatched AVX2 (simd_isa).
+  #     Elsewhere the row runs its x86-64 baseline body, two SSE2 lanes wide,
+  #     and the ratio is informational.
   python3 - "$BUILD_DIR/bench/BENCH_codec_hotpath.json" \
       "${MRC_QUANT_ENCODE_MIN_MB_S:-579.6}" \
       "${MRC_SHARDED_DECODE_MIN_SPEEDUP:-1.5}" "$(nproc)" <<'PY'
@@ -273,6 +280,16 @@ elif shard_min > 0 and sd <= shard_min:
 else:
     print(f"hotpath gate sharded_decode_t4/t1: {sd:.2f}x (min > {shard_min:.2f}; "
           f"{cores} hardware threads, {lanes:.2f} usable lanes)")
+
+cdf, isa = rows["uq_normal_cdf"]["speedup"], doc["simd_isa"]
+if isa != "avx2":
+    print(f"hotpath gate uq_normal_cdf: {cdf:.2f}x over std::erfc (informational: "
+          f"dispatched {isa}; the gate needs avx2)")
+elif cdf < 2.0:
+    sys.exit(f"hotpath gate: the in-tree normal CDF ran {cdf:.2f}x std::erfc "
+             f"(needs >= 2.00x with avx2)")
+else:
+    print(f"hotpath gate uq_normal_cdf: {cdf:.2f}x over std::erfc (min 2.00, avx2)")
 PY
   # Validate the freshly produced JSON plus every committed/earlier one.
   find . "$BUILD_DIR/bench" -maxdepth 1 -name 'BENCH_*.json' -print0 |
