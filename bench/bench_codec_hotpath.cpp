@@ -8,10 +8,11 @@
 // Two more comparisons ride along since the SIMD/sharding PR:
 //   * predict_quant_{interp,lorenzo} — the full predictor+quantizer compress
 //     of each codec with SIMD dispatch forced to scalar (baseline) vs the
-//     runtime-dispatched kernels (optimized); streams asserted byte-identical.
+//     runtime-dispatched kernels (optimized), their reps alternating in one
+//     process; streams asserted byte-identical.
 //   * sharded_decode_tN — one brick-sized quant stream decoded from the
-//     frozen monolithic layout (baseline) vs the sharded layout on an
-//     explicit N-lane pool (optimized); bytes asserted identical.
+//     frozen monolithic layout (baseline) vs the sharded layout on N lanes
+//     (optimized); bytes asserted identical.
 //   * uq_normal_cdf — the crossing probability's per-voxel normal CDF on a
 //     mini-Nyx timestep with its fitted error model: std::erfc per voxel
 //     (baseline) vs the dispatched in-tree CDF row (optimized); the two
@@ -25,8 +26,8 @@
 // decode target is gated here with MRC_REQUIRE; ci.sh additionally gates
 // quant_encode absolute MB/s, where usable_lanes shows four lanes can run
 // the sharded decode's 4-lane over 1-lane ratio (sharded_decode_t4 /
-// sharded_decode_t1), and where simd_isa is avx2 the uq_normal_cdf speedup,
-// all from the JSON.
+// sharded_decode_t1), and where simd_isa is avx2 the uq_normal_cdf and
+// predict_quant_interp speedups, all from the JSON.
 
 #include <algorithm>
 #include <cmath>
@@ -67,15 +68,19 @@ struct Row {
   }
 };
 
+/// Wall time of one fn() call.
+template <typename F>
+double seconds(F&& fn) {
+  obs::ScopedTimer t("bench.rep");
+  fn();
+  return t.seconds();
+}
+
 /// Best-of-3 wall time of fn().
 template <typename F>
 double best_seconds(F&& fn) {
   double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    obs::ScopedTimer t("bench.rep");
-    fn();
-    best = std::min(best, t.seconds());
-  }
+  for (int rep = 0; rep < 3; ++rep) best = std::min(best, seconds(fn));
   return best;
 }
 
@@ -263,8 +268,10 @@ int main() {
   }
 
   {  // predictor+quantizer: forced-scalar rows vs runtime-dispatched SIMD.
-    // Both sides run the *same* codec; only the kernel table differs, and
-    // the streams must stay byte-identical (the bit-identity contract).
+    // Both sides run the *same* codec; only the dispatched kernels differ,
+    // and the streams must stay byte-identical (the bit-identity contract).
+    // The reps alternate scalar, dispatched, scalar, ... so a change in the
+    // machine's speed mid-row lands on both sides alike.
     // The GRF generator needs power-of-two extents; round the scaled edge
     // down so every MRC_SCALE setting still produces a valid grid.
     const index_t want = scaled({256, 256, 256}).nx;
@@ -282,14 +289,15 @@ int main() {
     const auto pq_row = [&](const char* stage, const Compressor& codec) {
       Row r{.stage = stage};
       const simd::Isa prev = simd::active_isa();
-      simd::force_isa(simd::Isa::scalar);
-      Bytes scalar_stream;
-      const double t_scalar =
-          best_seconds([&] { scalar_stream = codec.compress(field, eb); });
-      simd::force_isa(simd::best_isa());
-      Bytes simd_stream;
-      const double t_simd =
-          best_seconds([&] { simd_stream = codec.compress(field, eb); });
+      Bytes scalar_stream, simd_stream;
+      double t_scalar = 1e300, t_simd = 1e300;
+      for (int rep = 0; rep < 5; ++rep) {
+        simd::force_isa(simd::Isa::scalar);
+        t_scalar = std::min(t_scalar,
+                            seconds([&] { scalar_stream = codec.compress(field, eb); }));
+        simd::force_isa(simd::best_isa());
+        t_simd = std::min(t_simd, seconds([&] { simd_stream = codec.compress(field, eb); }));
+      }
       simd::force_isa(prev);
       MRC_REQUIRE(scalar_stream == simd_stream,
                   "SIMD predict+quant stream diverged from scalar");
@@ -352,7 +360,7 @@ int main() {
   // it did.
   double lanes_usable = usable_lanes(syms.size());
   {  // sharded entropy decode: frozen monolithic layout vs the v7 sharded
-    // layout decoded on explicit 1/2/4-lane pools. The baseline column is
+    // layout decoded on 1, 2 and 4 lanes. The baseline column is
     // the same monolithic single-thread figure for every row, so speedup
     // reads directly as "sharded at N lanes vs unsharded".
     const Bytes mono = encode_quant_codes(syms, radius);
@@ -368,10 +376,9 @@ int main() {
                 "monolithic decode mismatch");
     const double mono_mb_s = mb(payload_bytes) / t_mono;
     for (const int lanes : {1, 2, 4}) {
-      exec::ThreadPool pool(lanes);
       Row r{.stage = "sharded_decode_t" + std::to_string(lanes)};
       const double t = best_seconds(
-          [&] { decode_quant_codes_into(sharded, radius, out, syms.size(), pool); });
+          [&] { decode_quant_codes_into(sharded, radius, out, syms.size(), lanes); });
       MRC_REQUIRE(std::equal(out.begin(), out.end(), syms.begin(), syms.end()),
                   "sharded decode mismatch");
       r.baseline_mb_s = mono_mb_s;

@@ -2,15 +2,17 @@
 
 // 64-byte-aligned std::vector for codec scratch buffers.
 //
-// The SIMD predict/quantize kernels ("compressors/simd_kernels.h") issue
-// aligned vector loads/stores over the thread-local `codes` / `outliers`
-// lanes, and the sharded entropy decoder writes disjoint shard slices of one
-// buffer from multiple threads. A 64-byte base alignment guarantees (a) no
-// vector access straddles a cache line and (b) shard boundaries rounded to
-// the vector width never false-share a line between lanes. std::allocator
-// only guarantees alignof(T), so the scratch vectors use this allocator
-// instead; AlignedVec<T> is drop-in for std::vector<T> everywhere the codecs
-// used one (ScratchGuard / trim_scratch are templates and keep working).
+// The AVX2 predict/quantize rows ("compressors/simd_kernels.h") store four
+// codes at a time into the thread-local `codes` scratch, and the sharded
+// entropy decoder writes disjoint shard slices of one buffer from multiple
+// threads. The rows use unaligned loads and stores, so alignment is a speed
+// matter, never a correctness one. A 64-byte base alignment guarantees (a)
+// a row that starts at a multiple of four codes never splits a 16-byte
+// store across cache lines and (b) shard boundaries rounded to the vector
+// width never false-share a line between lanes. std::allocator only
+// guarantees alignof(T), so the scratch vectors use this allocator instead;
+// AlignedVec<T> is drop-in for std::vector<T> everywhere the codecs used one
+// (ScratchGuard / trim_scratch are templates and keep working).
 
 #include <cstddef>
 #include <new>

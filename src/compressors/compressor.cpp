@@ -1,8 +1,11 @@
 #include "compressors/compressor.h"
 
 #include <cmath>
+#include <cstring>
 
+#include "lossless/lzss.h"
 #include "lossless/quant_codec.h"
+#include "obs/obs.h"
 
 namespace mrc {
 
@@ -100,6 +103,52 @@ Header read_header(ByteReader& r, std::uint32_t expected_magic, const char* code
   if (h.codec_magic != expected_magic)
     throw CodecError(std::string(codec_name) + ": stream magic mismatch");
   return Header{h.dims, h.eb, h.entropy_shards};
+}
+
+std::uint32_t read_radius(ByteReader& r, const char* codec_name) {
+  const std::uint64_t radius = r.get_varint();
+  if (radius < 2 || radius > lossless::kMaxQuantRadius)
+    throw CodecError(std::string(codec_name) + ": bad radius");
+  return static_cast<std::uint32_t>(radius);
+}
+
+void write_quant_payload(ByteWriter& w, const PayloadNames& names,
+                         std::span<const std::uint32_t> codes, std::uint32_t radius,
+                         std::uint32_t shards, int lanes,
+                         std::span<const float> outliers) {
+  static obs::Counter& ns_ent =
+      obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
+  static obs::Counter& ns_ll =
+      obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
+  {
+    OBS_SPAN(names.entropy, &ns_ent);
+    w.put_blob(lossless::encode_quant_codes_sharded(codes, radius, shards, lanes));
+  }
+  OBS_SPAN(names.lossless, &ns_ll);
+  w.put_blob(lossless::lzss_compress(std::as_bytes(outliers)));
+}
+
+QuantPayload::QuantPayload(ByteReader& r)
+    : code_blob(r.get_blob()), outlier_blob(r.get_blob()) {}
+
+void QuantPayload::decode(const PayloadNames& names, std::uint32_t radius,
+                          std::uint64_t count, AlignedVec<std::uint32_t>& codes,
+                          AlignedVec<float>& outliers) const {
+  static obs::Counter& ns_ent =
+      obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
+  static obs::Counter& ns_ll =
+      obs::Registry::global().counter("mrc.codec.lossless.decode_ns");
+  {
+    OBS_SPAN(names.entropy, &ns_ent);
+    lossless::decode_quant_codes_into(code_blob, radius, codes, count);
+  }
+  OBS_SPAN(names.lossless, &ns_ll);
+  const Bytes raw = lossless::lzss_decompress(outlier_blob);
+  if (raw.size() % sizeof(float) != 0)
+    throw CodecError(std::string(names.codec) + ": bad outlier blob");
+  outliers.resize(raw.size() / sizeof(float));
+  if (!raw.empty())  // memcpy from an empty vector's null data() is UB
+    std::memcpy(outliers.data(), raw.data(), raw.size());
 }
 
 }  // namespace detail

@@ -20,6 +20,7 @@
 #include <span>
 #include <string>
 
+#include "common/aligned.h"
 #include "common/bytes.h"
 #include "common/dims.h"
 #include "grid/field.h"
@@ -134,6 +135,46 @@ struct Header {
 /// Reads the container header and checks the codec magic matches.
 [[nodiscard]] Header read_header(ByteReader& r, std::uint32_t expected_magic,
                                  const char* codec_name);
+
+/// Reads a quantization radius (varint); throws CodecError
+/// "<codec>: bad radius" outside [2, lossless::kMaxQuantRadius].
+[[nodiscard]] std::uint32_t read_radius(ByteReader& r, const char* codec_name);
+
+/// How a predict-and-quantize codec names its payload: the prefix of its
+/// error messages and the spans its two payload stages record.
+struct PayloadNames {
+  const char* codec;     ///< e.g. "interp"
+  const char* entropy;   ///< e.g. "interp.entropy"
+  const char* lossless;  ///< e.g. "interp.lossless"
+};
+
+/// The payload interp, quantize and each lorenzo chunk end with: the
+/// Huffman code blob (lossless::encode_quant_codes_sharded with `shards`,
+/// encoded on up to `lanes` lanes), then an LZSS blob of the raw outlier
+/// floats. The two stages add to the mrc.codec.entropy/lossless.encode_ns
+/// counters.
+void write_quant_payload(ByteWriter& w, const PayloadNames& names,
+                         std::span<const std::uint32_t> codes, std::uint32_t radius,
+                         std::uint32_t shards, int lanes,
+                         std::span<const float> outliers);
+
+/// The reader of write_quant_payload's bytes: the two blobs, located in a
+/// stream but not yet decoded, so a caller can find several payloads first
+/// and decode them on different lanes.
+struct QuantPayload {
+  /// Locates the payload at r's position and moves r past it.
+  explicit QuantPayload(ByteReader& r);
+
+  /// Decodes exactly `count` codes (the stream's count is checked against it
+  /// before `codes` is sized) and the outliers (the blob must hold a whole
+  /// number of floats, else "<codec>: bad outlier blob"). The two stages add
+  /// to the mrc.codec.entropy/lossless.decode_ns counters.
+  void decode(const PayloadNames& names, std::uint32_t radius, std::uint64_t count,
+              AlignedVec<std::uint32_t>& codes, AlignedVec<float>& outliers) const;
+
+  std::span<const std::byte> code_blob;
+  std::span<const std::byte> outlier_blob;
+};
 
 }  // namespace detail
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
+#include "compressors/quantizer.h"
 #include "compressors/simd_kernels.h"
 #include "exec/thread_pool.h"
-#include "lossless/lzss.h"
 #include "lossless/quant_codec.h"
 #include "obs/obs.h"
 
@@ -15,6 +13,8 @@ namespace mrc {
 
 namespace {
 
+constexpr detail::PayloadNames kPayloadNames{"interp", "interp.entropy",
+                                             "interp.lossless"};
 
 int ceil_log2(index_t n) {
   int l = 0;
@@ -253,26 +253,6 @@ double level_eb(double eb, int level, const InterpConfig& cfg) {
   return eb / factor;
 }
 
-/// Quantizes one point against its prediction; code 0 sends x to the
-/// outlier list.
-std::uint32_t quantize_point(float x, double pred, double eb, std::uint32_t radius,
-                             float& rec, AlignedVec<float>& outliers) {
-  const double diff = static_cast<double>(x) - pred;
-  if (std::abs(diff) < 2.0 * eb * radius) {
-    const auto q = std::llround(diff / (2.0 * eb));
-    if (std::llabs(q) < radius) {
-      const auto cand = static_cast<float>(pred + 2.0 * eb * static_cast<double>(q));
-      if (std::abs(static_cast<double>(cand) - static_cast<double>(x)) <= eb) {
-        rec = cand;
-        return static_cast<std::uint32_t>(q + radius);
-      }
-    }
-  }
-  outliers.push_back(x);
-  rec = x;
-  return 0;
-}
-
 // The two passes live in their own non-inlined functions, free of any obs::
 // code, so the OBS_SPANs at their call sites cannot perturb the hot loop's
 // codegen (see the placement rule next to OBS_SPAN in obs/obs.h).
@@ -289,23 +269,24 @@ MRC_OBS_NOINLINE std::size_t predict_quant_pass(const FieldF& f, double abs_eb,
   std::size_t emitted = 0;
 
   const int levels = std::max(ceil_log2(d.max_extent()), 1);
-  const double corner_eb = level_eb(abs_eb, levels, cfg);
+  const LinearQuantizer corner_quant{level_eb(abs_eb, levels, cfg), radius};
   for (const Corner& c : corner_list(d)) {
     const index_t idx = d.index(c.x, c.y, c.z);
-    codes[emitted++] = quantize_point(orig[idx], corner_prediction(recon, c), corner_eb,
-                                      radius, rec[idx], outliers);
+    codes[emitted++] =
+        corner_quant.encode(orig[idx], corner_prediction(recon, c), rec[idx], outliers);
   }
 
   std::vector<AlignedVec<float>> chunk_outliers;
   for (const Sweep& sw : sweep_plan(d)) {
     const double eb = level_eb(abs_eb, sw.lev, cfg);
+    const LinearQuantizer quant{eb, radius};
     const std::size_t first_code = emitted;
     auto quantize_units = [&](index_t u0, index_t u1, AlignedVec<float>& out) {
       std::size_t ci = first_code + static_cast<std::size_t>(u0 * sw.per_unit);
       visit_units(
           d, rec, cfg.cubic, sw, u0, u1,
           [&](index_t idx, double pred, bool /*extrap*/) {
-            codes[ci++] = quantize_point(orig[idx], pred, eb, radius, rec[idx], out);
+            codes[ci++] = quant.encode(orig[idx], pred, rec[idx], out);
           },
           [&](const RowCtx& rc) {
             const auto n = static_cast<std::size_t>(rc.n);
@@ -353,29 +334,21 @@ MRC_OBS_NOINLINE void predict_recon_pass(const Dim3& d, double stream_eb,
   const auto radius = cfg.quant_radius;
   float* rec = recon.data();
   const std::span<const float> ospan(outliers.data(), outliers.size());
-  auto dequantize_point = [&](std::uint32_t code, double pred, double eb,
-                              std::size_t& oi) {
-    if (code == 0) {
-      if (oi >= ospan.size()) throw CodecError("interp: outlier underrun");
-      return ospan[oi++];
-    }
-    const auto q = static_cast<std::int64_t>(code) - radius;
-    return static_cast<float>(pred + 2.0 * eb * static_cast<double>(q));
-  };
 
   std::size_t consumed = 0;
   std::size_t oi = 0;
   const int levels = std::max(ceil_log2(d.max_extent()), 1);
-  const double corner_eb = level_eb(stream_eb, levels, cfg);
+  const LinearQuantizer corner_quant{level_eb(stream_eb, levels, cfg), radius};
   for (const Corner& c : corner_list(d)) {
     const index_t idx = d.index(c.x, c.y, c.z);
     rec[idx] =
-        dequantize_point(codes[consumed++], corner_prediction(recon, c), corner_eb, oi);
+        corner_quant.decode(codes[consumed++], corner_prediction(recon, c), ospan, oi);
   }
 
   std::vector<std::size_t> first_outlier;
   for (const Sweep& sw : sweep_plan(d)) {
     const double eb = level_eb(stream_eb, sw.lev, cfg);
+    const LinearQuantizer quant{eb, radius};
     const std::size_t first_code = consumed;
     auto unit_codes = [&](index_t u) {
       return first_code + static_cast<std::size_t>(u * sw.per_unit);
@@ -387,7 +360,7 @@ MRC_OBS_NOINLINE void predict_recon_pass(const Dim3& d, double stream_eb,
       visit_units(
           d, rec, cfg.cubic, sw, u0, u1,
           [&](index_t idx, double pred, bool /*extrap*/) {
-            rec[idx] = dequantize_point(codes[ci++], pred, eb, o);
+            rec[idx] = quant.decode(codes[ci++], pred, ospan, o);
           },
           [&](const RowCtx& rc) {
             const auto n = static_cast<std::size_t>(rc.n);
@@ -472,10 +445,6 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
 
   static obs::Counter& ns_pq =
       obs::Registry::global().counter("mrc.codec.predict_quant.encode_ns");
-  static obs::Counter& ns_ent =
-      obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
-  static obs::Counter& ns_ll =
-      obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
 
   const int lanes = exec::lanes_here(cfg_.threads);
   {
@@ -498,16 +467,7 @@ Bytes InterpCompressor::compress(const FieldF& f, double abs_eb) const {
   w.put(cfg_.alpha);
   w.put(cfg_.beta);
   w.put_varint(radius);
-
-  {
-    OBS_SPAN("interp.entropy", &ns_ent);
-    w.put_blob(lossless::encode_quant_codes_sharded(codes, radius, shards, lanes));
-  }
-  {
-    OBS_SPAN("interp.lossless", &ns_ll);
-    const auto outlier_bytes = std::as_bytes(std::span<const float>(outliers));
-    w.put_blob(lossless::lzss_compress(outlier_bytes));
-  }
+  detail::write_quant_payload(w, kPayloadNames, codes, radius, shards, lanes, outliers);
   return out;
 }
 
@@ -520,39 +480,22 @@ FieldF InterpCompressor::decompress(std::span<const std::byte> stream) const {
   cfg.cubic = r.get<std::uint8_t>() != 0;
   cfg.alpha = r.get<double>();
   cfg.beta = r.get<double>();
-  const std::uint64_t radius = r.get_varint();
-  if (radius < 2 || radius > lossless::kMaxQuantRadius)
-    throw CodecError("interp: bad radius");
-  cfg.quant_radius = static_cast<std::uint32_t>(radius);
+  // The constructor's condition; written this way round, a NaN fails too.
+  if (!(cfg.alpha > 1.0 && cfg.beta >= 1.0))
+    throw CodecError("interp: bad adaptive-eb parameters");
+  cfg.quant_radius = detail::read_radius(r, "interp");
 
-  // Per-lane scratch (see compress); decode_quant_codes_into validates the
-  // stream's count against the header dims before sizing the buffer, then
-  // writes straight into it.
+  // Per-lane scratch (see compress), written straight from the payload.
   thread_local AlignedVec<std::uint32_t> codes;
   thread_local AlignedVec<float> outliers;
   const detail::ScratchGuard gc(codes);
   const detail::ScratchGuard go(outliers);
-  static obs::Counter& ns_ent =
-      obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
-  static obs::Counter& ns_ll =
-      obs::Registry::global().counter("mrc.codec.lossless.decode_ns");
+  detail::QuantPayload(r).decode(kPayloadNames, cfg.quant_radius,
+                                 static_cast<std::uint64_t>(h.dims.size()), codes,
+                                 outliers);
+
   static obs::Counter& ns_pq =
       obs::Registry::global().counter("mrc.codec.predict_quant.decode_ns");
-  {
-    OBS_SPAN("interp.entropy", &ns_ent);
-    lossless::decode_quant_codes_into(r.get_blob(), cfg.quant_radius, codes,
-                                      static_cast<std::uint64_t>(h.dims.size()));
-  }
-  {
-    OBS_SPAN("interp.lossless", &ns_ll);
-    const auto outlier_raw = lossless::lzss_decompress(r.get_blob());
-    if (outlier_raw.size() % sizeof(float) != 0)
-      throw CodecError("interp: bad outlier blob");
-    outliers.resize(outlier_raw.size() / sizeof(float));
-    if (!outlier_raw.empty())  // memcpy from an empty vector's null data() is UB
-      std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
-  }
-
   FieldF recon(h.dims);
   OBS_SPAN("interp.predict_recon", &ns_pq);
   predict_recon_pass(h.dims, h.eb, cfg, exec::lanes_here(cfg_.threads), recon, codes,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 
 #include "exec/thread_pool.h"
 #include "compressors/quantizer.h"
@@ -17,6 +16,8 @@ namespace mrc {
 
 namespace {
 
+constexpr detail::PayloadNames kPayloadNames{"lorenzo", "lorenzo.entropy",
+                                             "lorenzo.lossless"};
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
@@ -90,8 +91,7 @@ double lorenzo_pred_fast(const float* recon, index_t idx, index_t sy, index_t sz
 struct ChunkStream {
   Bytes flags;
   Bytes coeffs;
-  Bytes codes;
-  Bytes outliers;
+  Bytes payload;  ///< detail::write_quant_payload's code and outlier blobs
 };
 
 struct CoeffQuant {
@@ -156,8 +156,6 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
 
     static obs::Counter& ns_pq =
         obs::Registry::global().counter("mrc.codec.predict_quant.encode_ns");
-    static obs::Counter& ns_ent =
-        obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
     static obs::Counter& ns_ll =
         obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
     {
@@ -242,13 +240,10 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
     {
       OBS_SPAN("lorenzo.lossless", &ns_ll);
       cs.coeffs = lossless::lzss_compress(coeff_bytes);
-      cs.outliers = lossless::lzss_compress(std::as_bytes(std::span<const float>(outliers)));
     }
-    {
-      OBS_SPAN("lorenzo.entropy", &ns_ent);
-      cs.codes = lossless::encode_quant_codes_sharded(codes, cfg_.quant_radius,
-                                                      cfg_.entropy_shards);
-    }
+    ByteWriter payload(cs.payload);
+    detail::write_quant_payload(payload, kPayloadNames, codes, cfg_.quant_radius,
+                                cfg_.entropy_shards, 1, outliers);
   });
 
   // Header entropy-layout minor version: the widest shard count any chunk
@@ -274,8 +269,7 @@ Bytes LorenzoCompressor::compress(const FieldF& f, double abs_eb) const {
   for (const auto& cs : chunks) {
     w.put_blob(cs.flags);
     w.put_blob(cs.coeffs);
-    w.put_blob(cs.codes);
-    w.put_blob(cs.outliers);
+    w.put_bytes(cs.payload);
   }
   return out;
 }
@@ -284,10 +278,7 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
   ByteReader r(stream);
   const auto h = detail::read_header(r, kMagic, "lorenzo");
   const auto bs = static_cast<index_t>(r.get_varint());
-  const std::uint64_t radius64 = r.get_varint();
-  if (radius64 < 2 || radius64 > lossless::kMaxQuantRadius)
-    throw CodecError("lorenzo: bad radius");
-  const auto radius = static_cast<std::uint32_t>(radius64);
+  const std::uint32_t radius = detail::read_radius(r, "lorenzo");
   (void)r.get<std::uint8_t>();  // use_regression flag (informational)
   const auto n_chunks = static_cast<int>(r.get_varint());
   const Dim3 d = h.dims;
@@ -298,14 +289,14 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
   const LinearQuantizer quant{h.eb, radius};
 
   struct ChunkIn {
-    std::span<const std::byte> flags, coeffs, codes, outliers;
+    std::span<const std::byte> flags, coeffs;
+    detail::QuantPayload payload;
   };
-  std::vector<ChunkIn> chunk_in(static_cast<std::size_t>(n_chunks));
-  for (auto& ci : chunk_in) {
-    ci.flags = r.get_blob();
-    ci.coeffs = r.get_blob();
-    ci.codes = r.get_blob();
-    ci.outliers = r.get_blob();
+  std::vector<ChunkIn> chunk_in;
+  for (int c = 0; c < n_chunks; ++c) {
+    const auto flags = r.get_blob();
+    const auto coeffs = r.get_blob();
+    chunk_in.push_back({flags, coeffs, detail::QuantPayload(r)});
   }
 
   FieldF recon(d);
@@ -317,8 +308,6 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
 
     static obs::Counter& ns_pq =
         obs::Registry::global().counter("mrc.codec.predict_quant.decode_ns");
-    static obs::Counter& ns_ent =
-        obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
     static obs::Counter& ns_ll =
         obs::Registry::global().counter("mrc.codec.lossless.decode_ns");
 
@@ -329,27 +318,16 @@ FieldF LorenzoCompressor::decompress(std::span<const std::byte> stream) const {
     }();
     ByteReader coeff_reader(coeff_raw);
     // Per-lane scratch; the chunk's cell count is a closed-form function of
-    // its z-slab, and decode_quant_codes_into validates the stream's count
-    // against it before sizing the buffer.
+    // its z-slab, and the payload checks the stream's count against it
+    // before sizing the buffer.
     thread_local AlignedVec<std::uint32_t> codes;
     thread_local AlignedVec<float> outliers;
     const detail::ScratchGuard gc(codes);
     const detail::ScratchGuard go(outliers);
-    {
-      OBS_SPAN("lorenzo.entropy", &ns_ent);
-      lossless::decode_quant_codes_into(
-          ci_in.codes, radius, codes,
-          static_cast<std::uint64_t>((std::min(bz1 * bs, d.nz) - zmin) * d.nx * d.ny));
-    }
-    {
-      OBS_SPAN("lorenzo.lossless", &ns_ll);
-      const auto outlier_raw = lossless::lzss_decompress(ci_in.outliers);
-      if (outlier_raw.size() % sizeof(float) != 0)
-        throw CodecError("lorenzo: bad outlier blob");
-      outliers.resize(outlier_raw.size() / sizeof(float));
-      if (!outlier_raw.empty())  // memcpy from an empty vector's null data() is UB
-        std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
-    }
+    ci_in.payload.decode(
+        kPayloadNames, radius,
+        static_cast<std::uint64_t>((std::min(bz1 * bs, d.nz) - zmin) * d.nx * d.ny), codes,
+        outliers);
 
     std::size_t code_pos = 0, outlier_pos = 0;
     std::array<std::int64_t, 4> prev_q{0, 0, 0, 0};

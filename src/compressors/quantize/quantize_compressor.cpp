@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "compressors/simd_kernels.h"
-#include "lossless/lzss.h"
 #include "lossless/quant_codec.h"
 #include "obs/obs.h"
 
 namespace mrc {
 
 namespace {
+
+constexpr detail::PayloadNames kPayloadNames{"quantize", "quantize.entropy",
+                                             "quantize.lossless"};
 
 // The two passes live in their own non-inlined functions, free of any obs::
 // code, so the OBS_SPANs at their call sites cannot perturb the loops'
@@ -69,10 +70,6 @@ Bytes QuantizeCompressor::compress(const FieldF& f, double abs_eb) const {
 
   static obs::Counter& ns_pq =
       obs::Registry::global().counter("mrc.codec.predict_quant.encode_ns");
-  static obs::Counter& ns_ent =
-      obs::Registry::global().counter("mrc.codec.entropy.encode_ns");
-  static obs::Counter& ns_ll =
-      obs::Registry::global().counter("mrc.codec.lossless.encode_ns");
   {
     OBS_SPAN("quantize.predict_quant", &ns_pq);
     quantize_pass(f.data(), n, abs_eb, radius, codes.data(), outliers);
@@ -83,55 +80,26 @@ Bytes QuantizeCompressor::compress(const FieldF& f, double abs_eb) const {
   ByteWriter w(out);
   detail::write_header(w, kMagic, f.dims(), abs_eb, shards);
   w.put_varint(radius);
-  {
-    OBS_SPAN("quantize.entropy", &ns_ent);
-    w.put_blob(lossless::encode_quant_codes_sharded(codes, radius, shards));
-  }
-  {
-    OBS_SPAN("quantize.lossless", &ns_ll);
-    w.put_blob(lossless::lzss_compress(std::as_bytes(std::span<const float>(outliers))));
-  }
+  detail::write_quant_payload(w, kPayloadNames, codes, radius, shards, 1, outliers);
   return out;
 }
 
 FieldF QuantizeCompressor::decompress(std::span<const std::byte> stream) const {
   ByteReader r(stream);
   const auto h = detail::read_header(r, kMagic, "quantize");
-  const std::uint64_t radius64 = r.get_varint();
-  if (radius64 < 2 || radius64 > lossless::kMaxQuantRadius)
-    throw CodecError("quantize: bad radius");
-  const auto radius = static_cast<std::uint32_t>(radius64);
-  const auto code_blob = r.get_blob();
-  const auto outlier_blob = r.get_blob();
+  const std::uint32_t radius = detail::read_radius(r, "quantize");
+  const detail::QuantPayload payload(r);
   if (r.remaining() != 0) throw CodecError("quantize: trailing bytes");
 
   thread_local AlignedVec<std::uint32_t> codes;
   thread_local AlignedVec<float> outliers;
   const detail::ScratchGuard gc(codes);
   const detail::ScratchGuard go(outliers);
-  static obs::Counter& ns_ent =
-      obs::Registry::global().counter("mrc.codec.entropy.decode_ns");
-  static obs::Counter& ns_ll =
-      obs::Registry::global().counter("mrc.codec.lossless.decode_ns");
+  payload.decode(kPayloadNames, radius, static_cast<std::uint64_t>(h.dims.size()), codes,
+                 outliers);
+
   static obs::Counter& ns_pq =
       obs::Registry::global().counter("mrc.codec.predict_quant.decode_ns");
-  {
-    // Checks the stream's code count against the header extents before
-    // sizing `codes`.
-    OBS_SPAN("quantize.entropy", &ns_ent);
-    lossless::decode_quant_codes_into(code_blob, radius, codes,
-                                      static_cast<std::uint64_t>(h.dims.size()));
-  }
-  {
-    OBS_SPAN("quantize.lossless", &ns_ll);
-    const auto outlier_raw = lossless::lzss_decompress(outlier_blob);
-    if (outlier_raw.size() % sizeof(float) != 0)
-      throw CodecError("quantize: bad outlier blob");
-    outliers.resize(outlier_raw.size() / sizeof(float));
-    if (!outlier_raw.empty())  // memcpy from an empty vector's null data() is UB
-      std::memcpy(outliers.data(), outlier_raw.data(), outlier_raw.size());
-  }
-
   FieldF recon(h.dims);
   OBS_SPAN("quantize.predict_recon", &ns_pq);
   dequantize_pass(codes.data(), codes.size(), h.eb, radius, recon.data(),

@@ -4,6 +4,11 @@
 // Residuals are mapped to 2*eb-wide bins; values whose bin falls outside the
 // radius (or whose reconstruction misses the bound after float rounding) are
 // stored exactly as outliers (code 0), the SZ "unpredictable data" path.
+//
+// This is the library's only scalar quantize and dequantize: the scalar
+// rows in simd_kernels.cpp, interp's per-point targets and lorenzo's
+// Lorenzo-predicted blocks all call it, and the AVX2 rows reproduce it bit
+// for bit.
 
 #include <cmath>
 #include <cstdint>

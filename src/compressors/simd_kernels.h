@@ -2,27 +2,27 @@
 
 // Runtime-dispatched SIMD kernels for the predictor+quantizer hot loops.
 //
-// The prediction-based codecs (interp, lorenzo) spend their time in rows of
-// the same three shapes: a row-uniform prediction (linear or cubic
-// interpolation along one axis for interp, a regression plane for lorenzo)
-// followed by the LinearQuantizer encode or decode of every element. These
-// kernels run that row 4 lanes at a time — predictions and the quantizer's
-// double-precision checks in vector registers, outliers collected from a
-// lane mask and patched after the store — and are required to be
-// BIT-IDENTICAL to the scalar code they replace: same operation order, same
-// single roundings, llround's round-half-away-from-zero emulated exactly
-// (magic-number round-to-even plus a sign-aware tie correction). The
-// frozen-format goldens pin this; tests/test_simd_kernels.cpp compares every
-// ISA against scalar lane by lane.
+// The prediction-based codecs (interp, lorenzo, quantize) spend their time
+// in rows of the same three shapes: a row-uniform prediction (linear or
+// cubic interpolation along one axis for interp, a regression plane for
+// lorenzo, the zero plane for quantize) followed by the LinearQuantizer
+// encode or decode of every element. These kernels run that row 4 lanes at
+// a time — predictions and the quantizer's double-precision checks in
+// vector registers, outliers collected from a lane mask and patched after
+// the store — and are required to be BIT-IDENTICAL to the scalar rows:
+// same operation order, same single roundings, llround's
+// round-half-away-from-zero emulated exactly (magic-number round-to-even
+// plus a sign-aware tie correction). The frozen-format goldens pin this;
+// tests/test_simd_kernels.cpp compares the vector path against scalar lane
+// by lane.
 //
-// Three implementations are registered: scalar (portable reference, always
-// available), SSE2 (the x86-64 baseline, two 128-bit double vectors per
-// row step), and AVX2 (one 256-bit vector, compiled in its own TU with
-// -mavx2 and selected only when the CPU reports AVX2). FMA is deliberately
-// never enabled: a fused multiply-add changes roundings and would break
-// bit-identity with the scalar path. Dispatch is a table-pointer load;
-// force_isa() lets tests and benches pin a path (clamped to what the build
-// and CPU support).
+// Two paths: the scalar rows (LinearQuantizer per element, always
+// available) and AVX2 (one 256-bit double vector per step, compiled under a
+// target("avx2") pragma in simd_kernels.cpp and taken only when the CPU
+// reports AVX2). Each call picks its path with active_isa(); x86 CPUs
+// without AVX2 run the scalar rows. FMA is deliberately never enabled: a
+// fused multiply-add changes roundings and would break bit-identity with
+// the scalar path. force_isa() lets tests and benches pin scalar.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +32,7 @@
 
 namespace mrc::simd {
 
-enum class Isa : std::uint8_t { scalar = 0, sse2 = 1, avx2 = 2 };
+enum class Isa : std::uint8_t { scalar = 0, avx2 = 1 };
 
 /// Best ISA this build + CPU supports.
 [[nodiscard]] Isa best_isa();
@@ -82,37 +82,5 @@ void dequantize_row_plane(const std::uint32_t* codes, std::size_t n, double m,
                           double gx, double ci, double aj, double ak, double eb,
                           std::uint32_t radius, float* recon,
                           std::span<const float> outliers, std::size_t& outlier_pos);
-
-namespace detail {
-
-/// Per-ISA entry points. A null table means the ISA is not compiled in.
-struct KernelTable {
-  void (*quantize_linear)(const float*, const float*, const float*, std::size_t,
-                          double, std::uint32_t, std::uint32_t*, float*,
-                          AlignedVec<float>&);
-  void (*quantize_cubic)(const float*, const float*, const float*, const float*,
-                         const float*, std::size_t, double, std::uint32_t,
-                         std::uint32_t*, float*, AlignedVec<float>&);
-  void (*quantize_plane)(const float*, std::size_t, double, double, double,
-                         double, double, double, std::uint32_t, std::uint32_t*,
-                         float*, AlignedVec<float>&);
-  void (*dequantize_linear)(const std::uint32_t*, const float*, const float*,
-                            std::size_t, double, std::uint32_t, float*,
-                            std::span<const float>, std::size_t&);
-  void (*dequantize_cubic)(const std::uint32_t*, const float*, const float*,
-                           const float*, const float*, std::size_t, double,
-                           std::uint32_t, float*, std::span<const float>,
-                           std::size_t&);
-  void (*dequantize_plane)(const std::uint32_t*, std::size_t, double, double,
-                           double, double, double, double, std::uint32_t, float*,
-                           std::span<const float>, std::size_t&);
-};
-
-/// Defined in simd_kernels_sse2.cpp / simd_kernels_avx2.cpp; nullptr when
-/// the build does not support the ISA.
-const KernelTable* sse2_table();
-const KernelTable* avx2_table();
-
-}  // namespace detail
 
 }  // namespace mrc::simd

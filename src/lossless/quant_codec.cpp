@@ -474,8 +474,7 @@ ShardedHeader parse_sharded(std::span<const std::byte> in, std::uint64_t expecte
 /// independent BitReader over its validated sub-span, so shards run in any
 /// order — or concurrently — and produce the same bytes.
 void decode_shards(std::span<const std::byte> in, std::uint32_t radius,
-                   std::uint32_t* dst, const ShardedHeader& h,
-                   exec::ThreadPool* pool) {
+                   std::uint32_t* dst, const ShardedHeader& h, int lanes) {
   const auto shard_count = static_cast<index_t>(h.table.size());
   std::vector<std::uint64_t> first(h.table.size() + 1, 0);
   for (std::size_t s = 0; s < h.table.size(); ++s)
@@ -489,28 +488,7 @@ void decode_shards(std::span<const std::byte> in, std::uint32_t radius,
     decode_stream(br, h.cb, radius, static_cast<std::size_t>(e.count), sink);
   };
 
-  if (pool != nullptr)
-    pool->parallel_for(shard_count, decode_one);
-  else
-    exec::parallel_for(shard_count, decode_one);
-}
-
-void decode_into_impl(std::span<const std::byte> in, std::uint32_t radius,
-                      AlignedVec<std::uint32_t>& out, std::uint64_t expected_count,
-                      exec::ThreadPool* pool) {
-  if (is_sharded_quant_stream(in)) {
-    const ShardedHeader h = parse_sharded(in, expected_count);
-    out.resize(static_cast<std::size_t>(h.n));
-    decode_shards(in, radius, out.data(), h, pool);
-    return;
-  }
-  BitReader br(in);
-  const auto n = static_cast<std::size_t>(br.read_bits(48));
-  if (n != expected_count) throw CodecError("quant codec: count mismatch");
-  const auto cb = HuffmanCodebook::deserialize(br);
-  out.resize(n);
-  SpanSink sink{out.data(), radius};
-  decode_stream(br, cb, radius, n, sink);
+  exec::parallel_for(shard_count, decode_one, lanes);
 }
 
 }  // namespace
@@ -533,7 +511,7 @@ std::vector<std::uint32_t> decode_quant_codes(std::span<const std::byte> in,
   if (is_sharded_quant_stream(in)) {
     const ShardedHeader h = parse_sharded(in, kAnyCount);
     std::vector<std::uint32_t> codes(static_cast<std::size_t>(h.n));
-    decode_shards(in, radius, codes.data(), h, nullptr);
+    decode_shards(in, radius, codes.data(), h, 0);
     return codes;
   }
   BitReader br(in);
@@ -557,14 +535,20 @@ std::vector<std::uint32_t> decode_quant_codes(std::span<const std::byte> in,
 
 void decode_quant_codes_into(std::span<const std::byte> in, std::uint32_t radius,
                              AlignedVec<std::uint32_t>& out,
-                             std::uint64_t expected_count) {
-  decode_into_impl(in, radius, out, expected_count, nullptr);
-}
-
-void decode_quant_codes_into(std::span<const std::byte> in, std::uint32_t radius,
-                             AlignedVec<std::uint32_t>& out,
-                             std::uint64_t expected_count, exec::ThreadPool& pool) {
-  decode_into_impl(in, radius, out, expected_count, &pool);
+                             std::uint64_t expected_count, int lanes) {
+  if (is_sharded_quant_stream(in)) {
+    const ShardedHeader h = parse_sharded(in, expected_count);
+    out.resize(static_cast<std::size_t>(h.n));
+    decode_shards(in, radius, out.data(), h, lanes);
+    return;
+  }
+  BitReader br(in);
+  const auto n = static_cast<std::size_t>(br.read_bits(48));
+  if (n != expected_count) throw CodecError("quant codec: count mismatch");
+  const auto cb = HuffmanCodebook::deserialize(br);
+  out.resize(n);
+  SpanSink sink{out.data(), radius};
+  decode_stream(br, cb, radius, n, sink);
 }
 
 }  // namespace mrc::lossless

@@ -54,10 +54,6 @@
 #include "common/bytes.h"
 #include "lossless/huffman.h"
 
-namespace mrc::exec {
-class ThreadPool;
-}
-
 namespace mrc::lossless {
 
 /// Run-length symbols after the 2*radius + 1 codes of every alphabet:
@@ -138,16 +134,11 @@ inline constexpr std::size_t kMinSliceSymbols = std::size_t{64} << 10;
 /// the caller's geometry throws without any sizing; for a sharded stream
 /// the whole shard table is validated first too). Throws CodecError on any
 /// mismatch. Sharded streams fan their chunks out through
-/// exec::parallel_for (serially when the calling thread is already an exec
-/// pool lane); decoded bytes are identical either way.
+/// exec::parallel_for on up to `lanes` lanes (0 = hardware; serially when
+/// the calling thread is already an exec pool lane); monolithic streams
+/// decode on the caller. Decoded bytes are identical either way.
 void decode_quant_codes_into(std::span<const std::byte> in, std::uint32_t radius,
                              AlignedVec<std::uint32_t>& out,
-                             std::uint64_t expected_count);
-
-/// Same, but sharded streams decode on `pool` (benches/tests that want an
-/// explicit width; monolithic streams ignore it).
-void decode_quant_codes_into(std::span<const std::byte> in, std::uint32_t radius,
-                             AlignedVec<std::uint32_t>& out,
-                             std::uint64_t expected_count, exec::ThreadPool& pool);
+                             std::uint64_t expected_count, int lanes = 0);
 
 }  // namespace mrc::lossless

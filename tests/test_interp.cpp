@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "compressors/interp/interp_compressor.h"
 #include "test_util.h"
 
@@ -178,6 +182,35 @@ TEST(Interp, StreamIsSelfDescribing) {
   const InterpCompressor dec;
   const auto recon = dec.decompress(enc.compress(f, 0.25));
   EXPECT_LE(max_abs_err(f, recon), 0.25 + 1e-9);
+}
+
+TEST(Interp, DecoderRejectsAdaptiveEbParametersTheConstructorRejects) {
+  // alpha and beta ride in the stream. Unchecked, these values decoded
+  // without an error into NaN samples or errors far past the bound.
+  const FieldF f = smooth_field({33, 31, 29});
+  InterpConfig cfg;
+  cfg.adaptive_eb = true;
+  const double eb = 1e-3;
+  const Bytes clean = InterpCompressor(cfg).compress(f, eb);
+  ByteReader r(clean);
+  (void)detail::read_header(r, InterpCompressor::kMagic, "interp");
+  const std::size_t alpha_at = r.position() + 2;  // past the adaptive and cubic flags
+  const std::size_t beta_at = alpha_at + sizeof(double);
+  auto expect_rejected = [&](std::size_t at, double v) {
+    Bytes bad = clean;
+    std::memcpy(bad.data() + at, &v, sizeof v);
+    try {
+      (void)InterpCompressor{}.decompress(bad);
+      ADD_FAILURE() << "decoded with " << v << " at byte " << at;
+    } catch (const CodecError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("bad adaptive-eb parameters"), std::string::npos) << what;
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double alpha : {nan, 0.0, 0.5, -3.0}) expect_rejected(alpha_at, alpha);
+  for (const double beta : {nan, 0.5}) expect_rejected(beta_at, beta);
+  EXPECT_LE(max_abs_err(f, InterpCompressor{}.decompress(clean)), eb);
 }
 
 }  // namespace

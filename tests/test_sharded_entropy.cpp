@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "compressors/interp/interp_compressor.h"
 #include "compressors/lorenzo/lorenzo_compressor.h"
-#include "exec/thread_pool.h"
 #include "lossless/bitstream.h"
 #include "lossless/huffman.h"
 #include "lossless/quant_codec.h"
@@ -92,8 +91,7 @@ TEST(ShardedQuantCodec, AllZeroAndAllOutlierInputs) {
 
 TEST(ShardedQuantCodec, BytesInvariantToThreadCount) {
   // Encode is deterministic by construction; decode must produce identical
-  // bytes serial, on an explicit pool of any width, and via the implicit
-  // private pool.
+  // bytes on any lane count, and at the default width.
   const std::uint32_t radius = 512;
   const auto codes = make_codes(96 * 1024, radius, 21);
   const Bytes enc = encode_quant_codes_sharded(codes, radius, 8);
@@ -102,9 +100,8 @@ TEST(ShardedQuantCodec, BytesInvariantToThreadCount) {
   AlignedVec<std::uint32_t> implicit_out;
   decode_quant_codes_into(enc, radius, implicit_out, codes.size());
   for (const int lanes : {1, 2, 4, 8}) {
-    exec::ThreadPool pool(lanes);
     AlignedVec<std::uint32_t> out;
-    decode_quant_codes_into(enc, radius, out, codes.size(), pool);
+    decode_quant_codes_into(enc, radius, out, codes.size(), lanes);
     EXPECT_TRUE(std::equal(out.begin(), out.end(), codes.begin(), codes.end()))
         << lanes << " lanes";
     EXPECT_TRUE(

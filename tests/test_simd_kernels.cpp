@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,21 +29,19 @@ class IsaScope {
   Isa applied_;
 };
 
-/// The ISAs this build + CPU can actually run (scalar always; sse2/avx2 when
-/// force_isa does not clamp them away).
+/// The ISAs this build + CPU can actually run (scalar always; avx2 when
+/// force_isa does not clamp it away).
 std::vector<Isa> available_isas() {
   std::vector<Isa> out{Isa::scalar};
-  for (const Isa isa : {Isa::sse2, Isa::avx2}) {
-    const IsaScope s(isa);
-    if (s.applied() == isa) out.push_back(isa);
-  }
+  const IsaScope s(Isa::avx2);
+  if (s.applied() == Isa::avx2) out.push_back(Isa::avx2);
   return out;
 }
 
 /// Row inputs that bias every interesting quantizer branch: smooth values
 /// (deep zero-run bins), residuals engineered to land exactly on .5 bin
-/// boundaries (llround tie behavior), and spikes far outside the range
-/// check (outliers).
+/// boundaries (llround tie behavior), spikes far outside the range check
+/// (outliers) and NaN samples, which every comparison rejects.
 struct RowData {
   std::vector<float> orig, a, b, c, d;
 };
@@ -71,8 +70,10 @@ RowData make_row(std::size_t n, double eb, std::uint64_t seed) {
       r.orig[i] = static_cast<float>(base + 2.0 * eb * q + eb);
     } else if (u < 0.95) {
       r.orig[i] = static_cast<float>(base + eb * rng.uniform(-40.0, 40.0));
-    } else {
+    } else if (u < 0.98) {
       r.orig[i] = static_cast<float>(base + 1e6 * (rng.uniform() < 0.5 ? -1.0 : 1.0));
+    } else {
+      r.orig[i] = std::numeric_limits<float>::quiet_NaN();
     }
   }
   return r;
@@ -162,9 +163,8 @@ TEST(SimdKernels, DispatchReportsAnIsa) {
   EXPECT_GE(static_cast<int>(best_isa()), static_cast<int>(Isa::scalar));
   EXPECT_EQ(active_isa(), best_isa());
   EXPECT_STREQ(isa_name(Isa::scalar), "scalar");
-  EXPECT_STREQ(isa_name(Isa::sse2), "sse2");
   EXPECT_STREQ(isa_name(Isa::avx2), "avx2");
-  // Forcing above best clamps rather than dispatching to a missing table.
+  // Forcing above best clamps rather than dispatching to a path the CPU lacks.
   const Isa got = force_isa(Isa::avx2);
   EXPECT_LE(static_cast<int>(got), static_cast<int>(best_isa()));
   force_isa(best_isa());
@@ -172,10 +172,14 @@ TEST(SimdKernels, DispatchReportsAnIsa) {
 
 TEST(SimdKernels, EveryIsaBitIdenticalToScalar) {
   const auto isas = available_isas();
-  // Odd lengths exercise the vector tail; 1..3 are all-tail rows.
-  const std::size_t lengths[] = {1, 2, 3, 4, 5, 7, 8, 13, 31, 64, 257};
-  const double ebs[] = {1e-3, 0.25};
-  const std::uint32_t radii[] = {512u, 4u};
+  // Odd lengths exercise the vector tail; 1..3 are all-tail rows, 6 is a
+  // lorenzo block row and 4096 a quantize codec row.
+  const std::size_t lengths[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 31, 64, 257, 4096};
+  // 1e-30 sends nearly every sample to the outlier list.
+  const double ebs[] = {1e-3, 0.25, 3.7e-5, 1e-30};
+  // 2 is the narrowest radius a stream takes; 2^29 + 3 is a wide one that
+  // still takes the vector path (its int32 code lanes need radius < 2^30).
+  const std::uint32_t radii[] = {512u, 4u, 2u, (1u << 29) + 3u};
   for (const auto shape : {Shape::linear, Shape::cubic, Shape::plane}) {
     for (const std::size_t n : lengths) {
       for (const double eb : ebs) {

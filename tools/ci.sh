@@ -7,7 +7,9 @@
 # verify, and finally run the concurrency-heavy suites (exec pool, tiled,
 # pyramid, serve-layer cache + prefetch, sharded entropy decode — the repo's
 # shared mutable state — plus every suite that reaches an exec::parallel_for
-# loop: the uq crossing-probability kernels, the chunked lorenzo/zfpx codecs,
+# loop: the uq crossing-probability kernels, the predict+quantize row
+# kernels and whole-codec streams on both ISAs (so the target("avx2") code
+# is shown to load and run under TSan), the chunked lorenzo/zfpx codecs,
 # the quantize codec's sharded entropy decode, the interp sweeps, monolithic
 # Huffman encode and snapshot level loops that split one stream across the
 # pool (InterpProperty/QuantCodecProperty/Sz3mrProperty and the
@@ -38,7 +40,9 @@
 # 4-lane pool really ran >= 2 lanes at once — sharded entropy decode on a
 # 4-lane pool > 1.5x the same stream on one lane, in the same process —
 # and, where the bench dispatched AVX2, the crossing probability's in-tree
-# normal CDF >= 2x the std::erfc loop, in the same process),
+# normal CDF >= 2x the std::erfc loop and interp's dispatched
+# predict+quantize >= 1.07x its forced-scalar rows, each in the same
+# process),
 # bench_server_load (multi-tenant Server under
 # concurrent wire clients; gates viewport-walk out-hitting random and
 # monotone latency quantiles), bench_progressive_stream (gates MRCR
@@ -97,7 +101,7 @@ if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   # Only the suites that reach the exec pool: the serial suites add nothing
   # under TSan but multiply its ~10x slowdown.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*:Sweep/QuantizeErrorBound.*:InterpProperty.*:QuantCodecProperty.*:Sz3mrProperty.*:FrozenFormat.Snapshot*:Amr.*:RoiExtract.*:ErrorModel.*:MultiresProperty.*'
+      --gtest_filter='ThreadPool.*:ParallelFor.*:LaneInvariance.*:SimdKernels.*:OddExtents/SimdCodecBitIdentity.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*:ProbMc.*:Generators.*:MiniNyx.*:MiniWarpX.*:Fft.*:Ssim*:Bezier.*:Filters.*:VolumeRender.*:Zfpx.*:Sweep/LorenzoErrorBound.*:Sweep/QuantizeErrorBound.*:InterpProperty.*:QuantCodecProperty.*:Sz3mrProperty.*:FrozenFormat.Snapshot*:Amr.*:RoiExtract.*:ErrorModel.*:MultiresProperty.*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
@@ -253,6 +257,15 @@ if [ "${MRC_SKIP_BENCH:-0}" != "1" ]; then
   #     process (uq_normal_cdf) — where the bench dispatched AVX2 (simd_isa).
   #     Elsewhere the row runs its x86-64 baseline body, two SSE2 lanes wide,
   #     and the ratio is informational.
+  #   * the predict+quantize kernels: interp's compress with the AVX2 rows
+  #     must run >= 1.07x the same compress pinned to the scalar rows
+  #     (predict_quant_interp; the two sides' reps alternate in one process)
+  #     — where simd_isa is avx2. Twenty runs with the AVX2 rows read
+  #     1.09-1.38x (1.09 once, with the machine loaded: the scalar side ran
+  #     ~25% slow too) and sixteen runs of a mutant whose rows never leave
+  #     scalar read 0.98-1.05x. Elsewhere both sides run scalar and the
+  #     ratio is informational. Lorenzo's row (1.0-1.1x) gains too little
+  #     to gate.
   python3 - "$BUILD_DIR/bench/BENCH_codec_hotpath.json" \
       "${MRC_QUANT_ENCODE_MIN_MB_S:-579.6}" \
       "${MRC_SHARDED_DECODE_MIN_SPEEDUP:-1.5}" "$(nproc)" <<'PY'
@@ -290,6 +303,17 @@ elif cdf < 2.0:
              f"(needs >= 2.00x with avx2)")
 else:
     print(f"hotpath gate uq_normal_cdf: {cdf:.2f}x over std::erfc (min 2.00, avx2)")
+
+pq = rows["predict_quant_interp"]["speedup"]
+if isa != "avx2":
+    print(f"hotpath gate predict_quant_interp: {pq:.2f}x over forced scalar "
+          f"(informational: dispatched {isa}; the gate needs avx2)")
+elif pq < 1.07:
+    sys.exit(f"hotpath gate: interp predict+quantize ran {pq:.2f}x its forced-scalar "
+             f"rows (needs >= 1.07x with avx2)")
+else:
+    print(f"hotpath gate predict_quant_interp: {pq:.2f}x over forced scalar "
+          f"(min 1.07, avx2)")
 PY
   # Validate the freshly produced JSON plus every committed/earlier one.
   find . "$BUILD_DIR/bench" -maxdepth 1 -name 'BENCH_*.json' -print0 |
